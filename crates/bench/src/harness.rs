@@ -1449,8 +1449,11 @@ mod tests {
                 blocks: &powermove_circuit::BlockProgram,
                 arch: &Architecture,
             ) -> Result<CompiledProgram, powermove::CompileError> {
-                PowerMoveCompiler::new(CompilerConfig::default())
-                    .compile_block_program(blocks, arch)
+                CompilerBackend::compile(
+                    &PowerMoveCompiler::new(CompilerConfig::default()),
+                    blocks,
+                    arch,
+                )
             }
         }
 

@@ -37,5 +37,8 @@ pub use graphs::{random_edges, random_regular_graph};
 pub use qaoa::{qaoa_random, qaoa_regular};
 pub use qft::qft;
 pub use qsim::qsim_random;
-pub use suite::{generate, table2_sizes, table2_suite, BenchmarkFamily, BenchmarkInstance};
+pub use suite::{
+    generate, table2_sizes, table2_suite, try_generate, BenchmarkFamily, BenchmarkInstance,
+    GenerateError,
+};
 pub use vqe::{vqe_ansatz, EntanglementPattern};

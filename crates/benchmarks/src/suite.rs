@@ -99,29 +99,99 @@ impl BenchmarkInstance {
     }
 }
 
-/// Generates one benchmark instance.
+/// Why a family/size combination has no benchmark instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GenerateError {
+    /// No simple `degree`-regular graph exists on `num_qubits` vertices:
+    /// `num_qubits · degree` is odd or `degree >= num_qubits`.
+    NoRegularGraph {
+        /// Requested vertex (qubit) count.
+        num_qubits: u32,
+        /// Graph degree of the QAOA family.
+        degree: u32,
+    },
+    /// The family needs more qubits than requested.
+    TooFewQubits {
+        /// The benchmark family.
+        family: BenchmarkFamily,
+        /// Requested qubit count.
+        num_qubits: u32,
+        /// Smallest width the family supports.
+        min: u32,
+    },
+}
+
+impl fmt::Display for GenerateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GenerateError::NoRegularGraph { num_qubits, degree } => write!(
+                f,
+                "no {degree}-regular graph on {num_qubits} vertices \
+                 (n*d must be even and d smaller than n)"
+            ),
+            GenerateError::TooFewQubits {
+                family,
+                num_qubits,
+                min,
+            } => write!(f, "{family} needs at least {min} qubits, got {num_qubits}"),
+        }
+    }
+}
+
+impl std::error::Error for GenerateError {}
+
+/// Generates one benchmark instance, or reports why the family/size
+/// combination is infeasible.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the family/size combination is infeasible (e.g. an odd number
-/// of qubits for a 3-regular graph, or fewer than 2 qubits).
-#[must_use]
-pub fn generate(family: BenchmarkFamily, num_qubits: u32, seed: u64) -> BenchmarkInstance {
+/// Returns [`GenerateError`] for an odd `n·d` or `d >= n` on the regular
+/// QAOA families, and for fewer than 2 qubits on BV.
+pub fn try_generate(
+    family: BenchmarkFamily,
+    num_qubits: u32,
+    seed: u64,
+) -> Result<BenchmarkInstance, GenerateError> {
+    let regular = |degree: u32| {
+        if degree >= num_qubits || u64::from(num_qubits) * u64::from(degree) % 2 == 1 {
+            Err(GenerateError::NoRegularGraph { num_qubits, degree })
+        } else {
+            Ok(qaoa_regular(num_qubits, degree, seed))
+        }
+    };
     let circuit = match family {
-        BenchmarkFamily::QaoaRegular3 => qaoa_regular(num_qubits, 3, seed),
-        BenchmarkFamily::QaoaRegular4 => qaoa_regular(num_qubits, 4, seed),
+        BenchmarkFamily::QaoaRegular3 => regular(3)?,
+        BenchmarkFamily::QaoaRegular4 => regular(4)?,
         BenchmarkFamily::QaoaRandom => qaoa_random(num_qubits, seed),
         BenchmarkFamily::Qft => qft(num_qubits),
+        BenchmarkFamily::Bv if num_qubits < 2 => {
+            return Err(GenerateError::TooFewQubits {
+                family,
+                num_qubits,
+                min: 2,
+            })
+        }
         BenchmarkFamily::Bv => bernstein_vazirani(num_qubits, seed),
         BenchmarkFamily::Vqe => vqe_ansatz(num_qubits, 1, EntanglementPattern::Linear, seed),
         BenchmarkFamily::QsimRand => qsim_random(num_qubits, 10, 0.3, seed),
     };
-    BenchmarkInstance {
+    Ok(BenchmarkInstance {
         family,
         num_qubits,
         name: format!("{family}-{num_qubits}"),
         circuit,
-    }
+    })
+}
+
+/// Generates one benchmark instance.
+///
+/// # Panics
+///
+/// Panics if the family/size combination is infeasible (see
+/// [`try_generate`]).
+#[must_use]
+pub fn generate(family: BenchmarkFamily, num_qubits: u32, seed: u64) -> BenchmarkInstance {
+    try_generate(family, num_qubits, seed).expect("infeasible benchmark instance")
 }
 
 /// The `(family, qubit-count)` pairs of Table 2, in table order.
@@ -174,6 +244,27 @@ mod tests {
         let suite = table2_suite(1);
         assert_eq!(suite.len(), 23);
         assert_eq!(table2_sizes().len(), 23);
+    }
+
+    #[test]
+    fn try_generate_rejects_infeasible_sizes() {
+        for (family, n, degree) in [
+            (BenchmarkFamily::QaoaRegular3, 7, 3),
+            (BenchmarkFamily::QaoaRegular3, 3, 3),
+            (BenchmarkFamily::QaoaRegular4, 4, 4),
+        ] {
+            assert_eq!(
+                try_generate(family, n, 1),
+                Err(GenerateError::NoRegularGraph {
+                    num_qubits: n,
+                    degree
+                })
+            );
+        }
+        let err = try_generate(BenchmarkFamily::Bv, 1, 1).unwrap_err();
+        assert!(err.to_string().contains("at least 2"));
+        let ok = try_generate(BenchmarkFamily::QaoaRegular3, 8, 1).unwrap();
+        assert_eq!(ok, generate(BenchmarkFamily::QaoaRegular3, 8, 1));
     }
 
     #[test]

@@ -30,6 +30,7 @@ use powermove::{
 };
 use powermove_benchmarks::{generate, BenchmarkFamily};
 use powermove_circuit::{Circuit, Qubit};
+use powermove_exec::{Parallelism, ThreadPool};
 use powermove_hardware::{Architecture, Point, SiteId, Zone};
 use std::sync::Arc;
 use std::time::Duration;
@@ -79,20 +80,22 @@ fn bench_route(c: &mut Criterion) {
         ("lookahead", Arc::new(LookaheadRouter::new(2))),
         ("multi-aod", Arc::new(MultiAodScheduler::default())),
     ];
+    // One worker, as each portfolio candidate replays.
+    let inline = ThreadPool::new(Parallelism::fixed(1));
     for &n in SIZES {
         let (circuit, arch) = instance(n);
         let ir = compiler.stage(&circuit);
         let session = compiler.session(&ir);
         for (name, strategy) in &strategies {
             group.bench_with_input(BenchmarkId::new(*name, n), &session, |b, session| {
-                b.iter(|| black_box(session.replay(&arch, strategy.clone()).unwrap()));
+                b.iter(|| black_box(session.replay(&arch, strategy.clone(), &inline).unwrap()));
             });
         }
         // One greedy replay outside the timing loop reports how much work
         // the spatial free-site index saved; CI's bench-smoke job greps
         // these lines and fails if pruning never engaged.
         let replay = session
-            .replay(&arch, Arc::new(GreedyRouter))
+            .replay(&arch, Arc::new(GreedyRouter), &inline)
             .expect("bench instances replay");
         let counter = |key: &str| {
             replay

@@ -109,16 +109,17 @@ impl StagedIr {
     }
 }
 
-/// A routing session: the back-end replay surface over one frozen staged
-/// program.
+/// A routing session: the compiler's single back end, over one frozen
+/// staged program.
 ///
 /// A session borrows the shared front-end output and replays **only the
 /// back end** — `RoutePass → MovePass` — once per
 /// [`RoutingSession::replay`] call, each time with a different strategy
-/// and/or architecture. This is the hot path of portfolio auto-tuning
-/// (stage once, route N candidates) and of architecture sweeps; replays are
-/// independent, so callers fan them out across a thread pool freely (the
-/// session is `Send + Sync`).
+/// and/or architecture. Every compile lowers through it: a fixed-strategy
+/// compile is one replay, portfolio auto-tuning is one replay per
+/// candidate over the same staged program. Replays are independent, so
+/// callers fan them out across a thread pool freely (the session is
+/// `Send + Sync`).
 ///
 /// Obtain one from [`PowerMoveCompiler::session`] (which fixes the
 /// storage/grouping knobs from the compiler configuration) or construct it
@@ -129,6 +130,7 @@ impl StagedIr {
 /// ```
 /// use powermove::{CompilerConfig, GreedyRouter, MultiAodScheduler, PowerMoveCompiler};
 /// use powermove_circuit::{Circuit, Qubit};
+/// use powermove_exec::{Parallelism, ThreadPool};
 /// use powermove_hardware::Architecture;
 /// use std::sync::Arc;
 ///
@@ -138,12 +140,13 @@ impl StagedIr {
 /// circuit.cz(Qubit::new(2), Qubit::new(3))?;
 /// let compiler = PowerMoveCompiler::new(CompilerConfig::default());
 /// let arch = Architecture::for_qubits(4).with_num_aods(2);
+/// let pool = ThreadPool::new(Parallelism::fixed(1));
 ///
 /// // One front-end pass, two back-end replays.
 /// let ir = compiler.stage(&circuit);
 /// let session = compiler.session(&ir);
-/// let greedy = session.replay(&arch, Arc::new(GreedyRouter))?;
-/// let multi = session.replay(&arch, Arc::new(MultiAodScheduler::default()))?;
+/// let greedy = session.replay(&arch, Arc::new(GreedyRouter), &pool)?;
+/// let multi = session.replay(&arch, Arc::new(MultiAodScheduler::default()), &pool)?;
 /// assert!(multi.movement_wall_clock() <= greedy.movement_wall_clock());
 /// # Ok(())
 /// # }
@@ -173,11 +176,11 @@ impl<'a> RoutingSession<'a> {
     }
 
     /// Replays the back end — routing plus move scheduling — for one
-    /// strategy on one architecture.
+    /// strategy on one architecture, scheduling moves on `pool`.
     ///
-    /// Each replay runs on its own scratch pass context and an inline
-    /// (single-worker) pool, so its output is deterministic and independent
-    /// of any other replay; the movement wall clock is folded incrementally
+    /// Each replay records into its own scratch pass context, so its output
+    /// is deterministic and independent of any other replay and of the
+    /// pool's worker count; the movement wall clock is folded incrementally
     /// while instructions stream out of move scheduling (bit-identical to
     /// [`movement_wall_clock`](crate::movement_wall_clock) over the final
     /// stream).
@@ -190,15 +193,15 @@ impl<'a> RoutingSession<'a> {
         &self,
         arch: &Architecture,
         strategy: Arc<dyn RoutingStrategy>,
+        pool: &ThreadPool,
     ) -> Result<Replay, CompileError> {
         let mut scratch = CompileContext::scratch();
-        let inline = ThreadPool::new(Parallelism::fixed(1));
         let routed = RoutePass::new(self.use_storage)
             .with_strategy(strategy.clone())
             .run(self.staged, arch, &mut scratch)?;
         let instructions = MovePass::new(self.use_grouping)
             .with_strategy(strategy)
-            .run(&routed, arch, &inline, &mut scratch);
+            .run(&routed, arch, pool, &mut scratch);
         let mut clock = MovementClock::new();
         let mut transfers = 0_usize;
         for instruction in &instructions {
@@ -268,6 +271,13 @@ impl Replay {
     #[must_use]
     pub fn back_end_counters(&self) -> &[PassCounter] {
         &self.counters
+    }
+
+    /// Folds the replay's pass records into `ctx` and hands back the routed
+    /// program with its instruction stream.
+    pub(crate) fn merge_into(self, ctx: &mut CompileContext) -> (RoutedProgram, Vec<Instruction>) {
+        ctx.merge(CompileContext::from_parts(self.timings, self.counters));
+        (self.routed, self.instructions)
     }
 }
 
@@ -385,8 +395,8 @@ impl PowerMoveCompiler {
     }
 
     /// The display name of the active routing configuration: the registered
-    /// override's name, or the configured strategy kind (`"auto"` /
-    /// `"auto-model"` for auto-tuning configurations).
+    /// override's name, or the configured strategy kind (`"auto"` for the
+    /// auto-tuning configuration).
     #[must_use]
     pub fn strategy_name(&self) -> &str {
         match &self.strategy {
@@ -395,7 +405,10 @@ impl PowerMoveCompiler {
         }
     }
 
-    /// Compiles a circuit for the given architecture.
+    /// Compiles a circuit for the given architecture: the front end
+    /// ([`PowerMoveCompiler::stage`]) followed by the back end
+    /// ([`PowerMoveCompiler::emit`]), with the program's `compile_time`
+    /// covering both.
     ///
     /// # Errors
     ///
@@ -408,25 +421,9 @@ impl PowerMoveCompiler {
         circuit: &Circuit,
         arch: &Architecture,
     ) -> Result<CompiledProgram, CompileError> {
-        let mut ctx = CompileContext::new();
         arch.check_capacity(circuit.num_qubits())?;
-        let block_program = SynthesisPass.run(circuit, &mut ctx);
-        self.compile_with_context(&block_program, arch, ctx)
-    }
-
-    /// Compiles an already-synthesized block program.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PowerMoveCompiler::compile`].
-    pub fn compile_block_program(
-        &self,
-        block_program: &BlockProgram,
-        arch: &Architecture,
-    ) -> Result<CompiledProgram, CompileError> {
         let ctx = CompileContext::new();
-        arch.check_capacity(block_program.num_qubits())?;
-        self.compile_with_context(block_program, arch, ctx)
+        self.lower(&self.stage(circuit), arch, ctx)
     }
 
     /// Runs the compiler front end: synthesis plus stage partitioning.
@@ -459,12 +456,18 @@ impl PowerMoveCompiler {
     /// ```
     #[must_use]
     pub fn stage(&self, circuit: &Circuit) -> StagedIr {
-        // A scratch context: no end-to-end clock is running, so the IR
-        // carries only per-pass records. `emit` starts the program clock.
+        // A scratch context: the IR carries only per-pass records; the
+        // caller's context owns the end-to-end clock.
         let mut ctx = CompileContext::scratch();
-        let block_program = SynthesisPass.run(circuit, &mut ctx);
+        let blocks = SynthesisPass.run(circuit, &mut ctx);
+        self.stage_blocks(&blocks, ctx)
+    }
+
+    /// Stage-partitions an already-synthesized block program, recording
+    /// into `ctx` after whatever it already holds.
+    fn stage_blocks(&self, blocks: &BlockProgram, mut ctx: CompileContext) -> StagedIr {
         let pool = ThreadPool::new(Parallelism::from_setting(self.config.threads));
-        let staged = StagePass::new(self.config.alpha).run(&block_program, &pool, &mut ctx);
+        let staged = StagePass::new(self.config.alpha).run(blocks, &pool, &mut ctx);
         let (timings, counters) = ctx.into_parts();
         StagedIr {
             staged,
@@ -479,7 +482,9 @@ impl PowerMoveCompiler {
     /// The emitted program's metadata folds in the front-end timings and
     /// counters carried by the IR, so it reports the same deterministic
     /// counters as an all-in-one [`PowerMoveCompiler::compile`] of the
-    /// original circuit.
+    /// original circuit. To emit one staged IR under several strategies,
+    /// pin each with [`PowerMoveCompiler::with_strategy`]:
+    /// `compiler.with_strategy(s).emit(&ir, &arch)`.
     ///
     /// # Errors
     ///
@@ -490,12 +495,7 @@ impl PowerMoveCompiler {
         arch: &Architecture,
     ) -> Result<CompiledProgram, CompileError> {
         arch.check_capacity(ir.num_qubits())?;
-        let mut ctx = CompileContext::new();
-        ctx.merge(CompileContext::from_parts(
-            ir.timings.clone(),
-            ir.counters.clone(),
-        ));
-        self.emit_staged(&ir.staged, arch, ctx)
+        self.lower(ir, arch, CompileContext::new())
     }
 
     /// Opens a [`RoutingSession`] over a staged IR, carrying the compiler's
@@ -512,86 +512,29 @@ impl PowerMoveCompiler {
         )
     }
 
-    /// Emits a staged IR with an explicit routing strategy, bypassing both
-    /// the configured strategy and auto-tuning.
-    ///
-    /// This is [`PowerMoveCompiler::emit`] with the strategy pinned per
-    /// call: one shared front-end pass ([`PowerMoveCompiler::stage`]) can be
-    /// emitted under many strategies without restaging, and the output is
-    /// byte-identical to a full compile configured with the same strategy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PowerMoveCompiler::compile`].
-    pub fn emit_with_strategy(
+    /// The back end every entry point shares: folds the IR's front-end
+    /// records into `ctx`, routes and schedules the staged program — through
+    /// [`AutoRouter`] for an auto-tuning configuration without a custom
+    /// override, else as one [`RoutingSession::replay`] of the active
+    /// strategy — and emits the program.
+    fn lower(
         &self,
         ir: &StagedIr,
         arch: &Architecture,
-        strategy: Arc<dyn RoutingStrategy>,
+        mut ctx: CompileContext,
     ) -> Result<CompiledProgram, CompileError> {
-        arch.check_capacity(ir.num_qubits())?;
-        let mut ctx = CompileContext::new();
         ctx.merge(CompileContext::from_parts(
             ir.timings.clone(),
             ir.counters.clone(),
         ));
-        let replay = self.session(ir).replay(arch, strategy)?;
-        let Replay {
-            routed,
-            instructions,
-            timings,
-            counters,
-            ..
-        } = replay;
-        ctx.merge(CompileContext::from_parts(timings, counters));
-        let metadata = ctx.finish(
-            "powermove",
-            self.config.use_storage,
-            ir.num_stages(),
-            arch.num_aods(),
-        );
-        Ok(CompiledProgram::new(
-            arch.clone(),
-            routed.num_qubits(),
-            routed.initial_layout().clone(),
-            instructions,
-        )
-        .with_metadata(metadata))
-    }
-
-    /// Runs the `StagePass → RoutePass → MovePass → emission` tail of the
-    /// pipeline over an existing [`CompileContext`].
-    fn compile_with_context(
-        &self,
-        block_program: &BlockProgram,
-        arch: &Architecture,
-        mut ctx: CompileContext,
-    ) -> Result<CompiledProgram, CompileError> {
-        // One pool per compilation: workers are only alive while a parallel
+        // One pool per compile: workers are only alive while a parallel
         // pass drains, and `threads == 1` (or `POWERMOVE_THREADS=1`) runs
         // the passes inline with byte-identical output.
         let pool = ThreadPool::new(Parallelism::from_setting(self.config.threads));
-        let staged = StagePass::new(self.config.alpha).run(block_program, &pool, &mut ctx);
-        self.emit_staged(&staged, arch, ctx)
-    }
-
-    /// Runs the `RoutePass → MovePass → emission` back end over an existing
-    /// [`CompileContext`].
-    fn emit_staged(
-        &self,
-        staged: &StagedProgram,
-        arch: &Architecture,
-        mut ctx: CompileContext,
-    ) -> Result<CompiledProgram, CompileError> {
-        let pool = ThreadPool::new(Parallelism::from_setting(self.config.threads));
-        // An auto-tuning configuration (no custom override) is resolved per
-        // instance: the AutoRouter picks the winning portfolio strategy and
-        // records it in the metadata. Every other configuration runs the
-        // fixed strategy through the same two passes.
         let (routed, instructions) =
             if self.strategy.is_none() && self.config.routing.strategy.is_auto() {
                 AutoRouter::from_config(&self.config.routing).run(
-                    staged,
+                    &ir.staged,
                     arch,
                     self.config.use_storage,
                     self.config.use_grouping,
@@ -599,20 +542,14 @@ impl PowerMoveCompiler {
                     &mut ctx,
                 )?
             } else {
-                let strategy = self.routing_strategy();
-                let routed = RoutePass::new(self.config.use_storage)
-                    .with_strategy(strategy.clone())
-                    .run(staged, arch, &mut ctx)?;
-                let instructions = MovePass::new(self.config.use_grouping)
-                    .with_strategy(strategy)
-                    .run(&routed, arch, &pool, &mut ctx);
-                (routed, instructions)
+                self.session(ir)
+                    .replay(arch, self.routing_strategy(), &pool)?
+                    .merge_into(&mut ctx)
             };
-
         let metadata = ctx.finish(
             "powermove",
             self.config.use_storage,
-            staged.num_stages(),
+            ir.num_stages(),
             arch.num_aods(),
         );
         Ok(CompiledProgram::new(
@@ -645,7 +582,10 @@ impl CompilerBackend for PowerMoveCompiler {
         blocks: &BlockProgram,
         arch: &Architecture,
     ) -> Result<CompiledProgram, CompileError> {
-        self.compile_block_program(blocks, arch)
+        arch.check_capacity(blocks.num_qubits())?;
+        let ctx = CompileContext::new();
+        let ir = self.stage_blocks(blocks, CompileContext::scratch());
+        self.lower(&ir, arch, ctx)
     }
 
     fn compile_circuit(

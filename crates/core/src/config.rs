@@ -22,30 +22,22 @@ pub enum RoutingStrategyKind {
     /// ([`MultiAodScheduler`](crate::MultiAodScheduler)).
     MultiAod,
     /// Per-instance strategy selection ([`AutoRouter`](crate::AutoRouter)):
-    /// the pipeline either compiles the whole candidate portfolio and keeps
-    /// the schedule with the lower movement wall clock (`portfolio: true`),
-    /// or trusts the [`CostModel`](crate::CostModel)'s prediction and
-    /// compiles only the predicted winner (`portfolio: false`).
-    Auto {
-        /// Whether every portfolio candidate is compiled (exact selection)
-        /// instead of only the cost model's predicted winner.
-        portfolio: bool,
-    },
+    /// the compiler replays the whole candidate portfolio and keeps the
+    /// schedule with the lower movement wall clock.
+    Auto,
 }
 
 impl RoutingStrategyKind {
     /// Short identifier of the strategy kind, matching
     /// [`RoutingStrategy::name`](crate::RoutingStrategy::name) for the
-    /// per-stage built-ins. Auto-tuning reports `"auto"` (portfolio) or
-    /// `"auto-model"` (cost-model selection).
+    /// per-stage built-ins. Auto-tuning reports `"auto"`.
     #[must_use]
     pub fn name(&self) -> &'static str {
         match self {
             RoutingStrategyKind::Greedy => "greedy",
             RoutingStrategyKind::Lookahead => "lookahead",
             RoutingStrategyKind::MultiAod => "multi-aod",
-            RoutingStrategyKind::Auto { portfolio: true } => "auto",
-            RoutingStrategyKind::Auto { portfolio: false } => "auto-model",
+            RoutingStrategyKind::Auto => "auto",
         }
     }
 
@@ -53,7 +45,7 @@ impl RoutingStrategyKind {
     /// rather than naming one fixed per-stage strategy.
     #[must_use]
     pub fn is_auto(&self) -> bool {
-        matches!(self, RoutingStrategyKind::Auto { .. })
+        matches!(self, RoutingStrategyKind::Auto)
     }
 }
 
@@ -110,29 +102,16 @@ impl RoutingConfig {
         }
     }
 
-    /// The auto-tuning configuration in **portfolio** mode: every candidate
-    /// strategy (greedy, lookahead with this config's window, multi-AOD with
-    /// this config's assignment) compiles the instance, and the schedule
-    /// with the lower movement wall clock wins (tie → fewer transfers →
-    /// greedy). Exact by construction, at the cost of one compile per
-    /// candidate.
+    /// The auto-tuning configuration: every candidate strategy (greedy,
+    /// lookahead with this config's window, multi-AOD with this config's
+    /// assignment) replays the back end over the one staged program, and
+    /// the schedule with the lower movement wall clock wins (tie → fewer
+    /// transfers → greedy). Exact by construction, at the cost of one
+    /// route replay per candidate.
     #[must_use]
     pub fn auto() -> Self {
         RoutingConfig {
-            strategy: RoutingStrategyKind::Auto { portfolio: true },
-            aod_assignment: AodAssignment::Balanced,
-            ..Self::default()
-        }
-    }
-
-    /// The auto-tuning configuration in **cost-model** mode: the
-    /// [`CostModel`](crate::CostModel) predicts each candidate's movement
-    /// wall clock from cheap instance features and only the predicted winner
-    /// is compiled — one compile total, model-accurate selection.
-    #[must_use]
-    pub fn auto_model() -> Self {
-        RoutingConfig {
-            strategy: RoutingStrategyKind::Auto { portfolio: false },
+            strategy: RoutingStrategyKind::Auto,
             aod_assignment: AodAssignment::Balanced,
             ..Self::default()
         }
@@ -298,19 +277,10 @@ mod tests {
 
     #[test]
     fn auto_configs_select_the_auto_kind() {
-        let portfolio = RoutingConfig::auto();
-        assert_eq!(
-            portfolio.strategy,
-            RoutingStrategyKind::Auto { portfolio: true }
-        );
-        assert_eq!(portfolio.aod_assignment, AodAssignment::Balanced);
-        assert!(portfolio.strategy.is_auto());
-        let model = RoutingConfig::auto_model();
-        assert_eq!(
-            model.strategy,
-            RoutingStrategyKind::Auto { portfolio: false }
-        );
-        assert!(model.strategy.is_auto());
+        let auto = RoutingConfig::auto();
+        assert_eq!(auto.strategy, RoutingStrategyKind::Auto);
+        assert_eq!(auto.aod_assignment, AodAssignment::Balanced);
+        assert!(auto.strategy.is_auto());
         assert!(!RoutingStrategyKind::Greedy.is_auto());
     }
 
@@ -319,10 +289,6 @@ mod tests {
         assert_eq!(RoutingStrategyKind::Greedy.name(), "greedy");
         assert_eq!(RoutingStrategyKind::Lookahead.name(), "lookahead");
         assert_eq!(RoutingStrategyKind::MultiAod.name(), "multi-aod");
-        assert_eq!(RoutingStrategyKind::Auto { portfolio: true }.name(), "auto");
-        assert_eq!(
-            RoutingStrategyKind::Auto { portfolio: false }.name(),
-            "auto-model"
-        );
+        assert_eq!(RoutingStrategyKind::Auto.name(), "auto");
     }
 }

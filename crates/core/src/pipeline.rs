@@ -77,7 +77,7 @@ use std::time::Instant;
 ///         blocks: &BlockProgram,
 ///         arch: &Architecture,
 ///     ) -> Result<CompiledProgram, CompileError> {
-///         self.0.compile_block_program(blocks, arch)
+///         CompilerBackend::compile(&self.0, blocks, arch)
 ///     }
 /// }
 ///

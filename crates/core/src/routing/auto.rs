@@ -1,64 +1,48 @@
 //! The routing auto-tuner: per-instance selection over the built-in
 //! strategy portfolio.
 //!
-//! PR 4 made routing pluggable; this layer makes picking the winning
-//! strategy automatic. [`AutoRouter`] is a **program-level** selector, not a
-//! per-stage [`RoutingStrategy`]: the pass pipeline
-//! hands it the staged program and it returns the routed program plus
-//! instruction stream of the winning candidate. Two modes, selected by
-//! [`RoutingStrategyKind::Auto`]'s `portfolio` flag:
+//! [`AutoRouter`] is a **program-level** selector, not a per-stage
+//! [`RoutingStrategy`]: the compiler hands it the staged program and it
+//! returns the routed program plus instruction stream of the winning
+//! candidate. Every candidate **replays only the back end** from the one
+//! shared frozen staged program through a [`RoutingSession`] (fanned out
+//! over the `powermove-exec` thread pool, one scratch pass context per
+//! replay, merged back in candidate order so the result is byte-identical
+//! at any worker count) and the schedule with the lower movement wall
+//! clock wins; ties break to fewer SLM↔AOD transfers, then to the earlier
+//! candidate — greedy first. The winner can therefore never be worse than
+//! any portfolio member on movement wall clock.
 //!
-//! * **portfolio** (`portfolio: true`, [`RoutingConfig::auto`]) — every
-//!   candidate **replays only the back end** from the one shared frozen
-//!   staged program through a [`RoutingSession`]
-//!   (fanned out over the `powermove-exec` thread pool, one scratch pass
-//!   context per replay, merged back in candidate order so the result is
-//!   byte-identical at any worker count) and the schedule with the lower
-//!   movement wall clock wins; ties break to fewer SLM↔AOD transfers, then
-//!   to the earlier candidate — greedy first. The winner can therefore
-//!   never be worse than any portfolio member on movement wall clock.
-//! * **cost model** (`portfolio: false`, [`RoutingConfig::auto_model`]) —
-//!   the [`CostModel`] predicts each candidate's movement wall clock from
-//!   [`InstanceFeatures`] and only the predicted winner compiles.
-//!
-//! Either way the winning strategy's name lands in
+//! The winning strategy's name lands in
 //! [`CompileMetadata::selected_strategy`], the number of back-end replays
 //! in the [`AutoRouter::PORTFOLIO_COUNTER`] pass counter and the single
 //! shared front-end pass in [`AutoRouter::STAGE_COUNTER`], so bench reports
 //! and diagnostics can attribute both the decision and its cost shape (one
 //! stage + N route replays, not N full compiles).
 //!
-//! [`RoutingStrategyKind::Auto`]: crate::RoutingStrategyKind::Auto
-//! [`RoutingConfig::auto`]: crate::RoutingConfig::auto
-//! [`RoutingConfig::auto_model`]: crate::RoutingConfig::auto_model
 //! [`CompileMetadata::selected_strategy`]: powermove_schedule::CompileMetadata
 
-use crate::compiler::{Replay, RoutingSession};
-use crate::config::RoutingConfig;
-use crate::pipeline::{CompileContext, MovePass, RoutePass, RoutedProgram, StagedProgram};
-use crate::routing::cost::{CostModel, InstanceFeatures};
+use crate::compiler::RoutingSession;
+use crate::config::{RoutingConfig, RoutingStrategyKind};
+use crate::pipeline::{CompileContext, RoutedProgram, StagedProgram};
 use crate::routing::{GreedyRouter, LookaheadRouter, MultiAodScheduler, RoutingStrategy};
 use crate::CompileError;
-use powermove_exec::ThreadPool;
+use powermove_exec::{Parallelism, ThreadPool};
 use powermove_hardware::Architecture;
 use powermove_schedule::Instruction;
 use std::sync::Arc;
 
 /// The per-instance routing auto-tuner (see the module docs).
 pub struct AutoRouter {
-    portfolio: bool,
-    model: CostModel,
-    // Each candidate carries the kind the cost model scores it under, so
-    // the model and the compiled strategy can never drift apart by index.
-    candidates: Vec<(crate::RoutingStrategyKind, Arc<dyn RoutingStrategy>)>,
+    candidates: Vec<(RoutingStrategyKind, Arc<dyn RoutingStrategy>)>,
 }
 
 impl AutoRouter {
     /// Name of the pass counter recording how many back-end replays the
-    /// auto-tuner performed for one program (the portfolio size in portfolio
-    /// mode, one in cost-model mode). Every replay shares the single
-    /// front-end pass recorded by [`AutoRouter::STAGE_COUNTER`] — candidates
-    /// are route-only replays, not full compiles.
+    /// auto-tuner performed for one program (the portfolio size). Every
+    /// replay shares the single front-end pass recorded by
+    /// [`AutoRouter::STAGE_COUNTER`] — candidates are route-only replays,
+    /// not full compiles.
     pub const PORTFOLIO_COUNTER: &'static str = "portfolio_compiles";
 
     /// Name of the pass counter recording how many front-end (stage) passes
@@ -74,57 +58,43 @@ impl AutoRouter {
     #[must_use]
     pub fn from_config(config: &RoutingConfig) -> Self {
         AutoRouter {
-            portfolio: matches!(
-                config.strategy,
-                crate::RoutingStrategyKind::Auto { portfolio: true }
-            ),
-            model: CostModel::new(),
             candidates: vec![
-                (crate::RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
+                (RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
                 (
-                    crate::RoutingStrategyKind::Lookahead,
+                    RoutingStrategyKind::Lookahead,
                     Arc::new(LookaheadRouter::new(config.lookahead)),
                 ),
                 (
-                    crate::RoutingStrategyKind::MultiAod,
+                    RoutingStrategyKind::MultiAod,
                     Arc::new(MultiAodScheduler::new(config.aod_assignment)),
                 ),
             ],
         }
     }
 
-    /// Whether every candidate is compiled (portfolio mode) instead of only
-    /// the cost model's predicted winner.
+    /// The candidate strategies with the kinds that select each as a fixed
+    /// configuration, in tie-breaking preference order.
     #[must_use]
-    pub fn is_portfolio(&self) -> bool {
-        self.portfolio
-    }
-
-    /// The candidate strategies with the kinds the cost model scores them
-    /// under, in tie-breaking preference order.
-    #[must_use]
-    pub fn candidates(&self) -> &[(crate::RoutingStrategyKind, Arc<dyn RoutingStrategy>)] {
+    pub fn candidates(&self) -> &[(RoutingStrategyKind, Arc<dyn RoutingStrategy>)] {
         &self.candidates
     }
 
-    /// Routes and schedules `staged` with the selected strategy, recording
-    /// the selection in `ctx` (see the module docs for both modes).
+    /// Routes and schedules `staged` with the winning candidate, recording
+    /// the selection in `ctx` (see the module docs).
     ///
     /// Candidate replays run concurrently on `pool` through one shared
-    /// [`RoutingSession`], each on its own scratch context; replay records
-    /// merge back in candidate order, so timing and counter layout — like
-    /// the emitted program — is identical for every worker count. Merged
-    /// counters report **total work across candidates** (three route passes
-    /// in portfolio mode), mirroring how parallel passes report total work
-    /// time.
+    /// [`RoutingSession`], each on its own scratch context and a
+    /// single-worker move-scheduling pool; replay records merge back in
+    /// candidate order, so timing and counter layout — like the emitted
+    /// program — is identical for every worker count. Merged counters
+    /// report **total work across candidates** (three route passes),
+    /// mirroring how parallel passes report total work time.
     ///
     /// # Errors
     ///
-    /// In portfolio mode a candidate that fails to route is dropped from
-    /// the selection — the error (first in candidate order) surfaces only
-    /// when **every** candidate fails, so auto compiles whenever any
-    /// portfolio member does. Cost-model mode compiles one candidate and
-    /// returns its [`CompileError`] directly.
+    /// A candidate that fails to route is dropped from the selection — the
+    /// error (first in candidate order) surfaces only when **every**
+    /// candidate fails, so auto compiles whenever any portfolio member does.
     pub fn run(
         &self,
         staged: &StagedProgram,
@@ -135,68 +105,39 @@ impl AutoRouter {
         ctx: &mut CompileContext,
     ) -> Result<(RoutedProgram, Vec<Instruction>), CompileError> {
         ctx.count(Self::STAGE_COUNTER, 1);
-        if !self.portfolio {
-            let features = InstanceFeatures::of(staged, arch);
-            let strategy = self.predicted_winner(&features);
-            ctx.count(Self::PORTFOLIO_COUNTER, 1);
-            ctx.select_strategy(strategy.name());
-            let routed = RoutePass::new(use_storage)
-                .with_strategy(strategy.clone())
-                .run(staged, arch, ctx)?;
-            let instructions = MovePass::new(use_grouping)
-                .with_strategy(strategy.clone())
-                .run(&routed, arch, pool, ctx);
-            return Ok((routed, instructions));
-        }
-
-        // Portfolio mode: every candidate is a route-only replay over the
-        // one shared frozen staged program (each replay runs its own
-        // sequential back end inside one pool job), so the per-candidate
-        // output is deterministic and the cross-candidate fan-out is where
-        // the parallelism lives.
+        // Each replay runs its own sequential back end inside one pool job,
+        // so the per-candidate output is deterministic and the
+        // cross-candidate fan-out is where the parallelism lives.
         let session = RoutingSession::new(staged, use_storage, use_grouping);
         let jobs: Vec<Arc<dyn RoutingStrategy>> = self
             .candidates
             .iter()
             .map(|(_, strategy)| strategy.clone())
             .collect();
-        let replays = pool.par_map(jobs, |strategy| session.replay(arch, strategy));
-
-        let mut outcomes = Vec::with_capacity(replays.len());
-        for result in replays {
-            // Merging in candidate order keeps timing/counter layout — like
-            // the emitted program — identical for every worker count.
-            outcomes.push(result.map(|replay| {
-                let Replay {
-                    routed,
-                    instructions,
-                    movement,
-                    transfers,
-                    timings,
-                    counters,
-                } = replay;
-                ctx.merge(CompileContext::from_parts(timings, counters));
-                (routed, instructions, movement, transfers)
-            }));
-        }
-        ctx.count(Self::PORTFOLIO_COUNTER, self.candidates.len() as u64);
+        let replays = pool.par_map(jobs, |strategy| {
+            session.replay(arch, strategy, &ThreadPool::new(Parallelism::fixed(1)))
+        });
 
         let mut best: Option<(usize, RoutedProgram, Vec<Instruction>, f64, usize)> = None;
         let mut first_error = None;
-        for (index, result) in outcomes.into_iter().enumerate() {
+        for (index, result) in replays.into_iter().enumerate() {
             // A candidate that fails to route is dropped from the
             // selection, not fatal: the auto configuration compiles
             // whenever any portfolio member does, so it can never be worse
             // than a weaker fixed configuration that would have survived.
-            // The replay already folded the candidate's movement wall clock
-            // incrementally, so selection is pure comparison here.
-            let (routed, instructions, movement, transfers) = match result {
-                Ok(compiled) => compiled,
+            let replay = match result {
+                Ok(replay) => replay,
                 Err(error) => {
                     first_error.get_or_insert(error);
                     continue;
                 }
             };
+            // The replay already folded its movement wall clock
+            // incrementally, so selection is pure comparison. Merging in
+            // candidate order keeps timing/counter layout identical for
+            // every worker count.
+            let (movement, transfers) = (replay.movement_wall_clock(), replay.transfer_count());
+            let (routed, instructions) = replay.merge_into(ctx);
             let better = match &best {
                 None => true,
                 Some((_, _, _, best_movement, best_transfers)) => {
@@ -208,6 +149,7 @@ impl AutoRouter {
                 best = Some((index, routed, instructions, movement, transfers));
             }
         }
+        ctx.count(Self::PORTFOLIO_COUNTER, self.candidates.len() as u64);
         match best {
             Some((index, routed, instructions, _, _)) => {
                 ctx.select_strategy(self.candidates[index].1.name());
@@ -216,27 +158,11 @@ impl AutoRouter {
             None => Err(first_error.expect("the portfolio is never empty")),
         }
     }
-
-    /// The candidate the cost model predicts to move fastest; prediction
-    /// ties keep the earlier candidate (greedy first).
-    fn predicted_winner(&self, features: &InstanceFeatures) -> &Arc<dyn RoutingStrategy> {
-        let mut winner = &self.candidates[0].1;
-        let mut winner_cost = f64::INFINITY;
-        for (kind, strategy) in &self.candidates {
-            let cost = self.model.predict(*kind, features);
-            if cost < winner_cost {
-                winner = strategy;
-                winner_cost = cost;
-            }
-        }
-        winner
-    }
 }
 
 impl std::fmt::Debug for AutoRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AutoRouter")
-            .field("portfolio", &self.portfolio)
             .field(
                 "candidates",
                 &self
@@ -255,7 +181,6 @@ mod tests {
     use crate::pipeline::{StagePass, SynthesisPass};
     use crate::{CompilerConfig, PowerMoveCompiler, RoutingConfig};
     use powermove_circuit::{Circuit, Qubit};
-    use powermove_exec::Parallelism;
     use powermove_fidelity::evaluate_program;
     use powermove_schedule::{movement_wall_clock, validate, CompiledProgram};
 
@@ -284,7 +209,6 @@ mod tests {
     #[test]
     fn from_config_builds_the_three_candidate_portfolio() {
         let auto = AutoRouter::from_config(&RoutingConfig::auto());
-        assert!(auto.is_portfolio());
         let names: Vec<&str> = auto
             .candidates()
             .iter()
@@ -297,12 +221,11 @@ mod tests {
             .collect();
         assert_eq!(
             names, kinds,
-            "each candidate is scored under its own strategy's kind"
+            "each candidate runs under its own strategy's kind"
         );
         assert_eq!(names, vec!["greedy", "lookahead", "multi-aod"]);
-        assert!(!AutoRouter::from_config(&RoutingConfig::auto_model()).is_portfolio());
         let debug = format!("{auto:?}");
-        assert!(debug.contains("portfolio: true") && debug.contains("multi-aod"));
+        assert!(debug.contains("multi-aod"));
     }
 
     #[test]
@@ -336,25 +259,6 @@ mod tests {
         // One shared front-end pass, three route-only back-end replays.
         assert_eq!(metadata.counter(AutoRouter::PORTFOLIO_COUNTER), Some(3));
         assert_eq!(metadata.counter(AutoRouter::STAGE_COUNTER), Some(1));
-    }
-
-    #[test]
-    fn model_mode_records_a_single_compile() {
-        let program = compile(RoutingConfig::auto_model(), 12, 3);
-        assert!(validate(&program).is_ok());
-        assert_eq!(
-            program.metadata().counter(AutoRouter::PORTFOLIO_COUNTER),
-            Some(1)
-        );
-        assert_eq!(
-            program.metadata().counter(AutoRouter::STAGE_COUNTER),
-            Some(1)
-        );
-        // At three AODs the model predicts the multi-AOD scheduler.
-        assert_eq!(
-            program.metadata().selected_strategy.as_deref(),
-            Some("multi-aod")
-        );
     }
 
     #[test]
@@ -416,11 +320,9 @@ mod tests {
         }
 
         let broken_first = AutoRouter {
-            portfolio: true,
-            model: CostModel::new(),
             candidates: vec![
-                (crate::RoutingStrategyKind::Lookahead, Arc::new(AlwaysFails)),
-                (crate::RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
+                (RoutingStrategyKind::Lookahead, Arc::new(AlwaysFails)),
+                (RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
             ],
         };
         let arch = Architecture::for_qubits(8);
@@ -436,9 +338,7 @@ mod tests {
 
         // Every candidate failing surfaces the first error in order.
         let all_broken = AutoRouter {
-            portfolio: true,
-            model: CostModel::new(),
-            candidates: vec![(crate::RoutingStrategyKind::Greedy, Arc::new(AlwaysFails))],
+            candidates: vec![(RoutingStrategyKind::Greedy, Arc::new(AlwaysFails))],
         };
         let result = all_broken.run(
             &staged,

@@ -81,19 +81,6 @@ impl EnolaCompiler {
         self.compile_with_context(&block_program, arch, ctx)
     }
 
-    /// Compiles an already-synthesized block program.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EnolaCompiler::compile`].
-    pub fn compile_block_program(
-        &self,
-        block_program: &BlockProgram,
-        arch: &Architecture,
-    ) -> Result<CompiledProgram, HardwareError> {
-        self.compile_with_context(block_program, arch, CompileContext::new())
-    }
-
     fn compile_with_context(
         &self,
         block_program: &BlockProgram,
@@ -202,7 +189,7 @@ impl CompilerBackend for EnolaCompiler {
         blocks: &BlockProgram,
         arch: &Architecture,
     ) -> Result<CompiledProgram, CompileError> {
-        self.compile_block_program(blocks, arch)
+        self.compile_with_context(blocks, arch, CompileContext::new())
             .map_err(CompileError::Hardware)
     }
 

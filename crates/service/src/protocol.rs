@@ -21,10 +21,13 @@
 //! A compile request names its circuit either inline (`qasm`, OpenQASM 2.0
 //! text) or as a generated benchmark instance (`benchmark` with a Table 2
 //! `family` name, `qubits`, and an optional `seed` defaulting to the bench
-//! harness default). The architecture is derived from the circuit width
-//! (plus optional `aods`, default 1), and `config` fields override
-//! [`CompilerConfig`] defaults one by one; `threads` defaults to 1 inside
-//! the daemon because request-level parallelism already saturates the pool.
+//! harness default) of at most [`MAX_BENCHMARK_QUBITS`] qubits. The
+//! architecture is derived from the circuit width (plus optional `aods`,
+//! default 1), and `config` fields override [`CompilerConfig`] defaults one
+//! by one; `threads` defaults to 1 inside the daemon because request-level
+//! parallelism already saturates the pool. `routing` names one of
+//! `greedy`, `lookahead` (window from `lookahead`, default 2), `multi-aod`
+//! or `auto`.
 //!
 //! # Response frames
 //!
@@ -48,6 +51,14 @@ use serde::{Serialize, Value};
 
 /// Default RNG seed for `benchmark` sources, matching the bench harness.
 pub const DEFAULT_SEED: u64 = 20250;
+
+/// Widest circuit a `benchmark` source may generate, the counterpart of
+/// [`MAX_QASM_QUBITS`](powermove_circuit::qasm::MAX_QASM_QUBITS) for inline
+/// QASM. Generated gate counts grow up to quadratically with width (QFT),
+/// so an unbounded frame could stall a worker indefinitely; the limit
+/// still covers the widest suite circuit any test, bench or workload
+/// generates.
+pub const MAX_BENCHMARK_QUBITS: u32 = 1024;
 
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,7 +130,15 @@ impl CompileRequest {
                         "benchmark.qubits must be at least 2",
                     ));
                 }
-                Ok(powermove_benchmarks::generate(*family, *qubits, *seed).circuit)
+                if *qubits > MAX_BENCHMARK_QUBITS {
+                    return Err(FrameError::new(
+                        Some(self.id),
+                        format!("benchmark.qubits must be at most {MAX_BENCHMARK_QUBITS}"),
+                    ));
+                }
+                powermove_benchmarks::try_generate(*family, *qubits, *seed)
+                    .map(|instance| instance.circuit)
+                    .map_err(|e| FrameError::new(Some(self.id), format!("benchmark: {e}")))
             }
         }
     }
@@ -320,7 +339,6 @@ fn parse_config(id: i64, value: Option<&Value>) -> Result<CompilerConfig, FrameE
             "lookahead" => RoutingConfig::lookahead(lookahead),
             "multi-aod" => RoutingConfig::multi_aod(),
             "auto" => RoutingConfig::auto(),
-            "auto-model" => RoutingConfig::auto_model(),
             other => {
                 return Err(FrameError::new(
                     Some(id),
@@ -446,20 +464,50 @@ mod tests {
 
     #[test]
     fn malformed_frames_report_errors() {
-        assert!(Request::parse("not json").unwrap_err().id.is_none());
-        assert!(Request::parse(r#"{"op": "stats"}"#)
-            .unwrap_err()
-            .id
-            .is_none());
-        let err = Request::parse(r#"{"id": 9, "op": "launch"}"#).unwrap_err();
-        assert_eq!(err.id, Some(9));
-        assert!(err.message.contains("unknown op"));
-        let err = Request::parse(r#"{"id": 4, "benchmark": {"family": "nope", "qubits": 4}}"#)
-            .unwrap_err();
-        assert_eq!(err.id, Some(4));
-        assert!(err.message.contains("unknown benchmark family"));
-        let reply = serde_json::to_string(&err.reply()).unwrap();
-        assert!(reply.contains("\"ok\": false") || reply.contains("\"ok\":false"));
+        // (frame, echoed id, error substring)
+        let rows = [
+            ("not json", None, "malformed frame"),
+            (r#"{"op": "stats"}"#, None, "integer `id`"),
+            (r#"{"id": 9, "op": "launch"}"#, Some(9), "unknown op"),
+            (
+                r#"{"id": 4, "benchmark": {"family": "nope", "qubits": 4}}"#,
+                Some(4),
+                "unknown benchmark family",
+            ),
+            (
+                r#"{"id": 11, "benchmark": {"family": "BV", "qubits": 8},
+                    "config": {"routing": "auto-model"}}"#,
+                Some(11),
+                "unknown routing strategy `auto-model`",
+            ),
+        ];
+        for (frame, id, message) in rows {
+            let err = Request::parse(frame).unwrap_err();
+            assert_eq!(err.id, id, "{frame}");
+            assert!(err.message.contains(message), "{frame}: {}", err.message);
+            let reply = serde_json::to_string(&err.reply()).unwrap();
+            assert!(reply.contains("\"ok\": false") || reply.contains("\"ok\":false"));
+        }
+    }
+
+    #[test]
+    fn infeasible_benchmarks_are_frame_errors() {
+        // (qubits, error substring): odd n·d for a 3-regular graph, and a
+        // width past the generator limit.
+        for (qubits, message) in [
+            (7, "3-regular graph on 7 vertices"),
+            (MAX_BENCHMARK_QUBITS + 1, "at most"),
+        ] {
+            let frame = format!(
+                r#"{{"id": 1, "op": "compile", "benchmark": {{"family": "QAOA-regular3", "qubits": {qubits}}}}}"#
+            );
+            let Request::Compile(req) = Request::parse(&frame).unwrap() else {
+                panic!("expected compile");
+            };
+            let err = req.circuit().unwrap_err();
+            assert_eq!(err.id, Some(1));
+            assert!(err.message.contains(message), "{}", err.message);
+        }
     }
 
     #[test]

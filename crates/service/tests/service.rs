@@ -197,6 +197,48 @@ fn daemon_survives_malformed_frames_and_acks_shutdown_last() {
     assert_eq!(digests[0], digests[1]);
 }
 
+#[test]
+fn daemon_answers_an_infeasible_benchmark_frame_and_keeps_serving() {
+    let service = CompileService::new(8);
+    // One worker: compile frames are handled inline, in arrival order.
+    let daemon = Daemon::new(&service).with_parallelism(Parallelism::fixed(1));
+    let input = concat!(
+        r#"{"id":1,"op":"compile","benchmark":{"family":"QAOA-regular3","qubits":7}}"#,
+        "\n",
+        r#"{"id":2,"op":"compile","benchmark":{"family":"QAOA-regular3","qubits":8}}"#,
+        "\n",
+        r#"{"id":3,"op":"shutdown"}"#,
+        "\n",
+    );
+    let mut out = Vec::new();
+    let report = daemon.serve(input.as_bytes(), &mut out);
+    assert!(report.shutdown);
+    assert_eq!(report.errors, 1);
+
+    let frames: Vec<Value> =
+        serde_json::from_str_jsonl(std::str::from_utf8(&out).unwrap()).unwrap();
+    let id = |f: &Value| f.get("id").and_then(Value::as_i64);
+    let ok = |f: &Value| f.get("ok").and_then(Value::as_bool);
+    let replies_to_1: Vec<&Value> = frames.iter().filter(|f| id(f) == Some(1)).collect();
+    assert_eq!(replies_to_1.len(), 1, "exactly one reply for id 1");
+    assert_eq!(ok(replies_to_1[0]), Some(false));
+    assert!(replies_to_1[0]
+        .get("error")
+        .and_then(Value::as_str)
+        .is_some_and(|e| e.contains("3-regular")));
+    let first_error = frames.iter().position(|f| id(f) == Some(1)).unwrap();
+    let success = frames.iter().position(|f| id(f) == Some(2)).unwrap();
+    assert!(
+        success > first_error,
+        "the daemon kept serving after the error"
+    );
+    assert_eq!(ok(&frames[success]), Some(true));
+    let last = frames.last().unwrap();
+    assert_eq!(id(last), Some(3));
+    assert_eq!(last.get("shutdown").and_then(Value::as_bool), Some(true));
+    assert_eq!(frames.len(), 3);
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_serves_frames_across_connections() {

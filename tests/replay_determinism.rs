@@ -6,14 +6,12 @@
 //! route/emit back end from it. These tests pin the contract that makes
 //! that safe:
 //!
-//! * emitting a shared staged IR under an explicit strategy
-//!   (`emit_with_strategy`) is byte-identical to a full compile configured
-//!   with the same strategy — across every suite family and at 1, 2 and 4
-//!   worker threads;
+//! * the full compile, `emit` of a shared staged IR, and `emit` under an
+//!   explicitly pinned strategy (`with_strategy(s).emit`) are byte-identical
+//!   — across every suite family, every fixed strategy plus the auto-tuner,
+//!   and at 1, 2 and 4 worker threads;
 //! * the portfolio auto-tuner's emitted program equals the best replay's
 //!   instruction stream under its own (movement, transfers) selection rule;
-//! * the deprecated `route_stage` / `route_stage_scored` shims plan exactly
-//!   what the `SitePolicy`-based `route_stage_with` plans;
 //! * a property test replays random stage chains through the arena-backed
 //!   router and through a verbatim port of the pre-arena `BTreeMap`
 //!   planner, asserting identical move plans and layouts after every stage
@@ -30,6 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use powermove_suite::benchmarks::{generate, BenchmarkFamily};
 use powermove_suite::circuit::{CzGate, Qubit};
+use powermove_suite::exec::{Parallelism, ThreadPool};
 use powermove_suite::hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
 use powermove_suite::powermove::{
     movement_wall_clock, BiasFn, CompilerConfig, GreedyRouter, LookaheadRouter, MultiAodScheduler,
@@ -58,26 +57,72 @@ fn replay_emission_matches_the_full_compile_for_every_family_and_thread_count() 
     for family in BenchmarkFamily::ALL {
         let instance = generate(family, 12, 20250);
         let arch = Architecture::for_qubits(instance.num_qubits).with_num_aods(2);
-        for (routing, strategy) in candidates() {
+        // Every fixed configuration with the strategy it selects, plus the
+        // auto-tuner (whose pinned strategy is the one it selected).
+        let mut configs: Vec<(RoutingConfig, Option<Arc<dyn RoutingStrategy>>)> = candidates()
+            .into_iter()
+            .map(|(routing, strategy)| (routing, Some(strategy)))
+            .collect();
+        configs.push((RoutingConfig::auto(), None));
+        for (routing, strategy) in &configs {
             for threads in [1_usize, 2, 4] {
                 let config = CompilerConfig::default()
-                    .with_routing(routing)
+                    .with_routing(*routing)
                     .with_threads(threads);
                 let compiler = PowerMoveCompiler::new(config);
                 let full = compiler
                     .compile(&instance.circuit, &arch)
                     .expect("suite instances compile");
-                // Stage once, then emit through the replay path.
+                // Stage once, then emit through the configured strategy and
+                // through an explicitly pinned one.
                 let ir = compiler.stage(&instance.circuit);
-                let replayed = compiler
-                    .emit_with_strategy(&ir, &arch, strategy.clone())
-                    .expect("replay emission succeeds");
+                let emitted = compiler.emit(&ir, &arch).expect("emission succeeds");
+                let pin = strategy.clone().unwrap_or_else(|| {
+                    let selected = full.metadata().selected_strategy.clone();
+                    candidates()
+                        .into_iter()
+                        .map(|(_, s)| s)
+                        .find(|s| Some(s.name()) == selected.as_deref())
+                        .expect("auto selects a portfolio member")
+                });
+                let pinned = compiler
+                    .clone()
+                    .with_strategy(pin)
+                    .emit(&ir, &arch)
+                    .expect("pinned emission succeeds");
+                let label = format!("{family} / {} / threads={threads}", routing.strategy.name());
                 assert_eq!(
                     canonical_program_bytes(&full),
-                    canonical_program_bytes(&replayed),
-                    "{family} / {} / threads={threads}: full compile vs replay diverged",
-                    strategy.name(),
+                    canonical_program_bytes(&emitted),
+                    "{label}: full compile vs stage+emit diverged"
                 );
+                assert_eq!(
+                    full.metadata().selected_strategy,
+                    emitted.metadata().selected_strategy,
+                    "{label}: selected strategy diverged"
+                );
+                if strategy.is_some() {
+                    assert_eq!(
+                        canonical_program_bytes(&full),
+                        canonical_program_bytes(&pinned),
+                        "{label}: full compile vs pinned emit diverged"
+                    );
+                    assert_eq!(
+                        full.metadata().selected_strategy,
+                        pinned.metadata().selected_strategy,
+                        "{label}: selected strategy diverged"
+                    );
+                } else {
+                    // Pinning bypasses auto-tuning: the replay of the
+                    // winner emits the winner's instructions, without the
+                    // auto-tuner's selection record and portfolio counters.
+                    assert_eq!(
+                        full.instructions(),
+                        pinned.instructions(),
+                        "{label}: auto vs pinned winner diverged"
+                    );
+                    assert_eq!(pinned.metadata().selected_strategy, None);
+                }
             }
         }
     }
@@ -108,7 +153,9 @@ fn portfolio_output_equals_the_best_replay() {
         let session = auto.session(&ir);
         let mut best: Option<powermove_suite::powermove::Replay> = None;
         for (_, strategy) in candidates() {
-            let replay = session.replay(&arch, strategy).expect("replay succeeds");
+            let replay = session
+                .replay(&arch, strategy, &ThreadPool::new(Parallelism::fixed(1)))
+                .expect("replay succeeds");
             let better = best.as_ref().map_or(true, |b| {
                 replay.movement_wall_clock() < b.movement_wall_clock()
                     || (replay.movement_wall_clock() == b.movement_wall_clock()
@@ -130,40 +177,6 @@ fn portfolio_output_equals_the_best_replay() {
             best.movement_wall_clock().to_bits(),
             "{family}: replay's incremental clock diverged from the emitted stream"
         );
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_shims_plan_exactly_what_the_policy_api_plans() {
-    let arch = Architecture::for_qubits(8);
-    let stages = [
-        stage(&[(0, 1), (2, 3), (4, 5), (6, 7)]),
-        stage(&[(1, 2), (3, 4), (5, 6)]),
-        stage(&[(0, 7), (2, 5)]),
-    ];
-    for use_storage in [true, false] {
-        let zone = if use_storage {
-            Zone::Storage
-        } else {
-            Zone::Compute
-        };
-        let layout = Layout::row_major(&arch, 8, zone).unwrap();
-        let mut shimmed = RoutingState::new(arch.clone(), layout.clone(), use_storage);
-        let mut scored = RoutingState::new(arch.clone(), layout.clone(), use_storage);
-        let mut policied = RoutingState::new(arch.clone(), layout, use_storage);
-        for st in &stages {
-            let a = shimmed.route_stage(st).unwrap();
-            let b = scored.route_stage_scored(st, &|_, _, _| 0.0).unwrap();
-            let c = policied.route_stage_with(st, &ZeroBias).unwrap();
-            assert_eq!(a, c, "route_stage shim diverged (storage={use_storage})");
-            assert_eq!(
-                b, c,
-                "route_stage_scored shim diverged (storage={use_storage})"
-            );
-        }
-        assert_eq!(shimmed.layout(), policied.layout());
-        assert_eq!(scored.layout(), policied.layout());
     }
 }
 
