@@ -109,9 +109,16 @@ fn run_qasm(mut args: Vec<String>) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let arch = variant
+    let arch = match variant
         .architecture_for(circuit.num_qubits())
-        .with_num_aods(aods);
+        .try_with_num_aods(aods)
+    {
+        Ok(arch) => arch,
+        Err(e) => {
+            eprintln!("--aods {aods}: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let violations = lint_circuit(&circuit, &arch);
     print_violations(path, &violations);
     report_outcome(1, violations.len())
@@ -180,9 +187,7 @@ fn run_campaign_cmd(mut args: Vec<String>) -> ExitCode {
         .map(|c| c as u64)
         .or(env_cases)
         .unwrap_or(1000);
-    let base_seed = take_flag(&mut args, "--seed")
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0);
+    let base_seed = take_usize_flag(&mut args, "--seed").map_or(0, |s| s as u64);
     let out_dir = take_flag(&mut args, "--out")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("bench/reproducers"));

@@ -11,23 +11,28 @@
 //! routing strategies × 1–4 AOD arrays × the [`ArchVariant`] grid, shrinks
 //! any failing circuit by halving its gate list and persists the minimal
 //! reproducer as a self-contained QASM + config JSON pair under
-//! `bench/reproducers/`.
+//! `bench/reproducers/`. `tests/routing_properties.rs` drives the same
+//! campaign and adds the checks that need several compiles per case
+//! (worker-count byte identity, the auto-tuner's recorded selection).
 //!
 //! The rules:
 //!
-//! | rule | invariant |
-//! |---|---|
-//! | `schedule-validate` | the program simulates cleanly and preserves the circuit's CZ gates |
-//! | `aod-batches` | every move group lowers to per-AOD batches passing [`validate_aod_batches`] |
-//! | `intra-aod-overlap` | no AOD array owns two overlapping busy windows |
-//! | `storage-before-interaction` | the multi-AOD scheduler never puts a storage-bound window after an interaction window within a stage transition |
-//! | `fidelity-dominance` | the auto-tuner never moves slower than any portfolio member, and never scores below the worst member |
-//! | `free-site-agreement` | the index-pruned free-site search returns the same site as the linear reference scan |
+//! | rule | invariant | implementation |
+//! |---|---|---|
+//! | `schedule-validate` | the program simulates cleanly and preserves the circuit's CZ gates | [`check_schedule`] |
+//! | `aod-batches` | every move group lowers to per-AOD batches passing `validate_aod_batches` | [`check_aod_batches`] |
+//! | `intra-aod-overlap` | no AOD array owns two overlapping busy windows | [`check_intra_aod_overlap`] |
+//! | `storage-before-interaction` | the multi-AOD scheduler never puts a storage-bound window after an interaction window within a stage transition | [`check_storage_before_interaction`] |
+//! | `fidelity-dominance` | the auto-tuner never moves slower than any portfolio member, and never scores below the worst member | [`check_fidelity_dominance`] |
+//! | `free-site-agreement` | the index-pruned free-site search returns the same site as the linear reference scan | [`check_free_site_agreement`] |
 //!
-//! Everything here is deterministic: the corpus generator mirrors the
-//! seeded PRNG of `tests/routing_properties.rs`, shrinking is
-//! deterministic halving, and reproducer files carry no timestamps — the
-//! same seed always produces the same reproducer bytes.
+//! The four program-level rules live in [`powermove_schedule::check`] and
+//! are re-exported here; the last two stay in this crate because they need
+//! the fidelity model and the compiler's free-site harness.
+//!
+//! Everything here is deterministic: the corpus generator is a seeded
+//! PRNG, shrinking is deterministic halving, and reproducer files carry no
+//! timestamps — the same seed always produces the same reproducer bytes.
 
 use crate::harness::ArchVariant;
 use powermove::{
@@ -36,8 +41,11 @@ use powermove::{
 use powermove_circuit::{qasm, Circuit, Qubit};
 use powermove_exec::ThreadPool;
 use powermove_fidelity::evaluate_program;
-use powermove_hardware::{validate_aod_batches, AodBatch, Architecture, Point, SiteId, Zone};
-use powermove_schedule::{validate, CompiledProgram, Instruction, Timeline};
+use powermove_hardware::{Architecture, Point, SiteId, Zone};
+pub use powermove_schedule::check::{
+    check_aod_batches, check_intra_aod_overlap, check_schedule, check_storage_before_interaction,
+};
+use powermove_schedule::CompiledProgram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize, Value};
@@ -143,101 +151,9 @@ pub fn lint_strategies() -> [(&'static str, RoutingConfig); 4] {
 }
 
 // ---------------------------------------------------------------------------
-// Rules over a single compiled program.
+// Rules that need the fidelity model or the compiler's free-site harness
+// (the program-level rules live in `powermove_schedule::check`).
 // ---------------------------------------------------------------------------
-
-/// `schedule-validate`: the program simulates cleanly; when
-/// `expected_cz` is given, its CZ count must also match the source circuit.
-///
-/// # Errors
-///
-/// Returns the violation message.
-pub fn check_schedule(program: &CompiledProgram, expected_cz: Option<usize>) -> Result<(), String> {
-    validate(program).map_err(|e| format!("invalid program: {e}"))?;
-    if let Some(expected) = expected_cz {
-        let compiled = program.cz_gate_count();
-        if compiled != expected {
-            return Err(format!(
-                "{compiled} CZ gates compiled, circuit has {expected}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// `aod-batches`: every move group lowers to a window of per-AOD batches
-/// that passes the hardware's batch validation.
-///
-/// # Errors
-///
-/// Returns the violation message.
-pub fn check_aod_batches(program: &CompiledProgram) -> Result<(), String> {
-    let arch = program.architecture();
-    for (index, instruction) in program.instructions().iter().enumerate() {
-        if let Instruction::MoveGroup { coll_moves } = instruction {
-            let batches: Vec<AodBatch> = coll_moves
-                .iter()
-                .map(|cm| AodBatch::new(cm.aod, cm.trap_moves(arch)))
-                .collect();
-            validate_aod_batches(&batches)
-                .map_err(|e| format!("instruction {index}: invalid AOD batches: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
-/// `intra-aod-overlap`: no AOD array may own two overlapping busy windows.
-///
-/// # Errors
-///
-/// Returns the violation message.
-pub fn check_intra_aod_overlap(program: &CompiledProgram) -> Result<(), String> {
-    let windows = Timeline::of(program).aod_windows(program);
-    for (i, a) in windows.iter().enumerate() {
-        for b in &windows[i + 1..] {
-            if a.aod == b.aod && a.overlaps(b) {
-                return Err(format!("AOD {} double-booked", a.aod));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// `storage-before-interaction`: within every stage transition, a
-/// storage-bound window must never come after an interaction window (the
-/// move-in-first guarantee of the multi-AOD scheduler's balanced packing).
-///
-/// # Errors
-///
-/// Returns the violation message.
-pub fn check_storage_before_interaction(program: &CompiledProgram) -> Result<(), String> {
-    let grid = program.architecture().grid();
-    let mut saw_interaction_window = false;
-    for (index, instruction) in program.instructions().iter().enumerate() {
-        match instruction {
-            Instruction::RydbergStage { .. } => saw_interaction_window = false,
-            Instruction::MoveGroup { coll_moves } => {
-                let lands_in = |zone: Zone| {
-                    coll_moves
-                        .iter()
-                        .flat_map(|cm| cm.moves.iter())
-                        .any(|m| grid.zone_of(m.to) == zone)
-                };
-                if lands_in(Zone::Storage) && saw_interaction_window {
-                    return Err(format!(
-                        "instruction {index}: storage-bound window scheduled after an \
-                         interaction window"
-                    ));
-                }
-                if lands_in(Zone::Compute) {
-                    saw_interaction_window = true;
-                }
-            }
-            Instruction::OneQubitLayer { .. } => {}
-        }
-    }
-    Ok(())
-}
 
 /// `fidelity-dominance`: the auto-tuner's movement wall clock must not
 /// exceed any portfolio member's (the replay is byte-identical, so only
@@ -431,7 +347,7 @@ pub fn lint_program(
 }
 
 // ---------------------------------------------------------------------------
-// The seeded corpus generator (mirrors tests/routing_properties.rs).
+// The seeded corpus generator.
 // ---------------------------------------------------------------------------
 
 /// One generated gate, kept as data so a failing case can be shrunk and
@@ -614,7 +530,8 @@ impl ReproducerConfig {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or mistyped field.
+    /// Returns a message naming the missing, mistyped or out-of-range field
+    /// (a negative `seed`, or a `num_aods` below one).
     pub fn parse(text: &str) -> Result<Self, String> {
         let value: Value = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
         let str_field = |key: &str| -> Result<String, String> {
@@ -630,11 +547,18 @@ impl ReproducerConfig {
                 .and_then(Value::as_i64)
                 .ok_or_else(|| format!("missing integer field {key:?}"))
         };
+        let at_least = |key: &str, min: i64| -> Result<i64, String> {
+            let n = int_field(key)?;
+            if n < min {
+                return Err(format!("field {key:?} must be at least {min}, got {n}"));
+            }
+            Ok(n)
+        };
         Ok(ReproducerConfig {
-            seed: int_field("seed")? as u64,
+            seed: at_least("seed", 0)? as u64,
             rule: str_field("rule")?,
             strategy: str_field("strategy")?,
-            num_aods: int_field("num_aods")? as usize,
+            num_aods: at_least("num_aods", 1)? as usize,
             arch: str_field("arch")?,
             message: str_field("message")?,
             qasm: str_field("qasm")?,
@@ -866,7 +790,7 @@ mod tests {
     use super::*;
     use powermove_circuit::CzGate;
     use powermove_hardware::AodId;
-    use powermove_schedule::{CollMove, Layout, SiteMove};
+    use powermove_schedule::{CollMove, Instruction, Layout, SiteMove};
 
     fn arch(aods: usize) -> Architecture {
         Architecture::for_qubits(4).with_num_aods(aods)
@@ -1192,6 +1116,38 @@ mod tests {
         assert_eq!(report.linted, 2, "benchmark + inline qasm frames");
         assert_eq!(report.skipped, 3, "stats frame, garbage, rejected qasm");
         assert_eq!(report.violations, vec![]);
+    }
+
+    #[test]
+    fn reproducer_configs_reject_out_of_range_fields() {
+        let config = |seed: &str, num_aods: &str| {
+            format!(
+                r#"{{"seed": {seed}, "rule": "aod-batches", "strategy": "greedy", "num_aods": {num_aods}, "arch": "standard", "message": "m", "qasm": "x.qasm"}}"#
+            )
+        };
+        // (seed, num_aods, expected error substring; None = parses).
+        let rows: [(&str, &str, Option<&str>); 6] = [
+            ("7", "2", None),
+            ("0", "1", None),
+            ("-1", "2", Some(r#""seed" must be at least 0, got -1"#)),
+            ("7", "0", Some(r#""num_aods" must be at least 1, got 0"#)),
+            ("7", "-2", Some(r#""num_aods" must be at least 1, got -2"#)),
+            ("7", "\"2\"", Some(r#"integer field "num_aods""#)),
+        ];
+        for (seed, num_aods, expected) in rows {
+            let parsed = ReproducerConfig::parse(&config(seed, num_aods));
+            match expected {
+                None => {
+                    let parsed = parsed.unwrap();
+                    assert_eq!(parsed.seed.to_string(), seed);
+                    assert_eq!(parsed.num_aods.to_string(), num_aods);
+                }
+                Some(message) => {
+                    let err = parsed.unwrap_err();
+                    assert!(err.contains(message), "{seed}/{num_aods}: {err}");
+                }
+            }
+        }
     }
 
     #[test]

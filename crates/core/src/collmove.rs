@@ -174,7 +174,8 @@ fn movement_duration(instructions: &[Instruction], arch: &Architecture) -> f64 {
 mod tests {
     use super::*;
     use powermove_circuit::Qubit;
-    use powermove_schedule::SiteMove;
+    use powermove_schedule::check::check_storage_before_interaction;
+    use powermove_schedule::{CompiledProgram, Layout, SiteMove};
 
     fn q(i: u32) -> Qubit {
         Qubit::new(i)
@@ -357,22 +358,13 @@ mod tests {
         ];
         let packed = pack_move_groups_balanced(storage, interaction, &a);
         assert_eq!(packed.len(), 3);
-        let grid = a.grid();
-        let mut last_storage_window = 0;
-        let mut first_interaction_window = usize::MAX;
-        for (w, instr) in packed.iter().enumerate() {
+        for instr in &packed {
             if let Instruction::MoveGroup { coll_moves } = instr {
                 assert!(coll_moves.iter().all(|cm| !cm.is_empty()));
-                for m in coll_moves.iter().flat_map(|cm| cm.moves.iter()) {
-                    if grid.zone_of(m.to) == Zone::Storage {
-                        last_storage_window = last_storage_window.max(w);
-                    } else {
-                        first_interaction_window = first_interaction_window.min(w);
-                    }
-                }
             }
         }
-        assert!(last_storage_window <= first_interaction_window);
+        let program = CompiledProgram::new(a, 5, Layout::empty(5), packed);
+        check_storage_before_interaction(&program).unwrap();
     }
 
     #[test]
@@ -423,23 +415,8 @@ mod tests {
         // 5 groups on 2 AODs -> 3 windows; every storage move sits in the
         // same-or-earlier window as every interaction move.
         assert_eq!(packed.len(), 3);
-        let grid = a.grid();
-        let mut last_storage_window = 0;
-        let mut first_interaction_window = usize::MAX;
-        for (w, instr) in packed.iter().enumerate() {
-            if let Instruction::MoveGroup { coll_moves } = instr {
-                for cm in coll_moves {
-                    for m in &cm.moves {
-                        if grid.zone_of(m.to) == Zone::Storage {
-                            last_storage_window = last_storage_window.max(w);
-                        } else {
-                            first_interaction_window = first_interaction_window.min(w);
-                        }
-                    }
-                }
-            }
-        }
-        assert!(last_storage_window <= first_interaction_window);
+        let program = CompiledProgram::new(a, 5, Layout::empty(5), packed);
+        check_storage_before_interaction(&program).unwrap();
     }
 
     #[test]

@@ -803,9 +803,11 @@ impl<'a> SiteFinder<'a> {
 /// comparison.
 ///
 /// This is the supported seam behind the schedule linter's
-/// pruned-vs-linear agreement rule, the free-site property tests and the
-/// criterion microbench: all three reach the search through this type
-/// without routing whole stages. The searches themselves stay private —
+/// pruned-vs-linear agreement rule (`powermove_bench::lint`'s
+/// `check_free_site_agreement*`, which the churn property test in
+/// `tests/routing_properties.rs` also asserts through) and the criterion
+/// microbench: both reach the search through this type without routing
+/// whole stages. The searches themselves stay private —
 /// the harness is the only stable way to drive them out of pipeline
 /// context.
 #[derive(Debug, Clone)]

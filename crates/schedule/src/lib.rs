@@ -17,6 +17,10 @@
 //!   needed by the fidelity model of Eq. (1) — execution time, per-qubit
 //!   idle/storage time, transfer counts and excitation exposure;
 //! * [`validate`]: validation without trace accumulation;
+//! * [`check`]: the program-level schedule invariants (CZ preservation,
+//!   per-AOD batch validity, no intra-AOD window overlap, storage-bound
+//!   windows before interaction windows), one implementation each, shared
+//!   by the schedule linter and the test suite;
 //! * [`canonical_json`] / [`canonical_program_bytes`] / [`program_digest`]:
 //!   deterministic serialized forms used for content hashing (the compile
 //!   service's schedule cache) and byte-identity checks (the determinism
@@ -40,6 +44,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod canonical;
+pub mod check;
 mod error;
 mod instruction;
 mod layout;

@@ -1,40 +1,39 @@
 //! Randomized property tests of the routing/schedule invariants every
 //! strategy — and the auto-tuning layer on top of them — must preserve.
 //!
-//! A seeded generator (the vendored PRNG, so runs are reproducible bit for
-//! bit) drives random circuits through compile + `validate` under all four
-//! routing configurations (greedy, lookahead, multi-AOD scheduler, portfolio
-//! auto-tuner) at 1–4 AOD arrays, asserting for every case:
+//! The invariants themselves are the schedule linter's rules
+//! (`powermove_bench::lint`, built on `powermove_schedule::check`); this
+//! file drives them:
 //!
-//! * the program validates and preserves the circuit's CZ gates;
-//! * no AOD array is ever double-booked (zero intra-AOD window overlaps);
-//! * every move group lowers to per-AOD batches that pass
-//!   `validate_aod_batches`;
-//! * the multi-AOD scheduler never schedules a storage-bound window after
-//!   an interaction window within a stage transition;
-//! * the auto-tuner's movement wall clock matches the best portfolio
-//!   member's (a fortiori never exceeding the worst), and the selected
-//!   strategy is recorded in the metadata;
-//! * compilation is byte-identical at 1, 2 and 4 worker threads;
-//! * the index-pruned free-site search returns the same site as the linear
+//! * the seeded lint corpus over seeds `0..cases` — each case's circuit
+//!   compiled under greedy, lookahead, the multi-AOD scheduler and the
+//!   portfolio auto-tuner at the seed's AOD count (1–4) and architecture
+//!   variant, through every lint rule, shrinking any failure by halving its
+//!   gate list — plus the two checks that need extra compiles per case:
+//!   byte identity at 1, 2 and 4 worker threads, and the auto-tuner's
+//!   recorded `selected_strategy`;
+//! * a lint-clean compile of every gated fig7 cell, so the auto-tuner's
+//!   movement never exceeds the best portfolio member's there;
+//! * agreement between the index-pruned free-site search and the linear
 //!   reference scan after random occupancy churn, under zero, random
 //!   nonnegative and shifted-admissible biases.
 //!
 //! The case count defaults to 200 and is tunable through the
 //! `POWERMOVE_PROP_CASES` environment variable (CI pins 500 on the stable
-//! leg; local runs can drop it for speed). On a failure the offending
-//! circuit is shrunk by halving its gate list while the failure reproduces,
-//! so the panic message carries a minimal reproducer.
+//! leg; local runs can drop it for speed).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use powermove_suite::circuit::{Circuit, Qubit};
-use powermove_suite::hardware::{validate_aod_batches, AodBatch, Architecture, Zone};
-use powermove_suite::powermove::{
-    movement_wall_clock, CompilerConfig, PowerMoveCompiler, RoutingConfig,
+use powermove_bench::lint::{
+    check_free_site_agreement_with, lint_circuit, lint_strategies, run_campaign, CampaignConfig,
+    CorpusInstance,
 };
-use powermove_suite::schedule::{validate, CompiledProgram, Instruction, Timeline};
+use powermove_exec::ThreadPool;
+use powermove_suite::circuit::Qubit;
+use powermove_suite::hardware::{Architecture, Point, SiteId};
+use powermove_suite::powermove::{CompilerConfig, FreeSiteHarness, PowerMoveCompiler};
+use powermove_suite::schedule::canonical_program_bytes;
 
 /// Default number of random cases; override with `POWERMOVE_PROP_CASES`.
 const DEFAULT_CASES: u64 = 200;
@@ -46,312 +45,97 @@ fn cases() -> u64 {
         .unwrap_or(DEFAULT_CASES)
 }
 
-/// One generated gate, kept as data so a failing case can be shrunk and
-/// rebuilt.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    H(u32),
-    Rz(u32),
-    Cz(u32, u32),
-}
-
-/// A reproducible random instance: width plus gate list.
-#[derive(Debug, Clone)]
-struct RandomInstance {
-    num_qubits: u32,
-    ops: Vec<Op>,
-}
-
-impl RandomInstance {
-    fn generate(seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let num_qubits = rng.gen_range(4..=10_u32);
-        let num_ops = rng.gen_range(2..=28_usize);
-        let ops = (0..num_ops)
-            .filter_map(|_| {
-                let a = rng.gen_range(0..num_qubits);
-                let b = rng.gen_range(0..num_qubits);
-                match rng.gen_range(0_u8..4) {
-                    0 => Some(Op::H(a)),
-                    1 => Some(Op::Rz(a)),
-                    _ => (a != b).then_some(Op::Cz(a, b)),
-                }
-            })
-            .collect();
-        RandomInstance { num_qubits, ops }
-    }
-
-    fn circuit(&self) -> Circuit {
-        let mut circuit = Circuit::new(self.num_qubits);
-        for op in &self.ops {
-            match *op {
-                Op::H(q) => circuit.h(Qubit::new(q)).expect("in range"),
-                Op::Rz(q) => circuit.rz(Qubit::new(q), 0.17).expect("in range"),
-                Op::Cz(a, b) => circuit.cz(Qubit::new(a), Qubit::new(b)).expect("in range"),
+/// The per-case checks the lint rules cannot make from a single compile:
+/// every strategy emits byte-identical programs at 1, 2 and 4 worker
+/// threads (including through the auto-tuner's portfolio fan-out), and the
+/// auto-tuner records a portfolio member as its `selected_strategy`.
+/// Compile failures are skipped here; the lint campaign reports them.
+fn worker_count_and_selection_errors(seed: u64) -> Vec<String> {
+    let instance = CorpusInstance::generate(seed);
+    let Ok(circuit) = instance.circuit() else {
+        return Vec::new();
+    };
+    let arch = instance.architecture();
+    let mut errors = Vec::new();
+    for (name, routing) in lint_strategies() {
+        let compile = |threads: usize| {
+            PowerMoveCompiler::new(
+                CompilerConfig::default()
+                    .with_routing(routing)
+                    .with_threads(threads),
+            )
+            .compile(&circuit, &arch)
+        };
+        let Ok(program) = compile(1) else {
+            continue;
+        };
+        let reference = canonical_program_bytes(&program);
+        for threads in [2, 4] {
+            let parallel = compile(threads).ok().map(|p| canonical_program_bytes(&p));
+            if parallel.as_ref() != Some(&reference) {
+                errors.push(format!(
+                    "seed {seed} {name}: threads=1 vs threads={threads} diverged"
+                ));
             }
-        }
-        circuit
-    }
-
-    /// A copy restricted to the first `len` gates.
-    fn truncated(&self, len: usize) -> Self {
-        RandomInstance {
-            num_qubits: self.num_qubits,
-            ops: self.ops[..len].to_vec(),
-        }
-    }
-}
-
-/// The four routing configurations under test, auto last so its portfolio
-/// members are compiled first in failure reports.
-fn strategies() -> [(&'static str, RoutingConfig); 4] {
-    [
-        ("greedy", RoutingConfig::greedy()),
-        ("lookahead2", RoutingConfig::lookahead(2)),
-        ("multi-aod", RoutingConfig::multi_aod()),
-        ("auto", RoutingConfig::auto()),
-    ]
-}
-
-fn compile(
-    instance: &RandomInstance,
-    routing: RoutingConfig,
-    aods: usize,
-    threads: usize,
-) -> CompiledProgram {
-    let arch = Architecture::for_qubits(instance.num_qubits).with_num_aods(aods);
-    PowerMoveCompiler::new(
-        CompilerConfig::default()
-            .with_routing(routing)
-            .with_threads(threads),
-    )
-    .compile(&instance.circuit(), &arch)
-    .expect("random instances fit the default grid")
-}
-
-/// Serializes the observable program content (wall clocks excluded).
-fn program_bytes(program: &CompiledProgram) -> String {
-    format!(
-        "{:?}|{:?}|{:?}",
-        program.initial_layout(),
-        program.instructions(),
-        program.metadata().counters
-    )
-}
-
-/// No AOD array may own two overlapping busy windows.
-fn check_intra_aod_overlaps(program: &CompiledProgram) -> Result<(), String> {
-    let windows = Timeline::of(program).aod_windows(program);
-    for (i, a) in windows.iter().enumerate() {
-        for b in &windows[i + 1..] {
-            if a.aod == b.aod && a.overlaps(b) {
-                return Err(format!("AOD {} double-booked", a.aod));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Every move group must lower to a window of per-AOD batches that passes
-/// the hardware's batch validation (no duplicate AOD, conflict-free moves).
-fn check_aod_batches(program: &CompiledProgram) -> Result<(), String> {
-    let arch = program.architecture();
-    for (index, instruction) in program.instructions().iter().enumerate() {
-        if let Instruction::MoveGroup { coll_moves } = instruction {
-            let batches: Vec<AodBatch> = coll_moves
-                .iter()
-                .map(|cm| AodBatch::new(cm.aod, cm.trap_moves(arch)))
-                .collect();
-            validate_aod_batches(&batches)
-                .map_err(|e| format!("instruction {index}: invalid AOD batches: {e}"))?;
-        }
-    }
-    Ok(())
-}
-
-/// Within every stage transition, a storage-bound window must never come
-/// after an interaction window (the move-in-first guarantee the scheduler's
-/// balanced packing preserves). Only meaningful in with-storage mode, where
-/// the two move classes land in distinct zones.
-fn check_storage_before_interactions(program: &CompiledProgram) -> Result<(), String> {
-    let grid = program.architecture().grid();
-    let mut saw_interaction_window = false;
-    for (index, instruction) in program.instructions().iter().enumerate() {
-        match instruction {
-            Instruction::RydbergStage { .. } => saw_interaction_window = false,
-            Instruction::MoveGroup { coll_moves } => {
-                let lands_in = |zone: Zone| {
-                    coll_moves
-                        .iter()
-                        .flat_map(|cm| cm.moves.iter())
-                        .any(|m| grid.zone_of(m.to) == zone)
-                };
-                if lands_in(Zone::Storage) && saw_interaction_window {
-                    return Err(format!(
-                        "instruction {index}: storage-bound window scheduled after an \
-                         interaction window"
-                    ));
-                }
-                if lands_in(Zone::Compute) {
-                    saw_interaction_window = true;
-                }
-            }
-            Instruction::OneQubitLayer { .. } => {}
-        }
-    }
-    Ok(())
-}
-
-/// Runs every invariant for one instance at one AOD count.
-fn check_case(instance: &RandomInstance, aods: usize) -> Result<(), String> {
-    let circuit = instance.circuit();
-    let mut movements = Vec::new();
-    for (name, routing) in strategies() {
-        let program = compile(instance, routing, aods, 1);
-        validate(&program).map_err(|e| format!("{name}: invalid program: {e}"))?;
-        if program.cz_gate_count() != circuit.cz_count() {
-            return Err(format!(
-                "{name}: {} CZ gates compiled, circuit has {}",
-                program.cz_gate_count(),
-                circuit.cz_count()
-            ));
-        }
-        check_intra_aod_overlaps(&program).map_err(|e| format!("{name}: {e}"))?;
-        check_aod_batches(&program).map_err(|e| format!("{name}: {e}"))?;
-        if name == "multi-aod" {
-            check_storage_before_interactions(&program).map_err(|e| format!("{name}: {e}"))?;
         }
         if name == "auto" && !program.instructions().is_empty() {
-            let selected = program
-                .metadata()
-                .selected_strategy
-                .as_deref()
-                .ok_or_else(|| "auto: no selected_strategy recorded".to_string())?;
-            if !["greedy", "lookahead", "multi-aod"].contains(&selected) {
-                return Err(format!("auto: unknown selected strategy {selected:?}"));
-            }
-        }
-        let movement = movement_wall_clock(program.instructions(), program.architecture());
-        movements.push((name, movement));
-
-        // Determinism: the emitted program must not depend on the worker
-        // count, including through the auto-tuner's portfolio fan-out.
-        let reference = program_bytes(&program);
-        for threads in [2, 4] {
-            let parallel = program_bytes(&compile(instance, routing, aods, threads));
-            if reference != parallel {
-                return Err(format!("{name}: threads=1 vs threads={threads} diverged"));
+            match program.metadata().selected_strategy.as_deref() {
+                Some("greedy" | "lookahead" | "multi-aod") => {}
+                other => errors.push(format!(
+                    "seed {seed} auto: selected strategy {other:?} is not a portfolio member"
+                )),
             }
         }
     }
-
-    let auto = movements
-        .iter()
-        .find(|(name, _)| *name == "auto")
-        .expect("auto is in the portfolio")
-        .1;
-    // The standalone members above are configured identically to auto's
-    // portfolio candidates, so the selection must match the per-instance
-    // BEST member — a selector regression that picks second-best fails
-    // here, not just one that picks the worst.
-    let best_member = movements
-        .iter()
-        .filter(|(name, _)| *name != "auto")
-        .map(|(_, t)| *t)
-        .fold(f64::INFINITY, f64::min);
-    if auto > best_member + 1e-12 {
-        return Err(format!(
-            "auto moves {auto} s, worse than the best portfolio member ({best_member} s)"
-        ));
-    }
-    Ok(())
-}
-
-/// Shrinks a failing instance by halving the gate list while the failure
-/// reproduces, then returns the minimal reproducer and its error.
-fn shrink(instance: &RandomInstance, aods: usize, error: String) -> (RandomInstance, String) {
-    let mut smallest = instance.clone();
-    let mut message = error;
-    let mut len = smallest.ops.len();
-    while len > 1 {
-        len /= 2;
-        let candidate = smallest.truncated(len);
-        match check_case(&candidate, aods) {
-            Err(e) => {
-                smallest = candidate;
-                message = e;
-            }
-            Ok(()) => break,
-        }
-    }
-    (smallest, message)
+    errors
 }
 
 #[test]
 fn random_instances_preserve_every_routing_invariant() {
     let cases = cases();
-    for seed in 0..cases {
-        let instance = RandomInstance::generate(seed);
-        // Cycle the AOD count so the run covers 1-4 arrays evenly.
-        let aods = 1 + (seed as usize % 4);
-        if let Err(error) = check_case(&instance, aods) {
-            let (minimal, message) = shrink(&instance, aods, error);
-            panic!(
-                "seed {seed} ({aods} AODs) failed: {message}\nshrunk to {} of {} gates: {:?}",
-                minimal.ops.len(),
-                instance.ops.len(),
-                minimal
-            );
-        }
+    let (_, failures) = run_campaign(&CampaignConfig {
+        cases,
+        base_seed: 0,
+        out_dir: None,
+    });
+    let mut errors: Vec<String> = failures
+        .iter()
+        .map(|f| {
+            let i = &f.instance;
+            format!(
+                "seed {} ({} AODs, arch {}) shrunk to {} of {} gates: {:?}\n  {:?}",
+                i.seed,
+                i.num_aods,
+                i.arch.name(),
+                i.ops.len(),
+                CorpusInstance::generate(i.seed).ops.len(),
+                f.violations,
+                i.ops
+            )
+        })
+        .collect();
+    let seeds: Vec<u64> = (0..cases).collect();
+    for seed_errors in ThreadPool::from_env().par_map(seeds, worker_count_and_selection_errors) {
+        errors.extend(seed_errors);
     }
-}
-
-#[test]
-fn shrinking_reports_a_smaller_failing_case() {
-    // A synthetic always-failing predicate: shrink-by-halving must walk the
-    // gate list down instead of reporting the full-size instance.
-    let instance = RandomInstance::generate(7);
-    assert!(instance.ops.len() > 2);
-    let halved = instance.truncated(instance.ops.len() / 2);
-    assert_eq!(halved.num_qubits, instance.num_qubits);
-    assert_eq!(halved.ops.len(), instance.ops.len() / 2);
-    // And a truncation to 1 gate still builds a valid circuit.
-    let tiny = instance.truncated(1);
-    assert_eq!(tiny.circuit().num_gates(), 1);
+    assert!(errors.is_empty(), "{}", errors.join("\n"));
 }
 
 #[test]
 fn auto_matches_the_per_cell_best_on_the_fig7_grid() {
-    // The tentpole acceptance pinned as a test: on every gated fig7 cell
-    // (5 instances x 2-4 AODs) the portfolio auto-tuner's movement wall
-    // clock equals the best portfolio member's.
+    // On every gated fig7 cell (5 instances x 2-4 AODs) the compiled
+    // programs are lint-clean; its fidelity-dominance rule is the check
+    // that the portfolio auto-tuner never moves slower than the best
+    // portfolio member.
     use powermove_suite::benchmarks::generate;
     for (family, n) in powermove_bench::fig7_cases() {
         for aods in 2..=4_usize {
             let instance = generate(family, n, powermove_bench::DEFAULT_SEED);
             let arch = Architecture::for_qubits(instance.num_qubits).with_num_aods(aods);
-            let movement = |routing: RoutingConfig| {
-                let program = PowerMoveCompiler::new(
-                    CompilerConfig::default()
-                        .with_routing(routing)
-                        .with_threads(1),
-                )
-                .compile(&instance.circuit, &arch)
-                .expect("fig7 instances compile");
-                movement_wall_clock(program.instructions(), program.architecture())
-            };
-            let auto = movement(RoutingConfig::auto());
-            let best = [
-                RoutingConfig::greedy(),
-                RoutingConfig::lookahead(2),
-                RoutingConfig::multi_aod(),
-            ]
-            .into_iter()
-            .map(movement)
-            .fold(f64::INFINITY, f64::min);
+            let violations = lint_circuit(&instance.circuit, &arch);
             assert!(
-                auto <= best + 1e-12,
-                "{}@{aods}aods: auto {auto} vs best member {best}",
+                violations.is_empty(),
+                "{}@{aods}aods: {violations:?}",
                 instance.name
             );
         }
@@ -365,9 +149,6 @@ fn indexed_free_site_search_matches_the_linear_scan_under_churn() {
     // best-first search selects the same site as the linear reference scan
     // — under the zero bias, a random nonnegative bias, and a shifted bias
     // with a matching positive admissible `min_bias` bound.
-    use powermove_suite::hardware::{Point, SiteId};
-    use powermove_suite::powermove::FreeSiteHarness;
-
     for seed in 0..cases() {
         let mut rng = StdRng::seed_from_u64(0x51DE_1DE0 ^ seed);
         let num_qubits = rng.gen_range(4..=64_u32);
@@ -415,33 +196,26 @@ fn indexed_free_site_search_matches_the_linear_scan_under_churn() {
             ((site.index() as u64).wrapping_mul(mult) % 97) as f64 * 1e-3
         };
         let shifted = move |site: SiteId, pos: Point| -> f64 { shift + biased(site, pos) };
+        let zero = |_: SiteId, _: Point| 0.0;
 
-        for _ in 0..4 {
-            let anchor = if rng.gen_bool(0.5) {
-                let site = SiteId::new(rng.gen_range(0..num_sites));
-                harness.grid().position(site)
-            } else {
-                Point::new(rng.gen_range(-5.0..40.0_f64), rng.gen_range(-5.0..40.0_f64))
-            };
-            for zone in [Zone::Compute, Zone::Storage] {
-                let zero = |_: SiteId, _: Point| 0.0;
-                assert_eq!(
-                    harness.best(zone, anchor, 0.0, &zero),
-                    harness.best_linear(zone, anchor, &zero),
-                    "zero bias diverged: seed {seed} zone {zone:?} anchor {anchor:?}"
-                );
-                assert_eq!(
-                    harness.best(zone, anchor, 0.0, &biased),
-                    harness.best_linear(zone, anchor, &biased),
-                    "nonnegative bias diverged: seed {seed} zone {zone:?} anchor {anchor:?}"
-                );
-                assert_eq!(
-                    harness.best(zone, anchor, shift, &shifted),
-                    harness.best_linear(zone, anchor, &shifted),
-                    "shifted bias diverged: seed {seed} zone {zone:?} anchor {anchor:?}"
-                );
+        let anchors: Vec<Point> = (0..4)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    let site = SiteId::new(rng.gen_range(0..num_sites));
+                    harness.grid().position(site)
+                } else {
+                    Point::new(rng.gen_range(-5.0..40.0_f64), rng.gen_range(-5.0..40.0_f64))
+                }
+            })
+            .collect();
+        let mut agree = |label: &str, min_bias: f64, bias: &dyn Fn(SiteId, Point) -> f64| {
+            if let Err(e) = check_free_site_agreement_with(&mut harness, &anchors, min_bias, bias) {
+                panic!("{label} bias diverged: seed {seed}: {e}");
             }
-        }
+        };
+        agree("zero", 0.0, &zero);
+        agree("nonnegative", 0.0, &biased);
+        agree("shifted", shift, &shifted);
         let (scans, _) = harness.counters();
         assert!(scans > 0, "searches should examine at least one site");
     }

@@ -15,7 +15,8 @@ use powermove_suite::benchmarks::{generate, BenchmarkFamily};
 use powermove_suite::fidelity::{attribute_movement, evaluate_program};
 use powermove_suite::hardware::Architecture;
 use powermove_suite::powermove::{CompilerConfig, GreedyRouter, PowerMoveCompiler, RoutingConfig};
-use powermove_suite::schedule::{validate, CompiledProgram, Timeline};
+use powermove_suite::schedule::check::check_intra_aod_overlap;
+use powermove_suite::schedule::{canonical_program_bytes, validate, CompiledProgram, Timeline};
 use std::sync::Arc;
 
 const SEED: u64 = 20250;
@@ -26,16 +27,6 @@ fn strategies() -> Vec<(&'static str, RoutingConfig)> {
         ("lookahead2", RoutingConfig::lookahead(2)),
         ("multi-aod", RoutingConfig::multi_aod()),
     ]
-}
-
-/// Serializes the observable program content; pass timings are excluded
-/// (wall clocks legitimately differ run to run).
-fn program_bytes(program: &CompiledProgram) -> String {
-    let instructions =
-        serde_json::to_string(&program.instructions().to_vec()).expect("instructions serialize");
-    let layout = serde_json::to_string(program.initial_layout()).expect("layout serializes");
-    let counters = serde_json::to_string(&program.metadata().counters).expect("counters serialize");
-    format!("{layout}|{instructions}|{counters}")
 }
 
 fn compile(
@@ -64,9 +55,9 @@ fn every_family_and_strategy_is_deterministic_across_worker_counts() {
             validate(&reference).unwrap_or_else(|e| {
                 panic!("{family}/{name}: invalid program: {e}");
             });
-            let reference_bytes = program_bytes(&reference);
+            let reference_bytes = canonical_program_bytes(&reference);
             for threads in [2, 4] {
-                let parallel = program_bytes(&compile(family, 16, 3, routing, threads));
+                let parallel = canonical_program_bytes(&compile(family, 16, 3, routing, threads));
                 assert_eq!(
                     reference_bytes, parallel,
                     "{family}/{name}: threads=1 vs threads={threads} diverged"
@@ -92,8 +83,14 @@ fn explicit_greedy_router_reproduces_the_default_compiler_byte_identically() {
             .with_strategy(Arc::new(GreedyRouter))
             .compile(&instance.circuit, &arch)
             .expect("compiles");
-        assert_eq!(program_bytes(&default), program_bytes(&explicit_config));
-        assert_eq!(program_bytes(&default), program_bytes(&custom_registration));
+        assert_eq!(
+            canonical_program_bytes(&default),
+            canonical_program_bytes(&explicit_config)
+        );
+        assert_eq!(
+            canonical_program_bytes(&default),
+            canonical_program_bytes(&custom_registration)
+        );
     }
 }
 
@@ -103,18 +100,10 @@ fn multi_aod_schedules_have_zero_intra_aod_window_overlaps() {
         for aods in [2_usize, 4] {
             let program = compile(family, 16, aods, RoutingConfig::multi_aod(), 1);
             validate(&program).expect("multi-AOD schedule validates");
-            let windows = Timeline::of(&program).aod_windows(&program);
-            for (i, a) in windows.iter().enumerate() {
-                for b in &windows[i + 1..] {
-                    if a.aod == b.aod {
-                        assert!(
-                            !a.overlaps(b),
-                            "{family}@{aods}aods: AOD {} double-booked",
-                            a.aod
-                        );
-                    }
-                }
+            if let Err(e) = check_intra_aod_overlap(&program) {
+                panic!("{family}@{aods}aods: {e}");
             }
+            let windows = Timeline::of(&program).aod_windows(&program);
             // The parallelism is real: some window pair on distinct AODs
             // overlaps (every program here moves more qubits than one AOD
             // batch carries).
