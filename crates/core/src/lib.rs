@@ -79,7 +79,6 @@ pub mod pipeline;
 pub mod routing;
 mod stage_partition;
 mod stage_schedule;
-mod stats;
 
 pub use collmove::{order_coll_moves, pack_move_groups, pack_move_groups_balanced};
 pub use compiler::{compile, PowerMoveCompiler, Replay, RoutingSession, StagedIr};
@@ -98,4 +97,3 @@ pub use routing::{
 };
 pub use stage_partition::{partition_stages, Stage};
 pub use stage_schedule::schedule_stages;
-pub use stats::CompilationSummary;

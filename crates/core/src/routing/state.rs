@@ -805,11 +805,10 @@ impl<'a> SiteFinder<'a> {
 /// This is the supported seam behind the schedule linter's
 /// pruned-vs-linear agreement rule (`powermove_bench::lint`'s
 /// `check_free_site_agreement*`, which the churn property test in
-/// `tests/routing_properties.rs` also asserts through) and the criterion
-/// microbench: both reach the search through this type without routing
-/// whole stages. The searches themselves stay private —
-/// the harness is the only stable way to drive them out of pipeline
-/// context.
+/// `tests/routing_properties.rs` also asserts through): it reaches the
+/// search through this type without routing whole stages. The searches
+/// themselves stay private — the harness is the only stable way to drive
+/// them out of pipeline context.
 #[derive(Debug, Clone)]
 pub struct FreeSiteHarness {
     arch: Architecture,

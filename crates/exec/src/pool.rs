@@ -204,74 +204,6 @@ impl ThreadPool {
     pub fn chunk_count(&self, len: usize) -> usize {
         len.min(self.threads() * CHUNKS_PER_WORKER).max(1)
     }
-
-    /// Batch admission: like [`ThreadPool::par_map`], but items that share a
-    /// `key` are admitted to the pool as **one job** and processed
-    /// sequentially within it, in input order. Groups are queued in
-    /// first-seen key order, and the results are returned in input order
-    /// regardless of grouping.
-    ///
-    /// This is the primitive behind the compile service's same-architecture
-    /// batching: requests targeting the same machine run back to back on one
-    /// worker (warm caches, no interleaved contention for the same shared
-    /// state), while distinct architectures still fan out across the pool.
-    ///
-    /// A sequential configuration degenerates to the plain in-order loop, so
-    /// the output is always identical to `items.into_iter().map(f).collect()`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use powermove_exec::{Parallelism, ThreadPool};
-    ///
-    /// let pool = ThreadPool::new(Parallelism::fixed(4));
-    /// let doubled = pool.par_map_grouped(vec![3, 1, 4, 1, 5], |x| x % 2, |x| x * 2);
-    /// assert_eq!(doubled, vec![6, 2, 8, 2, 10]); // input order, not group order
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised by `f` after the remaining groups
-    /// have completed.
-    pub fn par_map_grouped<T, R, K, F>(&self, items: Vec<T>, key: impl Fn(&T) -> K, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        K: std::hash::Hash + Eq,
-        F: Fn(T) -> R + Sync,
-    {
-        if self.threads() <= 1 || items.len() <= 1 {
-            return items.into_iter().map(f).collect();
-        }
-        // Group indices by key, keeping first-seen group order and the
-        // items' relative order within each group.
-        let mut group_of_key: std::collections::HashMap<K, usize> =
-            std::collections::HashMap::new();
-        let mut groups: Vec<Vec<(usize, T)>> = Vec::new();
-        for (index, item) in items.into_iter().enumerate() {
-            let group = *group_of_key.entry(key(&item)).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[group].push((index, item));
-        }
-        let total: usize = groups.iter().map(Vec::len).sum();
-        let mapped = self.par_map(groups, |group| {
-            group
-                .into_iter()
-                .map(|(index, item)| (index, f(item)))
-                .collect::<Vec<(usize, R)>>()
-        });
-        // Scatter the per-group runs back to input order.
-        let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
-        for (index, result) in mapped.into_iter().flatten() {
-            slots[index] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every input index is produced by exactly one group"))
-            .collect()
-    }
 }
 
 /// Oversubscription factor of [`ThreadPool::par_map_chunked`]: the number of
@@ -530,59 +462,6 @@ mod tests {
         assert_eq!(pool.chunk_count(1_000_000), 4 * CHUNKS_PER_WORKER);
         let sequential = ThreadPool::new(Parallelism::fixed(1));
         assert_eq!(sequential.chunk_count(100), CHUNKS_PER_WORKER);
-    }
-
-    #[test]
-    fn par_map_grouped_matches_plain_map_in_input_order() {
-        let items: Vec<u64> = (0..200).collect();
-        let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 8] {
-            let pool = ThreadPool::new(Parallelism::fixed(threads));
-            let out = pool.par_map_grouped(
-                items.clone(),
-                |x| x % 5,
-                |x| {
-                    if x % 7 == 0 {
-                        std::thread::yield_now();
-                    }
-                    x * 3 + 1
-                },
-            );
-            assert_eq!(out, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_grouped_runs_same_key_items_sequentially() {
-        // Two items sharing a key must never overlap: the group is one job.
-        let pool = ThreadPool::new(Parallelism::fixed(4));
-        let in_group = AtomicUsize::new(0);
-        let overlapped = AtomicBool::new(false);
-        let items: Vec<usize> = (0..32).collect();
-        pool.par_map_grouped(
-            items,
-            |x| x % 2, // two groups of 16
-            |_| {
-                if in_group.fetch_add(1, Ordering::SeqCst) >= 2 {
-                    // More in flight than there are groups: overlap within
-                    // a group.
-                    overlapped.store(true, Ordering::SeqCst);
-                }
-                std::thread::sleep(Duration::from_micros(100));
-                in_group.fetch_sub(1, Ordering::SeqCst);
-            },
-        );
-        assert!(!overlapped.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn par_map_grouped_handles_empty_and_single_inputs() {
-        let pool = ThreadPool::new(Parallelism::fixed(4));
-        assert_eq!(
-            pool.par_map_grouped(Vec::<u32>::new(), |x| *x, |x| x),
-            Vec::<u32>::new()
-        );
-        assert_eq!(pool.par_map_grouped(vec![9], |x| *x, |x| x + 1), vec![10]);
     }
 
     #[test]

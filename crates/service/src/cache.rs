@@ -103,20 +103,25 @@ impl<T> LruCache<T> {
     /// Looks up a value by content key, marking the entry most recently
     /// used on a hit. Counts a hit or a miss either way.
     pub fn get(&mut self, key: u64) -> Option<Arc<T>> {
-        match self.entries.get(&key) {
-            Some(value) => {
-                self.hits += 1;
-                if let Some(pos) = self.recency.iter().position(|k| *k == key) {
-                    self.recency.remove(pos);
-                }
-                self.recency.push_back(key);
-                Some(Arc::clone(value))
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let value = self.touch(key);
+        if value.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
         }
+        value
+    }
+
+    /// Like [`LruCache::get`], but counts neither a hit nor a miss: for a
+    /// repeated lookup on behalf of a request whose first lookup was
+    /// already counted.
+    pub(crate) fn touch(&mut self, key: u64) -> Option<Arc<T>> {
+        let value = Arc::clone(self.entries.get(&key)?);
+        if let Some(pos) = self.recency.iter().position(|k| *k == key) {
+            self.recency.remove(pos);
+        }
+        self.recency.push_back(key);
+        Some(value)
     }
 
     /// Checks for a key without touching recency or counters.

@@ -119,21 +119,32 @@ impl<'a> Daemon<'a> {
 
     fn serve_frames(
         &self,
-        input: impl BufRead,
+        mut input: impl BufRead,
         writer: &FrameWriter<impl Write + Send>,
     ) -> ServeReport {
         let pool = ThreadPool::new(self.parallelism);
         let frames = AtomicU64::new(0);
         let errors = AtomicU64::new(0);
         let mut shutdown_id = None;
+        let mut raw = Vec::new();
         pool.scope(|scope| {
-            for line in input.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
+            loop {
+                // Only end of input or an I/O error ends the stream; a line
+                // that is not UTF-8 is answered like any malformed frame.
+                raw.clear();
+                match input.read_until(b'\n', &mut raw) {
+                    Ok(0) | Err(_) => break,
+                    Ok(_) => {}
+                }
+                let line = std::str::from_utf8(&raw);
+                if line.is_ok_and(|line| line.trim().is_empty()) {
                     continue;
                 }
                 frames.fetch_add(1, Ordering::Relaxed);
-                match Request::parse(&line) {
+                let request = line
+                    .map_err(|e| FrameError::new(None, format!("frame is not valid UTF-8: {e}")))
+                    .and_then(|line| Request::parse(line.trim_end_matches(['\r', '\n'])));
+                match request {
                     Err(err) => {
                         errors.fetch_add(1, Ordering::Relaxed);
                         writer.write(&err.reply());
@@ -306,6 +317,38 @@ mod tests {
             digests[0], digests[1],
             "identical requests, identical programs"
         );
+    }
+
+    #[test]
+    fn non_utf8_line_is_an_error_frame_not_end_of_stream() {
+        let service = CompileService::new(8);
+        let daemon = Daemon::new(&service).with_parallelism(Parallelism::fixed(1));
+        let mut input = Vec::new();
+        input.extend_from_slice(b"{\"id\": 1, \"op\": \"stats\"}\n");
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend_from_slice(b"{\"id\": 2, \"op\": \"stats\"}\n");
+        input.extend_from_slice(b"{\"id\": 3, \"op\": \"shutdown\"}\n");
+        let mut out = Vec::new();
+        let report = daemon.serve(input.as_slice(), &mut out);
+        assert_eq!(
+            report,
+            ServeReport {
+                frames: 4,
+                errors: 1,
+                shutdown: true,
+            }
+        );
+        let frames = parse_lines(&out);
+        assert_eq!(frames.len(), 4);
+        let error = &frames[1];
+        assert_eq!(error.get("id"), Some(&Value::Null));
+        assert!(error
+            .get("error")
+            .and_then(Value::as_str)
+            .is_some_and(|message| message.contains("UTF-8")));
+        assert_eq!(frames[2].get("id").and_then(Value::as_i64), Some(2));
+        let last = frames.last().unwrap();
+        assert_eq!(last.get("shutdown").and_then(Value::as_bool), Some(true));
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   route/emit back end;
 //! * [`CompileService`]: thread-safe compile admission over the cache, with
 //!   in-flight coalescing (identical concurrent requests share one
-//!   compile) and same-architecture batching onto the `powermove-exec`
-//!   pool;
+//!   compile);
 //! * [`protocol`]: the JSONL frame protocol — one request or response
 //!   object per line, correlated by `id`;
 //! * [`Daemon`]: the serve loop, speaking the protocol over stdin/stdout

@@ -1,4 +1,4 @@
-//! The compile service: cache, in-flight coalescing and batch admission.
+//! The compile service: cache and in-flight coalescing.
 
 use crate::cache::{CacheStats, LruCache, ScheduleCache};
 use powermove::{
@@ -6,7 +6,7 @@ use powermove::{
 };
 use powermove_circuit::Circuit;
 use powermove_hardware::Architecture;
-use powermove_schedule::{canonical_json, fnv1a_64, CompiledProgram};
+use powermove_schedule::CompiledProgram;
 use serde::Serialize;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +40,8 @@ impl CacheOutcome {
 /// frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ServiceStats {
-    /// Program-cache effectiveness counters.
+    /// Program-cache effectiveness counters. Each request counts one
+    /// lookup, on arrival: a coalesced request is a miss, not a hit.
     pub cache: CacheStats,
     /// Cold compiles whose front end was answered from the stage cache
     /// (only the route/emit back end ran).
@@ -161,7 +162,15 @@ impl CompileService {
         {
             let mut inner = self.inner.lock().expect("service lock poisoned");
             loop {
-                if let Some(program) = inner.cache.get(key) {
+                // Only the arrival lookup is counted, so every request lands
+                // in exactly one of `cache.hits`, `coalesced` and `compiles`
+                // (or fails).
+                let cached = if waited {
+                    inner.cache.touch(key)
+                } else {
+                    inner.cache.get(key)
+                };
+                if let Some(program) = cached {
                     let outcome = if waited {
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
                         CacheOutcome::Coalesced
@@ -226,32 +235,6 @@ impl CompileService {
             }
         };
         compiler.emit(&ir, arch)
-    }
-
-    /// Compiles a batch of requests on `pool`, grouping them by
-    /// architecture.
-    ///
-    /// Requests for the same architecture are admitted to the pool as one
-    /// job and run back to back (via
-    /// [`ThreadPool::par_map_grouped`](powermove_exec::ThreadPool::par_map_grouped)),
-    /// which keeps a warm request stream from spreading one architecture's
-    /// working set across every worker; distinct architectures still compile
-    /// in parallel. Results come back in input order, each with its
-    /// [`CacheOutcome`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if another thread panicked while holding the service lock.
-    pub fn compile_batch(
-        &self,
-        pool: &powermove_exec::ThreadPool,
-        requests: Vec<(Circuit, Architecture, CompilerConfig)>,
-    ) -> Vec<Result<(Arc<CompiledProgram>, CacheOutcome), CompileError>> {
-        pool.par_map_grouped(
-            requests,
-            |(_, arch, _)| fnv1a_64(canonical_json(arch).as_bytes()),
-            |(circuit, arch, config)| self.compile(&circuit, &arch, &config),
-        )
     }
 
     /// Number of cold compiles executed so far.
@@ -357,26 +340,5 @@ mod tests {
         assert!(service.compile(&ring(10), &tiny, &config).is_err());
         assert_eq!(service.compiles(), 0);
         assert_eq!(service.stats().cache.entries, 0);
-    }
-
-    #[test]
-    fn batch_returns_results_in_input_order() {
-        let service = CompileService::new(16);
-        let pool = powermove_exec::ThreadPool::new(powermove_exec::Parallelism::fixed(4));
-        let config = CompilerConfig::default().with_threads(1);
-        let requests: Vec<_> = [4_u32, 6, 4, 8, 6]
-            .iter()
-            .map(|&n| (ring(n), Architecture::for_qubits(n), config))
-            .collect();
-        let results = service.compile_batch(&pool, requests);
-        assert_eq!(results.len(), 5);
-        let widths: Vec<u32> = results
-            .iter()
-            .map(|r| r.as_ref().unwrap().0.num_qubits())
-            .collect();
-        assert_eq!(widths, vec![4, 6, 4, 8, 6]);
-        // Three distinct triples → three cold compiles, two cache hits.
-        assert_eq!(service.compiles(), 3);
-        assert_eq!(service.stats().cache.hits, 2);
     }
 }

@@ -71,6 +71,10 @@ fn concurrent_identical_requests_coalesce_to_one_compile() {
         .filter(|(_, o)| *o == CacheOutcome::Miss)
         .count();
     assert_eq!(misses, 1);
+    // Each request is counted once: as the compile, a coalesced waiter or
+    // a cache hit.
+    let stats = service.stats();
+    assert_eq!(stats.compiles + stats.coalesced + stats.cache.hits, 8);
     let digests: Vec<String> = results.iter().map(|(p, _)| program_digest(p)).collect();
     assert!(digests.windows(2).all(|w| w[0] == w[1]));
 }
@@ -120,7 +124,9 @@ fn hundred_concurrent_requests_over_the_smoke_cells() {
     }
     assert_eq!(requests.len(), 100);
 
-    let results = service.compile_batch(&pool, requests);
+    let results = pool.par_map(requests, |(circuit, arch, config)| {
+        service.compile(&circuit, &arch, &config)
+    });
     assert_eq!(results.len(), 100);
     let results: Vec<_> = results.into_iter().map(Result::unwrap).collect();
 

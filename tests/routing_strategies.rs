@@ -9,12 +9,16 @@
 //! * the multi-AOD scheduler's schedules pass validation with zero
 //!   intra-AOD move-window overlaps while distinct AODs do overlap;
 //! * at two or more AODs the balanced windows never move slower than the
-//!   greedy chunking, and beat it on movement-heavy workloads.
+//!   greedy chunking, and beat it on movement-heavy workloads;
+//! * the greedy router's spatial free-site index actually prunes
+//!   candidates on a routing-heavy instance.
 
 use powermove_suite::benchmarks::{generate, BenchmarkFamily};
 use powermove_suite::fidelity::{attribute_movement, evaluate_program};
 use powermove_suite::hardware::Architecture;
-use powermove_suite::powermove::{CompilerConfig, GreedyRouter, PowerMoveCompiler, RoutingConfig};
+use powermove_suite::powermove::{
+    CompilerConfig, GreedyRouter, PowerMoveCompiler, RoutingConfig, SITES_PRUNED, SITE_SCANS,
+};
 use powermove_suite::schedule::check::check_intra_aod_overlap;
 use powermove_suite::schedule::{canonical_program_bytes, validate, CompiledProgram, Timeline};
 use std::sync::Arc;
@@ -148,5 +152,25 @@ fn balanced_windows_never_move_slower_than_greedy_at_multiple_aods() {
     assert!(
         strictly_faster > 0,
         "balanced packing never beat greedy on any family x AOD-count cell"
+    );
+}
+
+/// Outputs stay byte-identical if the spatial free-site index stops pruning,
+/// so only its work counters show that the greedy inner loop has silently
+/// degraded to the linear scan over every free site.
+#[test]
+fn greedy_free_site_index_prunes_candidates_at_128_qubits() {
+    let instance = generate(BenchmarkFamily::QaoaRegular3, 128, 3);
+    let arch = Architecture::for_qubits(128).with_num_aods(4);
+    let program =
+        PowerMoveCompiler::new(CompilerConfig::default().with_routing(RoutingConfig::greedy()))
+            .compile(&instance.circuit, &arch)
+            .expect("benchmark compiles");
+    let counter = |name| program.metadata().counter(name).unwrap_or(0);
+    let (scans, pruned) = (counter(SITE_SCANS), counter(SITES_PRUNED));
+    assert!(scans > 0, "greedy routing recorded no free-site scans");
+    assert!(
+        pruned > 0,
+        "free-site index pruned nothing (site_scans={scans})"
     );
 }
