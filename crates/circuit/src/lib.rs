@@ -8,8 +8,7 @@
 //! * the gate-level IR ([`Circuit`], [`Gate`], [`OneQubitGate`], [`CzGate`]),
 //! * the block-level IR ([`BlockProgram`], [`CzBlock`], [`OneQubitLayer`])
 //!   together with the synthesis pass [`BlockProgram::from_circuit`],
-//! * the graph views used by scheduling algorithms: the qubit-level
-//!   [`InteractionGraph`] and the gate-level [`GateConflictGraph`].
+//! * the OpenQASM 2.0 round trip ([`qasm`]).
 //!
 //! # Example
 //!
@@ -35,7 +34,6 @@ mod blocks;
 mod circuit;
 mod error;
 mod gate;
-mod graph;
 pub mod qasm;
 mod qubit;
 
@@ -44,5 +42,4 @@ pub use blocks::{BlockProgram, CzBlock, OneQubitLayer, Segment};
 pub use circuit::Circuit;
 pub use error::CircuitError;
 pub use gate::{CzGate, Gate, OneQubitGate};
-pub use graph::{GateConflictGraph, InteractionGraph};
 pub use qubit::Qubit;

@@ -418,6 +418,7 @@ impl RoutingState {
         } = self;
         let grid = arch.grid();
         let interacting = stage.interacting_qubits();
+        let idle = |q: &Qubit| interacting.binary_search(q).is_err();
 
         let mut routing = StageRouting::default();
 
@@ -428,9 +429,7 @@ impl RoutingState {
         if !*use_storage {
             let stale: Vec<(Qubit, SiteId)> = layout
                 .occupied_sites()
-                .filter(|(_, occupants)| {
-                    occupants.len() >= 2 && occupants.iter().all(|q| !interacting.contains(q))
-                })
+                .filter(|(_, occupants)| occupants.len() >= 2 && occupants.iter().all(idle))
                 .flat_map(|(site, occupants)| {
                     occupants
                         .iter()
@@ -464,9 +463,7 @@ impl RoutingState {
         if *use_storage {
             let mut to_park: Vec<(Qubit, SiteId, Point)> = layout
                 .iter()
-                .filter(|(q, site)| {
-                    !interacting.contains(q) && grid.zone_of(*site) == Zone::Compute
-                })
+                .filter(|(q, site)| idle(q) && grid.zone_of(*site) == Zone::Compute)
                 .map(|(q, site)| (q, site, grid.position(site)))
                 .collect();
             to_park.sort_by(|a, b| {

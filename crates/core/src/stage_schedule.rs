@@ -2,8 +2,8 @@
 //! qubit interchange (Sec. 4.2 of the paper).
 
 use crate::Stage;
-use powermove_circuit::Qubit;
-use std::collections::BTreeSet;
+use powermove_circuit::CzGate;
+use std::cmp::Ordering;
 
 /// Orders the stages of one commuting CZ block.
 ///
@@ -22,66 +22,78 @@ use std::collections::BTreeSet;
 ///
 /// Ties are broken by the original stage index, making the schedule
 /// deterministic.
+///
+/// Each `Q_i` is held as a bitset of `⌈n/64⌉` words, `n` one past the highest
+/// qubit index, so scheduling `S` stages runs in `O(S²·⌈n/64⌉)`.
 #[must_use]
 pub fn schedule_stages(stages: Vec<Stage>, alpha: f64) -> Vec<Stage> {
     if stages.len() <= 1 {
         return stages;
     }
 
-    let qubit_sets: Vec<BTreeSet<Qubit>> = stages.iter().map(Stage::interacting_qubits).collect();
+    let words = stages
+        .iter()
+        .flat_map(Stage::gates)
+        .map(|g| g.hi().as_usize() / 64 + 1)
+        .max()
+        .unwrap_or(0);
+    let mut bits = vec![0_u64; stages.len() * words];
+    for (i, stage) in stages.iter().enumerate() {
+        for q in stage.gates().iter().flat_map(CzGate::qubits) {
+            bits[i * words + q.as_usize() / 64] |= 1 << (q.as_usize() % 64);
+        }
+    }
+    let set = |i: usize| &bits[i * words..(i + 1) * words];
+    let sizes: Vec<u32> = (0..stages.len())
+        .map(|i| set(i).iter().map(|w| w.count_ones()).sum())
+        .collect();
 
     let mut remaining: Vec<usize> = (0..stages.len()).collect();
     // First stage: fewest interacting qubits.
     let first_pos = remaining
         .iter()
         .enumerate()
-        .min_by_key(|&(_, &idx)| (qubit_sets[idx].len(), idx))
+        .min_by_key(|&(_, &idx)| (sizes[idx], idx))
         .map(|(pos, _)| pos)
         .expect("at least one stage");
     let mut order = vec![remaining.swap_remove(first_pos)];
 
     while !remaining.is_empty() {
         let current = *order.last().expect("order is non-empty");
-        let current_set = &qubit_sets[current];
-        let next_pos = remaining
-            .iter()
-            .enumerate()
-            .min_by(|&(_, &a), &(_, &b)| {
-                let cost_a = transition_cost(current_set, &qubit_sets[a], alpha);
-                let cost_b = transition_cost(current_set, &qubit_sets[b], alpha);
-                cost_a
-                    .partial_cmp(&cost_b)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            })
-            .map(|(pos, _)| pos)
-            .expect("remaining is non-empty");
-        order.push(remaining.swap_remove(next_pos));
+        let cost = |idx: usize| {
+            transition_cost(set(current), set(idx), [sizes[current], sizes[idx]], alpha)
+        };
+        // `Iterator::min_by` over (cost, stage index), costing each once.
+        let mut best = (0, cost(remaining[0]));
+        for (pos, &idx) in remaining.iter().enumerate().skip(1) {
+            let c = cost(idx);
+            let by_cost = best.1.partial_cmp(&c).unwrap_or(Ordering::Equal);
+            if by_cost.then(remaining[best.0].cmp(&idx)) == Ordering::Greater {
+                best = (pos, c);
+            }
+        }
+        order.push(remaining.swap_remove(best.0));
     }
 
-    // Materialize the stage order.
-    let mut indexed: Vec<(usize, Stage)> = stages.into_iter().enumerate().collect();
-    indexed.sort_by_key(|(idx, _)| {
-        order
-            .iter()
-            .position(|&o| o == *idx)
-            .expect("every stage appears in the order")
-    });
-    indexed.into_iter().map(|(_, s)| s).collect()
+    let mut slots: Vec<Option<Stage>> = stages.into_iter().map(Some).collect();
+    order
+        .into_iter()
+        .map(|idx| slots[idx].take().expect("every stage is scheduled once"))
+        .collect()
 }
 
-/// The weighted set-difference cost of transitioning from stage set `from`
-/// to stage set `to`.
-fn transition_cost(from: &BTreeSet<Qubit>, to: &BTreeSet<Qubit>, alpha: f64) -> f64 {
-    let leaving = from.difference(to).count() as f64;
-    let entering = to.difference(from).count() as f64;
-    leaving + alpha * entering
+/// The cost `|from \ to| + α·|to \ from|` of a transition between two stage
+/// bitsets of the given `sizes`: each difference is a size less the shared
+/// count, the same integers as `popcount(from & !to)` and `popcount(to & !from)`.
+fn transition_cost(from: &[u64], to: &[u64], sizes: [u32; 2], alpha: f64) -> f64 {
+    let shared: u32 = from.iter().zip(to).map(|(f, t)| (f & t).count_ones()).sum();
+    f64::from(sizes[0] - shared) + alpha * f64::from(sizes[1] - shared)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powermove_circuit::CzGate;
+    use powermove_circuit::Qubit;
 
     fn q(i: u32) -> Qubit {
         Qubit::new(i)
@@ -148,10 +160,13 @@ mod tests {
         // α < 1, Y is preferred right after the current stage... but the
         // schedule starts from the smallest stage, so check the metric
         // directly instead.
-        let from: BTreeSet<Qubit> = [0, 1, 2, 3].iter().map(|&i| q(i)).collect();
-        let x: BTreeSet<Qubit> = [0, 1].iter().map(|&i| q(i)).collect();
-        let y: BTreeSet<Qubit> = [0, 1, 2, 3, 4, 5].iter().map(|&i| q(i)).collect();
-        assert!(transition_cost(&from, &y, 0.5) < transition_cost(&from, &x, 0.5));
-        assert!(transition_cost(&from, &x, 1.5) < transition_cost(&from, &y, 1.5));
+        let bitset = |qubits: &[u32]| [qubits.iter().fold(0_u64, |w, &q| w | 1 << q)];
+        let from = bitset(&[0, 1, 2, 3]);
+        let x = bitset(&[0, 1]);
+        let y = bitset(&[0, 1, 2, 3, 4, 5]);
+        let cost =
+            |to: &[u64; 1], alpha| transition_cost(&from, to, [4, to[0].count_ones()], alpha);
+        assert!(cost(&y, 0.5) < cost(&x, 0.5));
+        assert!(cost(&x, 1.5) < cost(&y, 1.5));
     }
 }

@@ -1,87 +1,10 @@
-//! Graph views of CZ blocks used by the scheduling algorithms.
-//!
-//! Two graphs are relevant:
-//!
-//! * the **interaction graph**: vertices are qubits, edges are CZ gates —
-//!   used to reason about qubit connectivity and degree;
-//! * the **gate conflict graph**: vertices are CZ gates, with an edge between
-//!   two gates that share a qubit — stage partition is a vertex colouring of
-//!   this graph (Algorithm 1 of the paper) and Enola's scheduler repeatedly
-//!   extracts independent sets from it.
+//! The gate conflict graph of a CZ block: vertices are CZ gates, with an
+//! edge between two gates that share a qubit. Enola's scheduler repeatedly
+//! extracts independent sets from it ([`crate::partition_stages_mis`]).
 
-use crate::{CzBlock, CzGate, Qubit};
+use powermove_circuit::{CzBlock, CzGate, Qubit};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Qubit-level interaction graph of a CZ block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InteractionGraph {
-    adjacency: BTreeMap<Qubit, BTreeSet<Qubit>>,
-    num_edges: usize,
-}
-
-impl InteractionGraph {
-    /// Builds the interaction graph of a CZ block.
-    ///
-    /// Parallel (repeated) CZ gates between the same pair contribute a single
-    /// edge.
-    #[must_use]
-    pub fn from_block(block: &CzBlock) -> Self {
-        let mut adjacency: BTreeMap<Qubit, BTreeSet<Qubit>> = BTreeMap::new();
-        let mut edges = BTreeSet::new();
-        for gate in block.gates() {
-            adjacency.entry(gate.lo()).or_default().insert(gate.hi());
-            adjacency.entry(gate.hi()).or_default().insert(gate.lo());
-            edges.insert((gate.lo(), gate.hi()));
-        }
-        InteractionGraph {
-            adjacency,
-            num_edges: edges.len(),
-        }
-    }
-
-    /// Number of vertices (qubits that appear in at least one gate).
-    #[must_use]
-    pub fn num_vertices(&self) -> usize {
-        self.adjacency.len()
-    }
-
-    /// Number of distinct edges.
-    #[must_use]
-    pub fn num_edges(&self) -> usize {
-        self.num_edges
-    }
-
-    /// Degree of a qubit (number of distinct interaction partners).
-    #[must_use]
-    pub fn degree(&self, q: Qubit) -> usize {
-        self.adjacency.get(&q).map_or(0, BTreeSet::len)
-    }
-
-    /// Maximum degree over all qubits.
-    #[must_use]
-    pub fn max_degree(&self) -> usize {
-        self.adjacency
-            .values()
-            .map(BTreeSet::len)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The neighbours of a qubit.
-    #[must_use]
-    pub fn neighbors(&self, q: Qubit) -> Vec<Qubit> {
-        self.adjacency
-            .get(&q)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Iterates over the vertices of the graph.
-    pub fn vertices(&self) -> impl Iterator<Item = Qubit> + '_ {
-        self.adjacency.keys().copied()
-    }
-}
 
 /// Gate-level conflict graph of a CZ block.
 ///
@@ -196,24 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn interaction_graph_of_path() {
-        let g = InteractionGraph::from_block(&path_block(4));
-        assert_eq!(g.num_vertices(), 4);
-        assert_eq!(g.num_edges(), 3);
-        assert_eq!(g.degree(q(0)), 1);
-        assert_eq!(g.degree(q(1)), 2);
-        assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.neighbors(q(1)), vec![q(0), q(2)]);
-    }
-
-    #[test]
-    fn repeated_edges_deduplicated() {
-        let block = CzBlock::from_gates(vec![CzGate::new(q(0), q(1)), CzGate::new(q(1), q(0))]);
-        let g = InteractionGraph::from_block(&block);
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
     fn conflict_graph_of_path() {
         let g = GateConflictGraph::from_block(&path_block(4));
         // gates: (0,1), (1,2), (2,3); conflicts: 0-1, 1-2.
@@ -237,7 +142,6 @@ mod tests {
     #[test]
     fn empty_block_graphs() {
         let block = CzBlock::new();
-        assert_eq!(InteractionGraph::from_block(&block).num_vertices(), 0);
         assert_eq!(GateConflictGraph::from_block(&block).num_gates(), 0);
     }
 

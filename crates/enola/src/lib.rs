@@ -6,8 +6,9 @@
 //!
 //! * **gate scheduling** by repeatedly extracting (near-)maximum independent
 //!   sets of compatible CZ gates from the conflict graph of each commuting
-//!   block — a branch-and-bound solver with a node budget stands in for the
-//!   external MIS solvers the original uses ([`partition_stages_mis`]);
+//!   block ([`GateConflictGraph`]) — a branch-and-bound solver with a node
+//!   budget stands in for the external MIS solvers the original uses
+//!   ([`partition_stages_mis`]);
 //! * **qubit allocation** on a fixed row-major initial layout in the
 //!   computation zone;
 //! * **qubit movement** that, for every stage, brings one qubit of each CZ
@@ -47,9 +48,11 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 mod compiler;
+mod graph;
 mod mis;
 mod router;
 
 pub use compiler::{EnolaCompiler, EnolaConfig};
+pub use graph::GateConflictGraph;
 pub use mis::{maximum_independent_set, partition_stages_mis};
 pub use router::RevertRouter;

@@ -9,7 +9,8 @@
 //! substantially higher compilation cost relative to PowerMove's near-linear
 //! edge colouring (the `T_comp` columns of Table 3).
 
-use powermove_circuit::{CzBlock, CzGate, GateConflictGraph};
+use crate::GateConflictGraph;
+use powermove_circuit::{CzBlock, CzGate};
 use std::collections::BTreeSet;
 
 /// Finds a (near-)maximum independent set of the sub-graph induced by

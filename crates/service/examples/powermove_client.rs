@@ -3,7 +3,8 @@
 //! Spawns `powermove-serve` (sibling binary, overridable via
 //! `POWERMOVE_SERVE_BIN`), fires a burst of concurrent compile requests
 //! over the service smoke cells — every cell repeated many times so the
-//! burst mixes cold misses with hits and coalesced requests — then asserts:
+//! burst mixes cold misses with hits and coalesced requests — sends `stats`
+//! and `shutdown` once every compile has answered, and asserts:
 //!
 //! * every request succeeded and every response correlates to a request;
 //! * responses sharing a content `key` report the same program `digest`
@@ -77,14 +78,7 @@ fn main() -> ExitCode {
             sent += 1;
         }
     }
-    let stats_id = sent;
-    let shutdown_id = sent + 1;
-    if writeln!(stdin, r#"{{"id": {stats_id}, "op": "stats"}}"#).is_err()
-        || writeln!(stdin, r#"{{"id": {shutdown_id}, "op": "shutdown"}}"#).is_err()
-    {
-        return fail("daemon closed stdin before shutdown");
-    }
-    drop(stdin);
+    let mut stdin = Some(stdin);
 
     let mut digest_by_key: HashMap<String, String> = HashMap::new();
     let mut ok_replies = 0_usize;
@@ -129,6 +123,18 @@ fn main() -> ExitCode {
                 return fail(&format!(
                     "cache served a different program for key {key}: {previous} vs {digest}"
                 ));
+            }
+        }
+        // Ask for stats only once every compile has answered: the daemon
+        // answers `stats` inline, ahead of compiles still queued.
+        if ok_replies == requests {
+            let mut stdin = stdin.take().expect("the burst is answered once");
+            let stats_id = sent;
+            let shutdown_id = sent + 1;
+            if writeln!(stdin, r#"{{"id": {stats_id}, "op": "stats"}}"#).is_err()
+                || writeln!(stdin, r#"{{"id": {shutdown_id}, "op": "shutdown"}}"#).is_err()
+            {
+                return fail("daemon closed stdin before shutdown");
             }
         }
     }

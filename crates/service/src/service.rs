@@ -10,7 +10,7 @@ use powermove_schedule::CompiledProgram;
 use serde::Serialize;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// How a compile request was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +121,27 @@ pub struct CompileService {
     coalesced: AtomicU64,
 }
 
+/// Ownership of one key's cold compile. Dropping it — after the program is
+/// cached, or when the compile fails or panics — removes the key from the
+/// in-flight set and wakes the waiters, so a failed compile never strands
+/// the requests coalesced onto it: the first to wake compiles it again.
+struct InFlight<'a> {
+    service: &'a CompileService,
+    key: u64,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.service
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .in_flight
+            .remove(&self.key);
+        self.service.landed.notify_all();
+    }
+}
+
 impl CompileService {
     /// Creates a service whose program cache holds at most `capacity`
     /// emitted programs and whose stage cache at most `capacity` frozen
@@ -159,7 +180,7 @@ impl CompileService {
     ) -> Result<(Arc<CompiledProgram>, CacheOutcome), CompileError> {
         let key = content_hash(circuit, arch, config).value();
         let mut waited = false;
-        {
+        let in_flight = {
             let mut inner = self.inner.lock().expect("service lock poisoned");
             loop {
                 // Only the arrival lookup is counted, so every request lands
@@ -179,9 +200,8 @@ impl CompileService {
                     };
                     return Ok((program, outcome));
                 }
-                if !inner.in_flight.contains(&key) {
-                    inner.in_flight.insert(key);
-                    break;
+                if inner.in_flight.insert(key) {
+                    break InFlight { service: self, key };
                 }
                 waited = true;
                 inner = self
@@ -189,24 +209,20 @@ impl CompileService {
                     .wait(inner)
                     .expect("service lock poisoned while waiting");
             }
-        }
+        };
         // Compile outside the lock: identical concurrent requests block on
         // the condvar above, different requests proceed in parallel. The
         // front end is served from the stage cache when possible, so a
         // request that differs from a cached one only in architecture pays
-        // only for the route/emit back end.
-        let result = self.emit_via_stage_cache(circuit, arch, config);
+        // only for the route/emit back end. Dropping `in_flight` — after
+        // caching, on error or on panic — wakes the waiters.
+        let program = Arc::new(self.emit_via_stage_cache(circuit, arch, config)?);
+        self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("service lock poisoned");
-        inner.in_flight.remove(&key);
-        let result = result.map(|program| {
-            self.compiles.fetch_add(1, Ordering::Relaxed);
-            let program = Arc::new(program);
-            inner.cache.insert(key, Arc::clone(&program));
-            (program, CacheOutcome::Miss)
-        });
+        inner.cache.insert(key, Arc::clone(&program));
         drop(inner);
-        self.landed.notify_all();
-        result
+        drop(in_flight);
+        Ok((program, CacheOutcome::Miss))
     }
 
     /// Runs one cold compile, reusing a cached front-end IR if one exists
@@ -340,5 +356,44 @@ mod tests {
         assert!(service.compile(&ring(10), &tiny, &config).is_err());
         assert_eq!(service.compiles(), 0);
         assert_eq!(service.stats().cache.entries, 0);
+    }
+
+    #[test]
+    fn panicking_cold_compile_wakes_its_waiters() {
+        use std::time::{Duration, Instant};
+        let service = Arc::new(CompileService::new(4));
+        let (circuit, config) = (ring(6), CompilerConfig::default());
+        let arch = Architecture::for_qubits(6);
+        // The holder claims the request's key as a cold compile would.
+        let key = content_hash(&circuit, &arch, &config).value();
+        service.inner.lock().unwrap().in_flight.insert(key);
+        let in_flight = InFlight {
+            service: &service,
+            key,
+        };
+        let (send, woke) = std::sync::mpsc::channel();
+        let waiter = Arc::clone(&service);
+        let waiter = std::thread::spawn(move || {
+            send.send(waiter.compile(&circuit, &arch, &config).map(|r| r.1))
+        });
+        // The waiter counts its arrival miss under the lock and releases the
+        // lock only inside the condvar wait: once the miss shows, it waits.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while service.stats().cache.misses == 0 {
+            assert!(Instant::now() < deadline, "the waiter never arrived");
+            std::thread::yield_now();
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _in_flight = in_flight;
+            panic!("cold compile panicked");
+        }));
+        assert!(unwound.is_err());
+        // Nothing was cached, so the woken waiter took the key and compiled.
+        let outcome = woke.recv_timeout(Duration::from_secs(10));
+        assert_eq!(
+            outcome.expect("the waiter stayed blocked").unwrap(),
+            CacheOutcome::Miss
+        );
+        waiter.join().unwrap().unwrap();
     }
 }
