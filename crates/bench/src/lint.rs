@@ -36,12 +36,13 @@
 
 use crate::harness::ArchVariant;
 use powermove::{
-    movement_wall_clock, CompilerConfig, FreeSiteHarness, PowerMoveCompiler, RoutingConfig,
+    movement_wall_clock, Attractors, CompilerConfig, FreeSiteHarness, PowerMoveCompiler,
+    RoutingConfig,
 };
 use powermove_circuit::{qasm, Circuit, Qubit};
 use powermove_exec::ThreadPool;
 use powermove_fidelity::evaluate_program;
-use powermove_hardware::{Architecture, Point, SiteId, Zone};
+use powermove_hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
 pub use powermove_schedule::check::{
     check_aod_batches, check_intra_aod_overlap, check_schedule, check_storage_before_interaction,
 };
@@ -200,9 +201,10 @@ pub fn check_fidelity_dominance(
 
 /// `free-site-agreement` over an explicit harness: for every anchor, the
 /// index-pruned search and the linear reference scan must return the same
-/// site in both zones. The bias/`min_bias` pair is the caller's claim —
-/// handing the search an inadmissible lower bound is exactly how the rule's
-/// firing unit test drives a divergence.
+/// site in both zones. The `min_bias` / `attractors` pair is the caller's
+/// claim about `bias` under the `SitePolicy` pruning contract — handing the
+/// search an inadmissible claim is exactly how the rule's firing unit tests
+/// drive a divergence.
 ///
 /// # Errors
 ///
@@ -211,12 +213,13 @@ pub fn check_free_site_agreement_with(
     harness: &mut FreeSiteHarness,
     anchors: &[Point],
     min_bias: f64,
+    attractors: Attractors<'_>,
     bias: &dyn Fn(SiteId, Point) -> f64,
 ) -> Result<(), String> {
     for zone in [Zone::Compute, Zone::Storage] {
         for &anchor in anchors {
             let linear = harness.best_linear(zone, anchor, bias);
-            let pruned = harness.best(zone, anchor, min_bias, bias);
+            let pruned = harness.best(zone, anchor, min_bias, attractors, bias);
             if pruned != linear {
                 return Err(format!(
                     "pruned search found {pruned:?} but linear scan found {linear:?} \
@@ -229,10 +232,88 @@ pub fn check_free_site_agreement_with(
     Ok(())
 }
 
+/// One attractor-form case of `free-site-agreement`: `(label, anchor
+/// attractors, mobile attractors)`.
+type AttractorCase = (&'static str, Vec<(f64, Point)>, Vec<(f64, Point)>);
+
+/// The attractor-form cases of `free-site-agreement` around one anchor:
+/// each stresses one assumption of the score-ordered walk.
+fn attractor_cases(grid: &ZonedGrid, anchor: Point) -> [AttractorCase; 5] {
+    let pitch = grid.site_spacing();
+    let far_x = f64::from(grid.cols() - 1) * pitch;
+    let top_y = f64::from(grid.compute_rows().saturating_sub(1)) * pitch;
+    let storage_y = -grid.zone_gap() - f64::from(grid.storage_rows().saturating_sub(1)) * pitch;
+    let row_end = if anchor.x < far_x / 2.0 { far_x } else { 0.0 };
+    [
+        // W = 1.5 > 1 with both qubits' partners toward the far corner:
+        // rows toward them get cheaper, so the row argmin leaves the
+        // anchor's column.
+        (
+            "one-sided",
+            vec![
+                (0.5, Point::new(far_x, top_y)),
+                (0.25, Point::new(far_x - pitch, top_y)),
+            ],
+            vec![
+                (0.5, Point::new(far_x, top_y)),
+                (0.25, Point::new(far_x, top_y - pitch)),
+            ],
+        ),
+        // Unit weight on the anchor's own row, toward its far end: the score
+        // is flat between anchor and attractor, so rounding alone orders
+        // the arm.
+        (
+            "collinear",
+            vec![(0.5, Point::new(row_end, anchor.y))],
+            vec![(0.5, Point::new(row_end, anchor.y))],
+        ),
+        ("on-anchor", vec![(0.5, anchor)], vec![(0.25, anchor)]),
+        (
+            "storage",
+            vec![(0.5, Point::new(0.0, storage_y))],
+            vec![(0.5, Point::new(far_x, -grid.zone_gap()))],
+        ),
+        (
+            "off-grid",
+            vec![(0.5, Point::new(-4.0 * far_x - pitch, 3.0 * top_y + pitch))],
+            vec![(
+                0.25,
+                Point::new(5.0 * far_x + pitch, storage_y - 7.0 * pitch),
+            )],
+        ),
+    ]
+}
+
+/// `free-site-agreement` under attractor-form queries: for every anchor
+/// and every attractor case — one-sided with total weight above one,
+/// collinear with a flat score along the anchor's row, on the anchor,
+/// in the storage zone, off the grid — the pruned search walked in
+/// attractor score must agree with the linear scan under the matching
+/// penalty bias.
+///
+/// # Errors
+///
+/// Returns the violation message, prefixed with the failing case.
+pub fn check_free_site_attractor_agreement(
+    harness: &mut FreeSiteHarness,
+    anchors: &[Point],
+) -> Result<(), String> {
+    let grid = harness.grid().clone();
+    for &anchor in anchors {
+        for (label, anchor_list, mobile_list) in attractor_cases(&grid, anchor) {
+            let attractors = Attractors::new(&anchor_list, &mobile_list);
+            let penalty = move |_: SiteId, pos: Point| attractors.penalty(pos);
+            check_free_site_agreement_with(harness, &[anchor], 0.0, attractors, &penalty)
+                .map_err(|e| format!("{label} attractors: {e}"))?;
+        }
+    }
+    Ok(())
+}
+
 /// `free-site-agreement` for a compiled program: seeds the harness from the
 /// program's initial layout and sweeps zone-corner/center anchors under the
-/// zero bias and an anchor-column distance bias (both admissible with a
-/// zero lower bound).
+/// zero bias, an anchor-column distance bias (both admissible with a
+/// zero lower bound and no attractors) and the attractor cases.
 ///
 /// # Errors
 ///
@@ -251,9 +332,11 @@ pub fn check_free_site_agreement(program: &CompiledProgram) -> Result<(), String
         }
     }
     anchors.dedup_by(|a, b| a.x == b.x && a.y == b.y);
-    check_free_site_agreement_with(&mut harness, &anchors, 0.0, &|_, _| 0.0)?;
+    let none = Attractors::default();
+    check_free_site_agreement_with(&mut harness, &anchors, 0.0, none, &|_, _| 0.0)?;
+    check_free_site_attractor_agreement(&mut harness, &anchors)?;
     let column_bias = move |site: SiteId, anchor: Point| (grid.position(site).x - anchor.x).abs();
-    check_free_site_agreement_with(&mut harness, &anchors, 0.0, &column_bias)
+    check_free_site_agreement_with(&mut harness, &anchors, 0.0, none, &column_bias)
 }
 
 // ---------------------------------------------------------------------------
@@ -997,11 +1080,68 @@ mod tests {
         // An inadmissible claim: bias can reach -1000 but min_bias says 0,
         // so the pruned search cuts off before examining the far site.
         let trap = move |s: SiteId, _: Point| if s == far { -1000.0 } else { 0.0 };
-        let err = check_free_site_agreement_with(&mut harness, &[anchor], 0.0, &trap).unwrap_err();
+        let none = Attractors::default();
+        let err =
+            check_free_site_agreement_with(&mut harness, &[anchor], 0.0, none, &trap).unwrap_err();
         assert!(err.contains("pruned search found"), "{err}");
         // Quiet under an honest zero bias.
         let mut harness = FreeSiteHarness::new(a, 4);
-        assert!(check_free_site_agreement_with(&mut harness, &[anchor], 0.0, &|_, _| 0.0).is_ok());
+        assert!(
+            check_free_site_agreement_with(&mut harness, &[anchor], 0.0, none, &|_, _| 0.0).is_ok()
+        );
+    }
+
+    #[test]
+    fn free_site_agreement_fires_under_an_inadmissible_attractor_claim() {
+        let a = Architecture::for_qubits(64);
+        let grid = a.grid().clone();
+        let compute: Vec<SiteId> = grid.sites_in(Zone::Compute).collect();
+        let anchor = grid.position(compute[0]);
+        let far = [(1.0, grid.position(*compute.last().unwrap()))];
+        // The claimed attractor penalty exceeds the (zero) bias, so the
+        // walk starts at the far corner and cuts off before the anchor.
+        let claim = Attractors::new(&far, &[]);
+        let mut harness = FreeSiteHarness::new(a, 4);
+        let err = check_free_site_agreement_with(&mut harness, &[anchor], 0.0, claim, &|_, _| 0.0)
+            .unwrap_err();
+        assert!(err.contains("pruned search found"), "{err}");
+        // Quiet when the bias is the claimed penalty.
+        let penalty = move |_: SiteId, pos: Point| claim.penalty(pos);
+        assert!(
+            check_free_site_agreement_with(&mut harness, &[anchor], 0.0, claim, &penalty).is_ok()
+        );
+    }
+
+    #[test]
+    fn free_site_attractor_agreement_holds_on_churned_grids() {
+        // Every third site occupied and every seventh planned but still
+        // vacant: arms skip occupied runs and the vacant preference
+        // engages, at sizes with one and two bitset words per row.
+        for n in [64, 300, 1024] {
+            let a = Architecture::for_qubits(n);
+            let grid = a.grid().clone();
+            let mut harness = FreeSiteHarness::new(a, n);
+            let mut next = 0;
+            for site in grid.all_sites() {
+                if site.index() % 3 == 0 && next < n {
+                    harness.occupy(Qubit::new(next), site);
+                    next += 1;
+                } else if site.index() % 7 == 0 {
+                    harness.plan(Qubit::new(n + site.index() as u32), site);
+                }
+            }
+            let mut anchors: Vec<Point> = [Zone::Compute, Zone::Storage]
+                .into_iter()
+                .flat_map(|zone| grid.sites_in(zone).step_by(37))
+                .map(|site| grid.position(site))
+                .collect();
+            anchors.push(Point::new(-30e-6, 1e-3));
+            assert_eq!(
+                check_free_site_attractor_agreement(&mut harness, &anchors),
+                Ok(()),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -95,18 +95,6 @@ impl StagedIr {
     pub fn num_stages(&self) -> usize {
         self.staged.num_stages()
     }
-
-    /// Pass timings recorded by the front end (synthesis + staging).
-    #[must_use]
-    pub fn front_end_timings(&self) -> &[PassTiming] {
-        &self.timings
-    }
-
-    /// Work counters recorded by the front end.
-    #[must_use]
-    pub fn front_end_counters(&self) -> &[PassCounter] {
-        &self.counters
-    }
 }
 
 /// A routing session: the compiler's single back end, over one frozen
@@ -259,18 +247,6 @@ impl Replay {
     #[must_use]
     pub fn transfer_count(&self) -> usize {
         self.transfers
-    }
-
-    /// Pass timings recorded by the replay's back end.
-    #[must_use]
-    pub fn back_end_timings(&self) -> &[PassTiming] {
-        &self.timings
-    }
-
-    /// Work counters recorded by the replay's back end.
-    #[must_use]
-    pub fn back_end_counters(&self) -> &[PassCounter] {
-        &self.counters
     }
 
     /// Folds the replay's pass records into `ctx` and hands back the routed

@@ -91,7 +91,7 @@ pub use pipeline::{
     RoutedStage, StagePass, StagedProgram, StagedSegment, SynthesisPass,
 };
 pub use routing::{
-    greedy_move_schedule, group_stage_moves, movement_wall_clock, AutoRouter, BiasFn,
+    greedy_move_schedule, group_stage_moves, movement_wall_clock, Attractors, AutoRouter, BiasFn,
     FreeSiteHarness, GreedyRouter, LookaheadRouter, MultiAodScheduler, RoutingState,
     RoutingStrategy, SitePolicy, StageRouting, ZeroBias, SITES_PRUNED, SITE_SCANS,
 };

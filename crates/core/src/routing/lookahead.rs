@@ -1,7 +1,7 @@
 //! The lookahead routing strategy: undecided pairs are placed where the
 //! next few stages will want them.
 
-use crate::routing::{RoutingState, RoutingStrategy, SitePolicy, StageRouting};
+use crate::routing::{Attractors, RoutingState, RoutingStrategy, SitePolicy, StageRouting};
 use crate::{CompileError, Stage};
 use powermove_circuit::Qubit;
 use powermove_hardware::{Point, SiteId, ZonedGrid};
@@ -74,26 +74,21 @@ impl AttractorBuffers {
 
 /// The lookahead [`SitePolicy`]: a candidate site is penalized by the
 /// discounted distances from the site to the current positions of both
-/// qubits' future partners. Uses the planner-provided site position — no
-/// grid borrow, no per-stage grid clone.
+/// qubits' future partners — exactly the penalty of the pair's
+/// [`Attractors`], so the free-site walk visits sites in score order. Uses
+/// the planner-provided site position — no grid borrow, no per-stage grid
+/// clone.
 struct LookaheadPolicy<'a> {
     attractors: &'a AttractorBuffers,
 }
 
 impl SitePolicy for LookaheadPolicy<'_> {
     fn bias(&self, anchor: Qubit, mobile: Qubit, _site: SiteId, site_pos: Point) -> f64 {
-        [anchor, mobile]
-            .iter()
-            .flat_map(|&q| self.attractors.of(q))
-            .map(|(weight, partner)| weight * site_pos.distance(*partner))
-            .sum()
+        self.attractors(anchor, mobile).penalty(site_pos)
     }
 
-    // Weights and distances are nonnegative, so zero is the tightest
-    // input-independent admissible bound: the free-site search may cut off
-    // on ring distance alone.
-    fn min_bias(&self) -> f64 {
-        0.0
+    fn attractors(&self, anchor: Qubit, mobile: Qubit) -> Attractors<'_> {
+        Attractors::new(self.attractors.of(anchor), self.attractors.of(mobile))
     }
 }
 

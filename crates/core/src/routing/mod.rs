@@ -24,11 +24,11 @@
 //!
 //! All three planners resolve their site decisions through the shared
 //! [`RoutingState`], whose free-site queries run on a spatial index (see
-//! `site_index`): candidates are walked in non-decreasing anchor distance
-//! and the walk cuts off once `distance + SitePolicy::min_bias()` cannot
-//! beat the best candidate — same site selected, far fewer examined. The
-//! [`SITE_SCANS`] / [`SITES_PRUNED`] metadata counters report the saved
-//! work.
+//! `site_index`): candidates are walked best-first — in anchor distance for
+//! greedy, in attractor score for lookahead ([`SitePolicy::attractors`]) —
+//! and the walk cuts off once its key cannot beat the best candidate —
+//! same site selected, far fewer examined. The [`SITE_SCANS`] /
+//! [`SITES_PRUNED`] metadata counters report the saved work.
 //!
 //! On top of the per-stage strategies sits the **auto-tuning layer**
 //! ([`auto`]): [`RoutingStrategyKind::Auto`] makes the compiler select the
@@ -62,7 +62,9 @@ pub use multi_aod::MultiAodScheduler;
 // primary consumer.
 pub use powermove_schedule::movement_wall_clock;
 pub use site_index::{SITES_PRUNED, SITE_SCANS};
-pub use state::{BiasFn, FreeSiteHarness, RoutingState, SitePolicy, StageRouting, ZeroBias};
+pub use state::{
+    Attractors, BiasFn, FreeSiteHarness, RoutingState, SitePolicy, StageRouting, ZeroBias,
+};
 
 use crate::config::{RoutingConfig, RoutingStrategyKind};
 use crate::{group_moves, order_coll_moves, pack_move_groups, CompileError, Stage};

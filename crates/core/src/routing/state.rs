@@ -28,16 +28,20 @@
 //! minimizes distance-to-anchor plus policy bias? Alongside the free lists
 //! the arena maintains a row-bucketed free-site bitset
 //! (`routing::site_index`), updated on the same O(1) transitions. Queries
-//! walk free sites in non-decreasing anchor distance and stop once even
-//! `ring_distance + SitePolicy::min_bias` can no longer beat the best
-//! candidate — an A*-style cutoff that returns the *same site* as the
-//! linear scan under the same `(score, site index)` total order, examining
-//! far fewer candidates. Debug builds re-run the linear reference scan on
+//! walk free sites in non-decreasing walk key and stop once the key can no
+//! longer beat the best candidate — an A*-style cutoff that returns the
+//! *same site* as the linear scan under the same `(score, site index)`
+//! total order, examining far fewer candidates. A policy without
+//! attractors is walked in anchor distance and cut off at
+//! `distance + SitePolicy::min_bias`; a policy that names its pair's
+//! weighted attractors (`SitePolicy::attractors`) is walked in attractor
+//! score, so the walk heads toward the future partners and stops a few
+//! sites past the optimum. Debug builds re-run the linear reference scan on
 //! every pruned query and assert equality; the `site_scans` /
 //! `sites_pruned` counters report the saved work.
 
 use crate::routing::lookahead::AttractorBuffers;
-use crate::routing::site_index::{FreeRing, ScanStats, SearchScratch, SiteIndex};
+use crate::routing::site_index::{FreeRing, ScanStats, SearchScratch, SiteIndex, Visit};
 use crate::{CompileError, Stage};
 use powermove_circuit::Qubit;
 use powermove_hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
@@ -88,27 +92,102 @@ impl StageRouting {
 /// order over `(score, site index)` and NaN would make it
 /// iteration-order-dependent.
 ///
-/// # The `min_bias` pruning contract
+/// # The pruning contract
 ///
-/// The planner enumerates candidates in non-decreasing anchor distance and
-/// stops as soon as `distance + min_bias()` exceeds the best candidate's
-/// score, skipping [`SitePolicy::bias`] for every remaining site. The
-/// cutoff is only sound if `min_bias()` is *admissible*: a lower bound on
-/// every value `bias` can return for the pair being resolved. A bound that
-/// overestimates (e.g. returning `1.0` while some site's bias is `0.5`) can
-/// prune the true optimum and change routing results; a bound that
-/// underestimates (the default `0.0` works for every nonnegative bias) only
-/// costs pruning efficiency, never correctness.
+/// The planner walks free sites best-first and stops as soon as the walk
+/// proves no remaining site can beat the best candidate, skipping
+/// [`SitePolicy::bias`] for every remaining site. Two methods describe the
+/// bias to the walk, and together they must stay *admissible*:
+///
+/// ```text
+/// bias(anchor, mobile, site, pos) >= attractors(anchor, mobile).penalty(pos) + min_bias()
+/// ```
+///
+/// * [`SitePolicy::attractors`] names the pair's weighted attractors. With
+///   none (the default) the walk visits sites in non-decreasing anchor
+///   distance `d` and stops once `d + min_bias()` exceeds the best score.
+///   With some, it visits sites in non-decreasing attractor score
+///   `C = d + penalty` and stops once `C + min_bias()` exceeds the best
+///   score by more than a `1e-9` relative rounding slack.
+/// * [`SitePolicy::min_bias`] bounds what the bias adds beyond the
+///   attractor penalty.
+///
+/// A claim that overestimates (e.g. `min_bias() == 1.0` while some site's
+/// bias is `0.5`, or attractors whose penalty exceeds the bias) can prune
+/// the true optimum and change routing results; one that underestimates
+/// (no attractors and `0.0` work for every nonnegative bias) only costs
+/// pruning efficiency, never correctness.
 pub trait SitePolicy {
     /// The extra cost added to `site` (at physical position `site_pos`) as
     /// the interaction site of `(anchor, mobile)`.
     fn bias(&self, anchor: Qubit, mobile: Qubit, site: SiteId, site_pos: Point) -> f64;
 
-    /// An admissible lower bound on every value [`SitePolicy::bias`] can
-    /// return — see the trait docs for the pruning contract. The default,
-    /// `0.0`, is correct for every nonnegative bias.
+    /// An admissible lower bound on what [`SitePolicy::bias`] adds beyond
+    /// the attractor penalty — see the trait docs for the pruning contract.
+    /// The default, `0.0`, is correct for every bias at least its penalty.
     fn min_bias(&self) -> f64 {
         0.0
+    }
+
+    /// The weighted attractors of the pair `(anchor, mobile)`: points
+    /// whose weighted distances [`SitePolicy::bias`] adds to every
+    /// candidate site — see the trait docs for the pruning contract. The
+    /// default is none.
+    fn attractors(&self, _anchor: Qubit, _mobile: Qubit) -> Attractors<'_> {
+        Attractors::default()
+    }
+}
+
+/// A pair's weighted attractors: `(weight, position)` points a candidate
+/// site is pulled toward, as the anchor's list followed by the mobile
+/// qubit's. Weights must be nonnegative and finite.
+///
+/// Their [`Attractors::penalty`] `Σ wᵢ·|x − pᵢ|` is convex along every grid
+/// row, which is what lets the free-site walk visit sites in score order.
+///
+/// ```
+/// use powermove::Attractors;
+/// use powermove_hardware::Point;
+///
+/// let anchor = [(0.5, Point::new(3.0, 4.0))];
+/// let attractors = Attractors::new(&anchor, &[]);
+/// assert_eq!(attractors.penalty(Point::new(0.0, 0.0)), 2.5);
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Attractors<'a> {
+    lists: [&'a [(f64, Point)]; 2],
+}
+
+impl<'a> Attractors<'a> {
+    /// The attractors of the anchor qubit followed by those of the mobile
+    /// qubit.
+    #[must_use]
+    pub fn new(anchor: &'a [(f64, Point)], mobile: &'a [(f64, Point)]) -> Self {
+        Attractors {
+            lists: [anchor, mobile],
+        }
+    }
+
+    /// Returns `true` if there are no attractors.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lists.iter().all(|list| list.is_empty())
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &'a (f64, Point)> {
+        self.lists[0].iter().chain(self.lists[1])
+    }
+
+    /// The attractor penalty at `pos`: `Σ wᵢ·|pos − pᵢ|`, summed in list
+    /// order.
+    #[must_use]
+    pub fn penalty(&self, pos: Point) -> f64 {
+        self.iter().map(|(w, p)| w * pos.distance(*p)).sum()
+    }
+
+    /// `Σ wᵢ·|y − pᵢ_y|`: a lower bound on [`Attractors::penalty`] over every
+    /// point at height `y`, summed in the same order.
+    pub(crate) fn row_floor(&self, y: f64) -> f64 {
+        self.iter().map(|(w, p)| w * (y - p.y).abs()).sum()
     }
 }
 
@@ -125,10 +204,10 @@ impl SitePolicy for ZeroBias {
 
 /// Adapts a closure into a [`SitePolicy`].
 ///
-/// The wrapped closure must return nonnegative values: `BiasFn` reports the
-/// default [`SitePolicy::min_bias`] of `0.0`, which is only admissible (see
-/// the trait docs) when no bias is negative. Implement [`SitePolicy`]
-/// directly to pair a custom bias with a tighter bound.
+/// The wrapped closure must return nonnegative values: `BiasFn` reports no
+/// attractors and the default [`SitePolicy::min_bias`] of `0.0`, which is
+/// only admissible (see the trait docs) when no bias is negative. Implement
+/// [`SitePolicy`] directly to pair a custom bias with a tighter bound.
 ///
 /// ```
 /// use powermove::{BiasFn, SitePolicy};
@@ -572,9 +651,13 @@ impl RoutingState {
             let mobile_from = layout.site_of(mobile).expect("interacting qubit is placed");
             let anchor_pos = grid.position(anchor_from);
             let target = SiteFinder::new(arena, layout, grid, search)
-                .best(Zone::Compute, anchor_pos, policy.min_bias(), |site, pos| {
-                    policy.bias(anchor, mobile, site, pos)
-                })
+                .best(
+                    Zone::Compute,
+                    anchor_pos,
+                    policy.min_bias(),
+                    policy.attractors(anchor, mobile),
+                    |site, pos| policy.bias(anchor, mobile, site, pos),
+                )
                 .ok_or(CompileError::NoFreeSite {
                     qubit: anchor,
                     zone: Zone::Compute,
@@ -647,6 +730,11 @@ fn beats(s: f64, site: SiteId, best: &Option<(f64, SiteId)>) -> bool {
 /// paths return the identical site.
 const LINEAR_SCAN_THRESHOLD: usize = 16;
 
+/// Relative rounding slack of the attractor-keyed cutoff: attractor scores
+/// are convex along a row in real arithmetic, but their floating-point sums
+/// may dip by a few ulps further along an arm.
+const ATTRACTOR_SLACK: f64 = 1e-9;
+
 /// One free-site query's borrow bundle: the arena (free lists plus spatial
 /// index), the current layout (for the vacant-site preference), the grid
 /// geometry and the reusable search state.
@@ -674,7 +762,7 @@ impl<'a> SiteFinder<'a> {
 
     /// Finds the free site of `zone` nearest to `from`.
     fn nearest(&mut self, zone: Zone, from: Point) -> Option<SiteId> {
-        self.best(zone, from, 0.0, |_, _| 0.0)
+        self.best(zone, from, 0.0, Attractors::default(), |_, _| 0.0)
     }
 
     /// Finds the free site of `zone` minimizing
@@ -690,6 +778,7 @@ impl<'a> SiteFinder<'a> {
         zone: Zone,
         anchor: Point,
         min_bias: f64,
+        attractors: Attractors<'_>,
         bias: impl Fn(SiteId, Point) -> f64,
     ) -> Option<SiteId> {
         let free_len = self.arena.free[zone_index(zone)].len();
@@ -697,7 +786,7 @@ impl<'a> SiteFinder<'a> {
             self.search.stats.scans += free_len as u64;
             return self.best_linear(zone, anchor, &bias);
         }
-        let chosen = self.best_pruned(zone, anchor, min_bias, &bias, free_len);
+        let chosen = self.best_pruned(zone, anchor, min_bias, attractors, &bias, free_len);
         debug_assert_eq!(
             chosen,
             self.best_linear(zone, anchor, &bias),
@@ -737,41 +826,59 @@ impl<'a> SiteFinder<'a> {
         best_vacant.or(best_any).map(|(_, site)| site)
     }
 
-    /// The indexed path: walks free sites in non-decreasing anchor distance
-    /// and stops once `distance + min_bias` can no longer beat the best
-    /// vacant candidate.
+    /// The indexed path: walks free sites in non-decreasing walk key (anchor
+    /// distance, or attractor score when the policy names attractors) and
+    /// stops once `key + min_bias` can no longer beat the best vacant
+    /// candidate.
     ///
     /// Why the cutoff is exact: suppose the globally best vacant site `V`
-    /// had not been examined when the walk stopped at ring distance `d`
-    /// with best examined vacant score `s0`. Then `V` lies at distance
-    /// `≥ d`, so its score is `≥ d + min_bias > s0` (the cutoff is strict),
-    /// contradicting `V` being best. The cutoff never engages before a
-    /// vacant candidate exists, and a vacant candidate always outranks
-    /// every merely plan-free site (`best_vacant.or(best_any)`), so sites
-    /// skipped after that point cannot affect the result either.
+    /// had not been examined when the walk stopped at key `k` with best
+    /// examined vacant score `s0`. Every unvisited site's key is `≥ k`, and
+    /// the pruning contract makes its score `≥ key + min_bias`, so `V`
+    /// scores `≥ k + min_bias > s0` (the cutoff is strict), contradicting
+    /// `V` being best. Distance keys are exact floating-point lower bounds;
+    /// attractor keys are non-decreasing only in real arithmetic, so their
+    /// cutoff tolerates [`ATTRACTOR_SLACK`] of rounding. The cutoff never
+    /// engages before a vacant candidate exists, and a vacant candidate
+    /// always outranks every merely plan-free site
+    /// (`best_vacant.or(best_any)`), so sites skipped after that point
+    /// cannot affect the result either.
     fn best_pruned(
         &mut self,
         zone: Zone,
         anchor: Point,
         min_bias: f64,
+        attractors: Attractors<'_>,
         bias: &impl Fn(SiteId, Point) -> f64,
         free_len: usize,
     ) -> Option<SiteId> {
+        let slack = if attractors.is_empty() {
+            0.0
+        } else {
+            ATTRACTOR_SLACK
+        };
         let mut ring = FreeRing::new(
             &self.arena.index,
             self.grid,
             zone,
             anchor,
+            attractors,
             &mut self.search.scratch,
         );
         let mut best_vacant: Option<(f64, SiteId)> = None;
         let mut best_any: Option<(f64, SiteId)> = None;
         let mut examined: u64 = 0;
-        while let Some((site, pos, dist)) = ring.next_free() {
+        while let Some(Visit {
+            site,
+            pos,
+            dist,
+            key,
+        }) = ring.next_free()
+        {
             if let Some((vacant_score, _)) = best_vacant {
                 // Strict `>`: an equal score could still win on the
                 // site-index tie-break, so equal lower bounds keep going.
-                if dist + min_bias > vacant_score {
+                if key + min_bias > vacant_score + vacant_score.abs() * slack {
                     break;
                 }
             }
@@ -895,12 +1002,15 @@ impl FreeSiteHarness {
 
     /// The index-pruned best-first search, forced regardless of free-list
     /// length (no linear fallback, no debug cross-check — tests compare
-    /// against [`FreeSiteHarness::best_linear`] explicitly).
+    /// against [`FreeSiteHarness::best_linear`] explicitly). `min_bias` and
+    /// `attractors` are the caller's claim about `bias` under the
+    /// [`SitePolicy`] pruning contract.
     pub fn best(
         &mut self,
         zone: Zone,
         anchor: Point,
         min_bias: f64,
+        attractors: Attractors<'_>,
         bias: &dyn Fn(SiteId, Point) -> f64,
     ) -> Option<SiteId> {
         let free_len = self.arena.free[zone_index(zone)].len();
@@ -910,7 +1020,14 @@ impl FreeSiteHarness {
             self.arch.grid(),
             &mut self.search,
         )
-        .best_pruned(zone, anchor, min_bias, &|s, p| bias(s, p), free_len)
+        .best_pruned(
+            zone,
+            anchor,
+            min_bias,
+            attractors,
+            &|s, p| bias(s, p),
+            free_len,
+        )
     }
 
     /// The linear reference scan over the zone's free list.
@@ -1217,7 +1334,7 @@ mod tests {
         let anchor = grid.position(anchor_site);
         h.plan(q(60), anchor_site);
 
-        let pruned = h.best(Zone::Compute, anchor, 0.0, &zero);
+        let pruned = h.best(Zone::Compute, anchor, 0.0, Attractors::default(), &zero);
         let linear = h.best_linear(Zone::Compute, anchor, &zero);
         assert_eq!(pruned, linear);
         // The planned-but-vacant anchor site is no longer free, and the
@@ -1230,7 +1347,7 @@ mod tests {
 
         h.unplan(q(60), anchor_site);
         assert_eq!(
-            h.best(Zone::Compute, anchor, 0.0, &zero),
+            h.best(Zone::Compute, anchor, 0.0, Attractors::default(), &zero),
             Some(anchor_site),
             "freed anchor site should win at distance zero"
         );

@@ -50,12 +50,6 @@ impl ExecutionTrace {
     pub fn total_idle_time(&self) -> f64 {
         self.idle_time.iter().sum()
     }
-
-    /// Total storage-zone residency time summed over qubits.
-    #[must_use]
-    pub fn total_storage_time(&self) -> f64 {
-        self.storage_time.iter().sum()
-    }
 }
 
 /// Replays a compiled program, validating every instruction against the

@@ -26,13 +26,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use powermove_bench::lint::{
-    check_free_site_agreement_with, lint_circuit, lint_strategies, run_campaign, CampaignConfig,
-    CorpusInstance,
+    check_free_site_agreement_with, check_free_site_attractor_agreement, lint_circuit,
+    lint_strategies, run_campaign, CampaignConfig, CorpusInstance,
 };
 use powermove_exec::ThreadPool;
 use powermove_suite::circuit::Qubit;
 use powermove_suite::hardware::{Architecture, Point, SiteId};
-use powermove_suite::powermove::{CompilerConfig, FreeSiteHarness, PowerMoveCompiler};
+use powermove_suite::powermove::{Attractors, CompilerConfig, FreeSiteHarness, PowerMoveCompiler};
 use powermove_suite::schedule::canonical_program_bytes;
 
 /// Default number of random cases; override with `POWERMOVE_PROP_CASES`.
@@ -147,8 +147,9 @@ fn indexed_free_site_search_matches_the_linear_scan_under_churn() {
     // Tentpole invariant of the spatial free-site index: after arbitrary
     // insert/remove churn on the occupancy arena, the index-pruned
     // best-first search selects the same site as the linear reference scan
-    // — under the zero bias, a random nonnegative bias, and a shifted bias
-    // with a matching positive admissible `min_bias` bound.
+    // — under the zero bias, a random nonnegative bias, a shifted bias
+    // with a matching positive admissible `min_bias` bound, and the
+    // linter's attractor-form cases walked in attractor score.
     for seed in 0..cases() {
         let mut rng = StdRng::seed_from_u64(0x51DE_1DE0 ^ seed);
         let num_qubits = rng.gen_range(4..=64_u32);
@@ -209,13 +210,19 @@ fn indexed_free_site_search_matches_the_linear_scan_under_churn() {
             })
             .collect();
         let mut agree = |label: &str, min_bias: f64, bias: &dyn Fn(SiteId, Point) -> f64| {
-            if let Err(e) = check_free_site_agreement_with(&mut harness, &anchors, min_bias, bias) {
+            let none = Attractors::default();
+            if let Err(e) =
+                check_free_site_agreement_with(&mut harness, &anchors, min_bias, none, bias)
+            {
                 panic!("{label} bias diverged: seed {seed}: {e}");
             }
         };
         agree("zero", 0.0, &zero);
         agree("nonnegative", 0.0, &biased);
         agree("shifted", shift, &shifted);
+        if let Err(e) = check_free_site_attractor_agreement(&mut harness, &anchors) {
+            panic!("attractor walk diverged: seed {seed}: {e}");
+        }
         let (scans, _) = harness.counters();
         assert!(scans > 0, "searches should examine at least one site");
     }

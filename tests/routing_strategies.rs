@@ -156,21 +156,30 @@ fn balanced_windows_never_move_slower_than_greedy_at_multiple_aods() {
 }
 
 /// Outputs stay byte-identical if the spatial free-site index stops pruning,
-/// so only its work counters show that the greedy inner loop has silently
-/// degraded to the linear scan over every free site.
+/// so only its work counters show that an inner loop has silently degraded
+/// to the linear scan over every free site: greedy's distance-ordered walk
+/// must prune, and lookahead's score-ordered walk must stay within 2x of
+/// greedy's work on the same instance.
 #[test]
 fn greedy_free_site_index_prunes_candidates_at_128_qubits() {
     let instance = generate(BenchmarkFamily::QaoaRegular3, 128, 3);
     let arch = Architecture::for_qubits(128).with_num_aods(4);
-    let program =
-        PowerMoveCompiler::new(CompilerConfig::default().with_routing(RoutingConfig::greedy()))
+    let counters = |routing: RoutingConfig| {
+        let program = PowerMoveCompiler::new(CompilerConfig::default().with_routing(routing))
             .compile(&instance.circuit, &arch)
             .expect("benchmark compiles");
-    let counter = |name| program.metadata().counter(name).unwrap_or(0);
-    let (scans, pruned) = (counter(SITE_SCANS), counter(SITES_PRUNED));
+        let counter = |name| program.metadata().counter(name).unwrap_or(0);
+        (counter(SITE_SCANS), counter(SITES_PRUNED))
+    };
+    let (scans, pruned) = counters(RoutingConfig::greedy());
     assert!(scans > 0, "greedy routing recorded no free-site scans");
     assert!(
         pruned > 0,
         "free-site index pruned nothing (site_scans={scans})"
+    );
+    let (lookahead_scans, _) = counters(RoutingConfig::lookahead(2));
+    assert!(
+        lookahead_scans <= 2 * scans,
+        "lookahead examined {lookahead_scans} free sites, over 2x greedy's {scans}"
     );
 }
