@@ -32,7 +32,8 @@ pub enum HardwareError {
         /// Qubit of the second conflicting move.
         second: Qubit,
     },
-    /// The same qubit appears twice in one collective move.
+    /// The same qubit appears twice in one collective move, or in two
+    /// batches of one parallel window.
     DuplicateMovedQubit {
         /// The repeated qubit.
         qubit: Qubit,
@@ -76,7 +77,7 @@ impl fmt::Display for HardwareError {
                 "moves of {first} and {second} violate the AOD order constraint"
             ),
             HardwareError::DuplicateMovedQubit { qubit } => {
-                write!(f, "qubit {qubit} appears twice in one collective move")
+                write!(f, "qubit {qubit} is moved twice in one parallel window")
             }
             HardwareError::InsufficientCapacity { qubits, sites } => write!(
                 f,

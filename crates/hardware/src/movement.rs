@@ -189,20 +189,36 @@ impl AodBatch {
 }
 
 /// Checks that a set of per-AOD batches can execute in one parallel window:
-/// every batch must be internally conflict-free, and no AOD array may own
-/// two batches (an AOD cannot run two collective moves at once — that is an
-/// intra-AOD overlap).
+/// every batch must be internally conflict-free, no AOD array may own two
+/// batches (an AOD cannot run two collective moves at once — that is an
+/// intra-AOD overlap), and no qubit may be moved by two batches (an atom
+/// cannot ride two AOD arrays at once).
+///
+/// Batches are checked in order; for batch `i` the AOD assignment is
+/// checked first, then the batch itself, then its qubits against the later
+/// batches.
 ///
 /// # Errors
 ///
 /// Returns [`HardwareError::DuplicateAodAssignment`] on an AOD owning two
-/// batches, or the first per-batch error from [`validate_collective_move`].
+/// batches, the first per-batch error from [`validate_collective_move`], or
+/// [`HardwareError::DuplicateMovedQubit`] on a qubit moved by two batches.
 pub fn validate_aod_batches(batches: &[AodBatch]) -> Result<(), HardwareError> {
     for (i, batch) in batches.iter().enumerate() {
-        if batches[i + 1..].iter().any(|b| b.aod == batch.aod) {
+        let later = &batches[i + 1..];
+        if later.iter().any(|b| b.aod == batch.aod) {
             return Err(HardwareError::DuplicateAodAssignment { aod: batch.aod });
         }
         batch.validate()?;
+        for m in &batch.moves {
+            if later
+                .iter()
+                .flat_map(|b| &b.moves)
+                .any(|o| o.qubit == m.qubit)
+            {
+                return Err(HardwareError::DuplicateMovedQubit { qubit: m.qubit });
+            }
+        }
     }
     Ok(())
 }
@@ -379,6 +395,25 @@ mod tests {
         ];
         let err = validate_aod_batches(&batches).unwrap_err();
         assert!(matches!(err, HardwareError::DuplicateAodAssignment { .. }));
+    }
+
+    #[test]
+    fn qubit_moved_by_two_batches_is_rejected() {
+        // Compatible moves on distinct AODs, but both carry qubit 0.
+        let batches = vec![
+            AodBatch::new(AodId::new(0), vec![mv(0, 0.0, 0.0, 0.0, -30.0)]),
+            AodBatch::new(
+                AodId::new(1),
+                vec![mv(1, 15.0, 0.0, 15.0, -30.0), mv(0, 0.0, 0.0, 15.0, -30.0)],
+            ),
+        ];
+        let err = validate_aod_batches(&batches).unwrap_err();
+        assert_eq!(
+            err,
+            HardwareError::DuplicateMovedQubit {
+                qubit: Qubit::new(0)
+            }
+        );
     }
 
     #[test]

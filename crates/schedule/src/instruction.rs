@@ -162,17 +162,15 @@ impl Instruction {
         }
     }
 
-    /// The qubits that actively participate in this instruction (gate
-    /// targets or moved qubits).
+    /// Number of qubit slots this instruction acts on: one per single-qubit
+    /// gate, one per moved qubit, two per CZ gate (a qubit named twice is
+    /// counted twice).
     #[must_use]
-    pub fn active_qubits(&self) -> Vec<Qubit> {
+    pub fn active_qubit_count(&self) -> usize {
         match self {
-            Instruction::OneQubitLayer { gates } => gates.iter().map(|(q, _)| *q).collect(),
-            Instruction::MoveGroup { coll_moves } => coll_moves
-                .iter()
-                .flat_map(|cm| cm.moves.iter().map(|m| m.qubit))
-                .collect(),
-            Instruction::RydbergStage { gates } => gates.iter().flat_map(|g| g.qubits()).collect(),
+            Instruction::OneQubitLayer { gates } => gates.len(),
+            Instruction::MoveGroup { coll_moves } => coll_moves.iter().map(CollMove::len).sum(),
+            Instruction::RydbergStage { gates } => 2 * gates.len(),
         }
     }
 
@@ -263,11 +261,20 @@ mod tests {
     }
 
     #[test]
-    fn active_qubits_per_instruction_kind() {
-        let layer = Instruction::one_qubit_layer(vec![(q(0), OneQubitGate::H)]);
-        assert_eq!(layer.active_qubits(), vec![q(0)]);
-        let stage = Instruction::rydberg(vec![CzGate::new(q(1), q(2))]);
-        assert_eq!(stage.active_qubits(), vec![q(1), q(2)]);
+    fn active_qubit_count_per_instruction_kind() {
+        let layer =
+            Instruction::one_qubit_layer(vec![(q(0), OneQubitGate::H), (q(0), OneQubitGate::X)]);
+        assert_eq!(layer.active_qubit_count(), 2);
+        let stage = Instruction::rydberg(vec![CzGate::new(q(1), q(2)), CzGate::new(q(3), q(4))]);
+        assert_eq!(stage.active_qubit_count(), 4);
+        let arch = Architecture::for_qubits(4);
+        let g = arch.grid();
+        let s = |c, r| g.site(Zone::Compute, c, r).unwrap();
+        let group = Instruction::move_group(vec![
+            CollMove::new(AodId::new(0), vec![SiteMove::new(q(0), s(0, 0), s(1, 0))]),
+            CollMove::new(AodId::new(1), vec![SiteMove::new(q(1), s(0, 1), s(1, 1))]),
+        ]);
+        assert_eq!(group.active_qubit_count(), 2);
     }
 
     #[test]

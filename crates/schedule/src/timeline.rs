@@ -109,7 +109,7 @@ impl Timeline {
                 kind,
                 start: clock,
                 duration,
-                active_qubits: instruction.active_qubits().len(),
+                active_qubits: instruction.active_qubit_count(),
             });
             clock += duration;
         }

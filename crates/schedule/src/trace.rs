@@ -1,10 +1,11 @@
 //! Program replay: validation plus accumulation of the execution trace.
 
 use crate::{instruction_duration, CompiledProgram, Instruction, Layout, ScheduleError};
-use powermove_circuit::Qubit;
-use powermove_hardware::{validate_aod_batches, AodBatch, HardwareError, Zone};
+use powermove_circuit::{CzGate, Qubit};
+use powermove_hardware::{
+    validate_aod_batches, AodBatch, AodId, HardwareError, SiteId, Zone, ZonedGrid,
+};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Quantities accumulated by replaying a [`CompiledProgram`].
 ///
@@ -55,12 +56,38 @@ impl ExecutionTrace {
 /// Replays a compiled program, validating every instruction against the
 /// hardware rules and accumulating the execution trace.
 ///
+/// # Cost
+///
+/// Each instruction is validated in time proportional to the qubits and
+/// sites it names: the replay keeps per-qubit "in storage" flags and
+/// "active in instruction *k*" stamps, per-site occupancy counts, and two
+/// running totals (qubits in the computation zone, computation-zone sites
+/// holding two or more qubits), all updated only for the qubits that move.
+/// One pass over the `n` program qubits per instruction remains: it adds the
+/// instruction's duration to each idle or stored qubit's clock, so every
+/// clock receives the same sequence of additions, in the same order, as a
+/// direct replay (a lazier sum would change the last bits of `T_q`).
+///
 /// # Errors
 ///
 /// Returns the first [`ScheduleError`] encountered: an ill-formed layout, a
 /// violated AOD movement constraint, overcrowded sites, a CZ pair that is not
 /// co-located in the computation zone, overlapping gates within one stage, or
 /// unwanted clustering during an excitation.
+///
+/// "First" follows the replay order:
+///
+/// 1. The initial layout: every program qubit in index order (placed, on
+///    the grid), then every occupied site in [`SiteId`] order (at most two
+///    qubits).
+/// 2. The instructions in program order. A move group checks its number of
+///    collective moves, then their AOD ids, then each move in order (qubit
+///    in range, target on the grid, source matching the layout), then its
+///    per-AOD batches as [`validate_aod_batches`] orders them, and finally
+///    its overcrowded targets in [`SiteId`] order. A Rydberg stage checks
+///    each gate in order — qubits in range and not already used by the
+///    stage, both placed, neither in storage, co-located — and then reports
+///    the clustered site with the lowest [`SiteId`].
 pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleError> {
     let arch = program.architecture();
     let grid = arch.grid();
@@ -86,6 +113,37 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
         }
     }
 
+    // Replay state. A layout wider than the program may park its extra
+    // qubits anywhere, even off the grid; they never move, so they only
+    // seed the counts — and an off-grid one sends every Rydberg stage to
+    // the full clustering rescan, which treats it as a direct replay does.
+    let mut occupancy = vec![0_u32; grid.num_sites()];
+    let mut compute_placed = 0_usize;
+    let mut crowded = 0_usize;
+    let mut off_grid = false;
+    for (site, occupants) in layout.occupied_sites() {
+        if !grid.contains(site) {
+            off_grid = true;
+            continue;
+        }
+        occupancy[site.index()] = occupants.len() as u32;
+        if grid.zone_of(site) == Zone::Compute {
+            compute_placed += occupants.len();
+            crowded += usize::from(occupants.len() >= 2);
+        }
+    }
+    let mut in_storage: Vec<bool> = (0..n)
+        .map(|i| {
+            layout
+                .site_of(Qubit::new(i))
+                .is_some_and(|site| grid.zone_of(site) == Zone::Storage)
+        })
+        .collect();
+    // `active[q] == k` iff `q` takes part in the `k`-th instruction (from 1).
+    let mut active = vec![0_usize; n as usize];
+    let mut touched: Vec<SiteId> = Vec::new();
+    let mut batches: Vec<AodBatch> = Vec::new();
+
     let mut trace = ExecutionTrace {
         total_time: 0.0,
         cz_gate_count: 0,
@@ -100,12 +158,11 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
         movement_time: 0.0,
         idle_time: vec![0.0; n as usize],
         storage_time: vec![0.0; n as usize],
-        final_layout: layout.clone(),
+        final_layout: Layout::empty(0),
     };
 
-    for instruction in program.instructions() {
+    for (epoch, instruction) in (1_usize..).zip(program.instructions()) {
         let duration = instruction_duration(instruction, arch);
-        let active: BTreeSet<Qubit> = instruction.active_qubits().into_iter().collect();
 
         // Per-instruction validation and state update.
         match instruction {
@@ -117,6 +174,7 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
                             num_qubits: n,
                         });
                     }
+                    active[q.as_usize()] = epoch;
                 }
                 trace.one_qubit_gate_count += gates.len();
             }
@@ -161,37 +219,64 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
                 }
                 // The group's collective moves overlap in time, one per-AOD
                 // batch each: every batch must satisfy the AOD order
-                // constraint internally, and no AOD may own two batches — a
-                // doubly-booked AOD is an intra-AOD move-window overlap.
-                let batches: Vec<AodBatch> = coll_moves
-                    .iter()
-                    .map(|cm| AodBatch::new(cm.aod, cm.trap_moves(arch)))
-                    .collect();
-                validate_aod_batches(&batches).map_err(|e| match e {
+                // constraint internally, no AOD may own two batches — a
+                // doubly-booked AOD is an intra-AOD move-window overlap —
+                // and no qubit may ride two of them.
+                if batches.len() < coll_moves.len() {
+                    batches.resize_with(coll_moves.len(), || {
+                        AodBatch::new(AodId::new(0), Vec::new())
+                    });
+                }
+                for (batch, cm) in batches.iter_mut().zip(coll_moves) {
+                    batch.aod = cm.aod;
+                    batch.moves.clear();
+                    batch
+                        .moves
+                        .extend(cm.moves.iter().map(|m| m.to_trap_move(arch)));
+                }
+                validate_aod_batches(&batches[..coll_moves.len()]).map_err(|e| match e {
                     HardwareError::DuplicateAodAssignment { aod } => {
                         ScheduleError::IntraAodOverlap { aod }
                     }
                     other => ScheduleError::Hardware(other),
                 })?;
-                // Apply all moves of the group simultaneously.
-                let mut touched = BTreeSet::new();
+                // Apply all moves of the group simultaneously. Each qubit
+                // moves at most once, from the `from` site just checked.
+                touched.clear();
                 for cm in coll_moves {
                     trace.coll_move_count += 1;
                     for m in &cm.moves {
                         let d = m.distance(arch);
                         trace.total_move_distance += d;
                         trace.max_move_distance = trace.max_move_distance.max(d);
+                        let from = &mut occupancy[m.from.index()];
+                        if grid.zone_of(m.from) == Zone::Compute {
+                            compute_placed -= 1;
+                            crowded -= usize::from(*from == 2);
+                        }
+                        *from -= 1;
+                        let to_zone = grid.zone_of(m.to);
+                        let to = &mut occupancy[m.to.index()];
+                        *to += 1;
+                        if to_zone == Zone::Compute {
+                            compute_placed += 1;
+                            crowded += usize::from(*to == 2);
+                        }
+                        in_storage[m.qubit.as_usize()] = to_zone == Zone::Storage;
+                        active[m.qubit.as_usize()] = epoch;
                         layout.move_qubit(m.qubit, m.to);
-                        touched.insert(m.to);
+                        touched.push(m.to);
                         trace.transfer_count += 2;
                     }
                 }
-                for site in touched {
-                    let occ = layout.occupancy(site);
+                touched.sort_unstable();
+                touched.dedup();
+                for &site in &touched {
+                    let occ = occupancy[site.index()];
                     if occ > 2 {
                         return Err(ScheduleError::SiteOvercrowded {
                             site,
-                            occupants: occ,
+                            occupants: occ as usize,
                         });
                     }
                 }
@@ -199,7 +284,8 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
                 trace.movement_time += duration;
             }
             Instruction::RydbergStage { gates } => {
-                let mut seen = BTreeSet::new();
+                // Gates whose site holds exactly their pair.
+                let mut paired = 0_usize;
                 for gate in gates {
                     for q in gate.qubits() {
                         if q.index() >= n {
@@ -208,9 +294,10 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
                                 num_qubits: n,
                             });
                         }
-                        if !seen.insert(q) {
+                        if active[q.as_usize()] == epoch {
                             return Err(ScheduleError::OverlappingGatesInStage { qubit: q });
                         }
+                        active[q.as_usize()] = epoch;
                     }
                     let sa = layout
                         .site_of(gate.lo())
@@ -229,31 +316,24 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
                             b: gate.hi(),
                         });
                     }
+                    paired += usize::from(occupancy[sa.index()] == 2);
                 }
-                // Clustering check: any computation-zone site holding two
-                // qubits must host exactly one gate pair of this stage.
-                for (site, occupants) in layout.occupied_sites() {
-                    if grid.zone_of(site) != Zone::Compute {
-                        continue;
-                    }
-                    if occupants.len() >= 2 {
-                        let is_pair = occupants.len() == 2
-                            && gates.iter().any(|g| {
-                                (g.lo() == occupants[0] && g.hi() == occupants[1])
-                                    || (g.lo() == occupants[1] && g.hi() == occupants[0])
-                            });
-                        if !is_pair {
-                            return Err(ScheduleError::Clustering { site });
-                        }
-                    }
+                // Clustering: every computation-zone site holding two or
+                // more qubits must be a paired gate site. The gates are
+                // disjoint, so that holds iff the counts agree; otherwise
+                // the rescan names the lowest offending site.
+                debug_assert_eq!(
+                    (compute_placed, crowded),
+                    compute_zone_counts(&layout, grid),
+                    "running counts out of step with the layout"
+                );
+                if off_grid || crowded != paired {
+                    check_clustering(&layout, grid, gates)?;
                 }
                 // Excitation exposure: non-interacting qubits left in the
-                // computation zone during this excitation.
-                let exposed = layout
-                    .iter()
-                    .filter(|(q, site)| grid.zone_of(*site) == Zone::Compute && !seen.contains(q))
-                    .count();
-                trace.excitation_exposure += exposed;
+                // computation zone during this excitation. Every gate qubit
+                // is one of them, checked above.
+                trace.excitation_exposure += compute_placed - 2 * gates.len();
                 trace.cz_gate_count += gates.len();
                 trace.rydberg_stage_count += 1;
             }
@@ -262,21 +342,61 @@ pub fn simulate(program: &CompiledProgram) -> Result<ExecutionTrace, ScheduleErr
         // Time accounting: storage-zone residents accrue storage time; other
         // qubits accrue idle time unless they actively participate.
         trace.total_time += duration;
-        for i in 0..n {
-            let q = Qubit::new(i);
-            let Some(site) = layout.site_of(q) else {
+        let clocks = trace.idle_time.iter_mut().zip(&mut trace.storage_time);
+        for ((idle, stored), (&mark, &parked)) in clocks.zip(active.iter().zip(&in_storage)) {
+            if mark == epoch {
                 continue;
-            };
-            if grid.zone_of(site) == Zone::Storage && !active.contains(&q) {
-                trace.storage_time[i as usize] += duration;
-            } else if !active.contains(&q) {
-                trace.idle_time[i as usize] += duration;
+            }
+            if parked {
+                *stored += duration;
+            } else {
+                *idle += duration;
             }
         }
     }
 
     trace.final_layout = layout;
     Ok(trace)
+}
+
+/// Qubits on computation-zone sites, and computation-zone sites holding two
+/// or more qubits, counted from scratch (the running counts' debug check).
+fn compute_zone_counts(layout: &Layout, grid: &ZonedGrid) -> (usize, usize) {
+    layout
+        .occupied_sites()
+        .filter(|&(site, _)| grid.contains(site) && grid.zone_of(site) == Zone::Compute)
+        .fold((0, 0), |(placed, crowded), (_, occupants)| {
+            (
+                placed + occupants.len(),
+                crowded + usize::from(occupants.len() >= 2),
+            )
+        })
+}
+
+/// The clustering rule by a rescan of the whole layout in [`SiteId`] order:
+/// any computation-zone site holding two or more qubits must hold exactly
+/// one gate pair of the stage.
+fn check_clustering(
+    layout: &Layout,
+    grid: &ZonedGrid,
+    gates: &[CzGate],
+) -> Result<(), ScheduleError> {
+    for (site, occupants) in layout.occupied_sites() {
+        if grid.zone_of(site) != Zone::Compute {
+            continue;
+        }
+        if occupants.len() >= 2 {
+            let is_pair = occupants.len() == 2
+                && gates.iter().any(|g| {
+                    (g.lo() == occupants[0] && g.hi() == occupants[1])
+                        || (g.lo() == occupants[1] && g.hi() == occupants[0])
+                });
+            if !is_pair {
+                return Err(ScheduleError::Clustering { site });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -663,5 +783,143 @@ mod tests {
             simulate(&p),
             Err(ScheduleError::SiteOvercrowded { .. })
         ));
+    }
+
+    #[test]
+    fn qubit_moved_by_two_aods_in_one_group_rejected() {
+        // Each collective move is valid on its own, but q0 cannot ride two
+        // AOD arrays in one window.
+        let arch = arch4().with_num_aods(2);
+        let layout = compute_layout(&arch, 4);
+        let from = site(&arch, Zone::Compute, 0, 0);
+        let p = CompiledProgram::new(
+            arch.clone(),
+            4,
+            layout,
+            vec![Instruction::move_group(vec![
+                CollMove::new(
+                    AodId::new(0),
+                    vec![SiteMove::new(q(0), from, site(&arch, Zone::Storage, 0, 0))],
+                ),
+                CollMove::new(
+                    AodId::new(1),
+                    vec![SiteMove::new(q(0), from, site(&arch, Zone::Storage, 1, 0))],
+                ),
+            ])],
+        );
+        assert_eq!(
+            simulate(&p),
+            Err(ScheduleError::Hardware(
+                HardwareError::DuplicateMovedQubit { qubit: q(0) }
+            ))
+        );
+    }
+
+    #[test]
+    fn first_clustered_site_is_the_lowest() {
+        let arch = arch4();
+        let high = site(&arch, Zone::Compute, 1, 1);
+        let low = site(&arch, Zone::Compute, 0, 0);
+        assert!(low < high);
+        let mut layout = Layout::empty(4);
+        layout.place(q(0), high);
+        layout.place(q(1), high);
+        layout.place(q(2), low);
+        layout.place(q(3), low);
+        let p = CompiledProgram::new(arch, 4, layout, vec![Instruction::rydberg(vec![])]);
+        assert_eq!(simulate(&p), Err(ScheduleError::Clustering { site: low }));
+    }
+
+    #[test]
+    fn first_overcrowded_target_is_the_lowest() {
+        // Pairs sit at two compute sites; one group moves a third qubit onto
+        // each, the higher site first.
+        let arch = arch4().with_num_aods(2);
+        let high = site(&arch, Zone::Compute, 1, 1);
+        let low = site(&arch, Zone::Compute, 0, 0);
+        let mut layout = Layout::empty(6);
+        layout.place(q(0), low);
+        layout.place(q(1), low);
+        layout.place(q(2), high);
+        layout.place(q(3), high);
+        let park4 = site(&arch, Zone::Storage, 1, 0);
+        let park5 = site(&arch, Zone::Storage, 0, 0);
+        layout.place(q(4), park4);
+        layout.place(q(5), park5);
+        let p = CompiledProgram::new(
+            arch,
+            6,
+            layout,
+            vec![Instruction::move_group(vec![
+                CollMove::new(AodId::new(0), vec![SiteMove::new(q(4), park4, high)]),
+                CollMove::new(AodId::new(1), vec![SiteMove::new(q(5), park5, low)]),
+            ])],
+        );
+        assert_eq!(
+            simulate(&p),
+            Err(ScheduleError::SiteOvercrowded {
+                site: low,
+                occupants: 3
+            })
+        );
+    }
+
+    #[test]
+    fn first_gate_error_wins_over_a_later_overlap() {
+        // Gate 0-1 is not co-located; gate 1-2 reuses q1. The stage is
+        // checked gate by gate, so the first gate's error is reported.
+        let arch = arch4();
+        let mut layout = compute_layout(&arch, 4);
+        let s1 = layout.site_of(q(1)).unwrap();
+        layout.place(q(2), s1);
+        let p = CompiledProgram::new(
+            arch,
+            4,
+            layout,
+            vec![Instruction::rydberg(vec![
+                CzGate::new(q(0), q(1)),
+                CzGate::new(q(1), q(2)),
+            ])],
+        );
+        assert_eq!(
+            simulate(&p),
+            Err(ScheduleError::PairNotColocated { a: q(0), b: q(1) })
+        );
+    }
+
+    #[test]
+    fn exposure_and_clocks_follow_moves_between_zones() {
+        // q3 leaves for storage and q1 joins q0 for a gate; then q2 moves
+        // next to the pair and the gate repeats. The running counts must
+        // match the layout after every group.
+        let arch = arch4();
+        let layout = compute_layout(&arch, 4);
+        let c = |col, row| site(&arch, Zone::Compute, col, row);
+        let one_move = |qubit, from, to| {
+            Instruction::move_group(vec![CollMove::new(
+                AodId::new(0),
+                vec![SiteMove::new(q(qubit), from, to)],
+            )])
+        };
+        let gate = || Instruction::rydberg(vec![CzGate::new(q(0), q(1))]);
+        let p = CompiledProgram::new(
+            arch.clone(),
+            4,
+            layout,
+            vec![
+                one_move(3, c(1, 1), site(&arch, Zone::Storage, 1, 0)),
+                one_move(1, c(1, 0), c(0, 0)),
+                gate(),
+                one_move(2, c(0, 1), c(1, 0)),
+                gate(),
+            ],
+        );
+        let t = simulate(&p).unwrap();
+        // q2 is the only exposed qubit of both stages; q3 is stored.
+        assert_eq!(t.excitation_exposure, 2);
+        assert_eq!(t.idle_time[3], 0.0);
+        assert!(t.storage_time[3] > 0.0);
+        assert_eq!(t.final_layout.occupants(c(0, 0)), &[q(0), q(1)]);
+        assert_eq!(t.final_layout.occupants(c(1, 0)), &[q(2)]);
     }
 }

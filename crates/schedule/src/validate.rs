@@ -11,16 +11,20 @@ use crate::{simulate, CompiledProgram, ScheduleError};
 /// * every collective move starts from the qubits' actual sites and respects
 ///   the AOD row/column order constraint;
 /// * no more collective moves run in parallel than there are AOD arrays,
-///   every named AOD exists, and no AOD is assigned two collective moves in
+///   every named AOD exists, no AOD is assigned two collective moves in
 ///   one parallel window (overlapping windows are legal only across
-///   *distinct* AODs — intra-AOD overlap is rejected);
+///   *distinct* AODs — intra-AOD overlap is rejected), and no qubit is
+///   moved by two AODs in one window;
 /// * every CZ gate of a Rydberg stage acts on a pair co-located at one
 ///   computation-zone site, stages have disjoint gates, and no unrelated
 ///   qubits are clustered at a shared site during an excitation.
 ///
 /// # Errors
 ///
-/// Returns the first violation found.
+/// Returns the first violation found, in the replay order documented on
+/// [`simulate`] (initial layout, then instructions in program order; within
+/// an instruction, its moves or gates in order, then the lowest offending
+/// site).
 ///
 /// # Example
 ///
