@@ -63,7 +63,7 @@ pub const DEFAULT_COMPILE_TIME_FLOOR_S: f64 = 0.5;
 pub const BASELINE_VERSION: i64 = 2;
 
 /// Tolerances applied by [`compare`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateTolerance {
     /// Relative slack on fidelity (higher is better): a current value below
     /// `baseline * (1 - fidelity)` regresses.
@@ -119,7 +119,7 @@ pub struct BaselineEntry {
 impl BaselineEntry {
     /// Captures the gate metrics of one run under the given shard label.
     #[must_use]
-    pub fn from_run(result: &RunResult, shard: &str) -> Self {
+    fn from_run(result: &RunResult, shard: &str) -> Self {
         BaselineEntry {
             compiler: result.compiler.clone(),
             benchmark: result.benchmark.clone(),
@@ -417,7 +417,7 @@ impl Baseline {
 }
 
 /// Outcome of one metric comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Within tolerance of the baseline.
     Pass,
@@ -430,7 +430,7 @@ pub enum Verdict {
 }
 
 /// One metric of one matrix cell compared against the baseline.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricCheck {
     /// Registry id of the backend.
     pub compiler: String,
@@ -447,7 +447,7 @@ pub struct MetricCheck {
 }
 
 /// The full comparison produced by [`compare`].
-#[derive(Debug, Clone, PartialEq, Serialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct GateReport {
     /// Every metric comparison, in matrix order.
     pub checks: Vec<MetricCheck>,

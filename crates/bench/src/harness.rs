@@ -32,7 +32,7 @@ use powermove_exec::ThreadPool;
 use powermove_fidelity::{evaluate_program, FidelityBreakdown};
 use powermove_hardware::{Architecture, PhysicalParams, ZonedGrid};
 use powermove_schedule::PassTiming;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -280,7 +280,7 @@ impl BackendRegistry {
 
 /// The outcome of compiling and scoring one benchmark instance with one
 /// registered backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunResult {
     /// Registry id of the backend, e.g. `"powermove-storage"`.
     pub compiler: String,
@@ -367,7 +367,7 @@ pub fn run_instance_sampled(
 ///
 /// Panics if compilation or validation fails (see [`run_instance`]).
 #[must_use]
-pub fn run_on_architecture(
+fn run_on_architecture(
     instance: &BenchmarkInstance,
     arch: &Architecture,
     entry: &RegisteredBackend,
@@ -399,27 +399,6 @@ pub fn run_on_architecture(
         &first_program.expect("at least one compile ran"),
         samples,
     )
-}
-
-/// Validates and scores an already-compiled program, labelling the result
-/// with `compiler_id`. `measured_compile_time_s` is used when the backend
-/// did not record a compile time in its metadata.
-///
-/// # Panics
-///
-/// Panics if validation fails (see [`run_instance`]).
-#[must_use]
-pub fn score_program(
-    compiler_id: &str,
-    instance: &BenchmarkInstance,
-    program: &powermove_schedule::CompiledProgram,
-    measured_compile_time_s: f64,
-) -> RunResult {
-    let resolved = program
-        .metadata()
-        .compile_time
-        .unwrap_or(measured_compile_time_s);
-    score_program_sampled(compiler_id, instance, program, vec![resolved])
 }
 
 /// Validates and scores an already-compiled program against a set of
@@ -504,7 +483,7 @@ pub fn run_matrix(
 ///
 /// Panics if compilation or validation fails (see [`run_instance`]).
 #[must_use]
-pub fn run_matrix_sampled(
+fn run_matrix_sampled(
     instances: &[BenchmarkInstance],
     num_aods: usize,
     registry: &BackendRegistry,
@@ -600,7 +579,7 @@ pub fn lint_corpus_cells(seed: u64) -> Vec<ShardCell> {
 /// cells: the paper's default machine plus three stress geometries the
 /// `lint/corpus` shard and the schedule-lint campaign sweep so invariants
 /// are exercised off the default `ceil(sqrt(n))` square.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchVariant {
     /// The paper's default machine ([`Architecture::for_qubits`]).
     Standard,
@@ -681,7 +660,7 @@ impl ArchVariant {
 
 /// One cell row of a shard: a benchmark instance plus the AOD-array count it
 /// is compiled for.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardCell {
     /// The benchmark instance. Multi-AOD cells carry an `@aods<k>` suffix in
     /// the instance name so every cell keys uniquely in the baseline.
@@ -707,7 +686,7 @@ impl ShardCell {
 
     /// Replaces the cell's hardware variant.
     #[must_use]
-    pub fn with_arch(mut self, arch: ArchVariant) -> Self {
+    fn with_arch(mut self, arch: ArchVariant) -> Self {
         self.arch = arch;
         self
     }
@@ -728,7 +707,7 @@ impl ShardCell {
 /// The standard shards ([`ShardRegistry::standard`]) form a disjoint exact
 /// cover of the full gated suite, so running every shard and merging the
 /// per-shard reports reproduces a monolithic run cell for cell.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuiteShard {
     name: String,
     backends: Vec<String>,
@@ -804,7 +783,7 @@ impl SuiteShard {
 
 /// The named shards of the benchmark matrix, in canonical (CI fan-out)
 /// order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardRegistry {
     shards: Vec<SuiteShard>,
 }
@@ -1092,7 +1071,7 @@ where
 
 /// One row of Table 3: the three standard configurations on one benchmark
 /// instance plus the improvement ratios the paper reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table3Row {
     /// Benchmark name.
     pub benchmark: String,
@@ -1135,16 +1114,6 @@ fn safe_ratio(numerator: f64, denominator: f64) -> f64 {
     } else {
         numerator / denominator
     }
-}
-
-/// Runs the three standard Table 3 configurations on one benchmark instance.
-///
-/// # Panics
-///
-/// Panics if compilation or validation fails (see [`run_instance`]).
-#[must_use]
-pub fn table3_row(instance: &BenchmarkInstance) -> Table3Row {
-    table3_rows(std::slice::from_ref(instance)).remove(0)
 }
 
 /// Runs the three standard Table 3 configurations over a whole suite, with
@@ -1306,7 +1275,7 @@ mod tests {
         // is not meaningfully worse on fidelity and clearly faster to
         // execute.
         let instance = generate(BenchmarkFamily::QaoaRegular3, 12, DEFAULT_SEED);
-        let row = table3_row(&instance);
+        let row = table3_rows(std::slice::from_ref(&instance)).remove(0);
         assert!(
             row.fidelity_improvement() > 0.9,
             "fidelity improvement {}",
@@ -1425,7 +1394,7 @@ mod tests {
         let rows = table3_rows(&instances);
         assert_eq!(rows.len(), 2);
         for (row, instance) in rows.iter().zip(&instances) {
-            let single = table3_row(instance);
+            let single = table3_rows(std::slice::from_ref(instance)).remove(0);
             assert_eq!(row.benchmark, instance.name);
             assert_eq!(row.enola.fidelity, single.enola.fidelity);
             assert_eq!(row.non_storage.fidelity, single.non_storage.fidelity);

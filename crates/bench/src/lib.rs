@@ -59,20 +59,18 @@ pub use gate::{
 };
 pub use harness::{
     fig6_sweeps, fig7_cases, lint_corpus_cells, run_all, run_instance, run_instance_sampled,
-    run_matrix, run_matrix_sampled, run_on_architecture, run_shard, score_program,
-    score_program_sampled, service_smoke_cells, table3_row, table3_rows, table3_rows_sampled,
-    take_f64_flag, take_flag, take_json_path, take_switch, take_usize_flag, write_json,
-    ArchVariant, BackendRegistry, RegisteredBackend, RunResult, ShardCell, ShardRegistry,
-    SuiteShard, Table3Row, DEFAULT_SEED, ENOLA, LARGE_SHARD_QUBITS, POWERMOVE_AUTO,
+    run_matrix, run_shard, score_program_sampled, service_smoke_cells, table3_rows,
+    table3_rows_sampled, take_f64_flag, take_flag, take_json_path, take_switch, take_usize_flag,
+    write_json, ArchVariant, BackendRegistry, RegisteredBackend, RunResult, ShardCell,
+    ShardRegistry, SuiteShard, Table3Row, DEFAULT_SEED, ENOLA, LARGE_SHARD_QUBITS, POWERMOVE_AUTO,
     POWERMOVE_LOOKAHEAD, POWERMOVE_MULTI_AOD, POWERMOVE_NON_STORAGE, POWERMOVE_STORAGE,
 };
 pub use lint::{
-    lint_circuit, lint_program, lint_service_log, replay_reproducer, run_campaign, shrink_instance,
-    CampaignConfig, CampaignFailure, CampaignSummary, CorpusInstance, CorpusOp, JsonlReport,
-    LintRule, LintViolation, ReproducerConfig,
+    lint_circuit, lint_service_log, replay_reproducer, run_campaign, CampaignConfig,
+    CampaignFailure, CampaignSummary, CorpusInstance, CorpusOp, JsonlReport, LintRule,
+    LintViolation, ReproducerConfig,
 };
 pub use report::{
-    merge_cells, parse_cells, parse_cells_lossy, read_cells, read_cells_lossy, CellRecord,
-    ParsedCell, ReportWriter,
+    merge_cells, parse_cells, read_cells, read_cells_lossy, CellRecord, ParsedCell, ReportWriter,
 };
 pub use stats::{SampleStats, DEFAULT_REPEATS};

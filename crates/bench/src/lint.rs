@@ -21,7 +21,7 @@
 //! |---|---|---|
 //! | `schedule-validate` | the program simulates cleanly and preserves the circuit's CZ gates | [`check_schedule`] |
 //! | `aod-batches` | every move group lowers to per-AOD batches passing `validate_aod_batches` | [`check_aod_batches`] |
-//! | `intra-aod-overlap` | no AOD array owns two overlapping busy windows | [`check_intra_aod_overlap`] |
+//! | `intra-aod-overlap` | no AOD array is named by two non-empty collective moves of one move group | [`check_intra_aod_overlap`] |
 //! | `storage-before-interaction` | the multi-AOD scheduler never puts a storage-bound window after an interaction window within a stage transition | [`check_storage_before_interaction`] |
 //! | `fidelity-dominance` | the auto-tuner never moves slower than any portfolio member, and never scores below the worst member | [`check_fidelity_dominance`] |
 //! | `free-site-agreement` | the index-pruned free-site search returns the same site as the linear reference scan | [`check_free_site_agreement`] |
@@ -49,7 +49,7 @@ pub use powermove_schedule::check::{
 use powermove_schedule::CompiledProgram;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::path::{Path, PathBuf};
 
 /// Movement-wall-clock slack for the auto-dominance comparison: replaying
@@ -61,7 +61,7 @@ pub const MOVEMENT_EPS: f64 = 1e-12;
 pub const FIDELITY_EPS: f64 = 1e-9;
 
 /// One named schedule invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LintRule {
     /// The program simulates cleanly and preserves the circuit's CZ count.
     ScheduleValidate,
@@ -117,7 +117,7 @@ impl std::fmt::Display for LintRule {
 }
 
 /// One rule firing on one compiled program.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LintViolation {
     /// The rule that fired.
     pub rule: LintRule,
@@ -405,7 +405,7 @@ pub fn lint_circuit(circuit: &Circuit, arch: &Architecture) -> Vec<LintViolation
 /// (`storage-before-interaction`, `fidelity-dominance`) live in
 /// [`lint_circuit`], which knows which strategy produced what.
 #[must_use]
-pub fn lint_program(
+fn lint_program(
     program: &CompiledProgram,
     expected_cz: Option<usize>,
     strategy: &str,
@@ -558,10 +558,7 @@ impl CorpusInstance {
 /// reports violations, returning the minimal reproducer and its
 /// violations. Deterministic: the same instance and predicate always
 /// shrink to the same bytes.
-pub fn shrink_instance<F>(
-    instance: &CorpusInstance,
-    fails: F,
-) -> (CorpusInstance, Vec<LintViolation>)
+fn shrink_instance<F>(instance: &CorpusInstance, fails: F) -> (CorpusInstance, Vec<LintViolation>)
 where
     F: Fn(&CorpusInstance) -> Vec<LintViolation>,
 {
@@ -752,7 +749,7 @@ pub struct CampaignConfig {
 /// The campaign's summary, checked in when a run is clean
 /// (`bench/reproducers/campaign-summary.json`). Byte-deterministic: no
 /// timestamps, failures sorted by seed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CampaignSummary {
     /// Number of corpus cases linted.
     pub cases: u64,
@@ -912,21 +909,27 @@ mod tests {
     /// moves — the hand-built violation behind both the `aod-batches` and
     /// the `intra-aod-overlap` firing tests.
     fn double_booked_program(a: &Architecture) -> CompiledProgram {
-        let moves = |q: u32, col: u32| {
-            vec![SiteMove::new(
-                Qubit::new(q),
-                site(a, Zone::Storage, col, 0),
-                site(a, Zone::Compute, col, 0),
-            )]
-        };
         CompiledProgram::new(
             a.clone(),
             2,
             storage_layout(a, 2),
             vec![Instruction::move_group(vec![
-                CollMove::new(AodId::new(0), moves(0, 0)),
-                CollMove::new(AodId::new(0), moves(1, 1)),
+                haul(a, 0, 0, 0),
+                haul(a, 0, 1, 1),
             ])],
+        )
+    }
+
+    /// One collective move hauling qubit `q` from storage column `col` to
+    /// the computation zone.
+    fn haul(a: &Architecture, aod: usize, q: u32, col: u32) -> CollMove {
+        CollMove::new(
+            AodId::new(aod),
+            vec![SiteMove::new(
+                Qubit::new(q),
+                site(a, Zone::Storage, col, 0),
+                site(a, Zone::Compute, col, 0),
+            )],
         )
     }
 
@@ -979,20 +982,13 @@ mod tests {
         let err = check_aod_batches(&double_booked_program(&a)).unwrap_err();
         assert!(err.contains("invalid AOD batches"), "{err}");
         // Quiet when the two windows use distinct AODs.
-        let moves = |q: u32, col: u32| {
-            vec![SiteMove::new(
-                Qubit::new(q),
-                site(&a, Zone::Storage, col, 0),
-                site(&a, Zone::Compute, col, 0),
-            )]
-        };
         let ok = CompiledProgram::new(
             a.clone(),
             2,
             storage_layout(&a, 2),
             vec![Instruction::move_group(vec![
-                CollMove::new(AodId::new(0), moves(0, 0)),
-                CollMove::new(AodId::new(1), moves(1, 1)),
+                haul(&a, 0, 0, 0),
+                haul(&a, 1, 1, 1),
             ])],
         );
         assert!(check_aod_batches(&ok).is_ok());
@@ -1008,6 +1004,62 @@ mod tests {
         assert!(violations
             .iter()
             .any(|v| v.rule == LintRule::IntraAodOverlap));
+    }
+
+    #[test]
+    fn intra_aod_overlap_allows_one_aod_in_successive_move_groups() {
+        let a = arch(2);
+        let program = CompiledProgram::new(
+            a.clone(),
+            2,
+            storage_layout(&a, 2),
+            vec![
+                Instruction::move_group(vec![haul(&a, 0, 0, 0)]),
+                Instruction::move_group(vec![haul(&a, 0, 1, 1)]),
+            ],
+        );
+        assert!(check_schedule(&program, None).is_ok());
+        assert!(check_intra_aod_overlap(&program).is_ok());
+    }
+
+    #[test]
+    fn intra_aod_overlap_ignores_an_empty_coll_move_on_a_busy_aod() {
+        let a = arch(2);
+        let program = CompiledProgram::new(
+            a.clone(),
+            2,
+            storage_layout(&a, 2),
+            vec![Instruction::move_group(vec![
+                haul(&a, 0, 0, 0),
+                CollMove::new(AodId::new(0), vec![]),
+            ])],
+        );
+        assert!(check_intra_aod_overlap(&program).is_ok());
+    }
+
+    #[test]
+    fn intra_aod_overlap_names_the_first_double_booked_aod() {
+        // Groups before and after the offending one are clean. Within it,
+        // AOD 1 (positions 0 and 3) is named although AOD 0 (positions 1
+        // and 2) repeats sooner: the first coll-move with a later twin wins.
+        let a = arch(2);
+        let program = CompiledProgram::new(
+            a.clone(),
+            4,
+            storage_layout(&a, 4),
+            vec![
+                Instruction::move_group(vec![haul(&a, 0, 0, 0), haul(&a, 1, 1, 1)]),
+                Instruction::move_group(vec![
+                    haul(&a, 1, 0, 0),
+                    haul(&a, 0, 1, 1),
+                    haul(&a, 0, 2, 0),
+                    haul(&a, 1, 3, 1),
+                ]),
+                Instruction::move_group(vec![haul(&a, 0, 2, 0)]),
+            ],
+        );
+        let err = check_intra_aod_overlap(&program).unwrap_err();
+        assert_eq!(err, "AOD aod1 double-booked");
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub fn read_cells(path: &Path) -> Result<Vec<ParsedCell>, GateError> {
 ///
 /// Returns [`GateError::Parse`] when the stream is malformed beyond an
 /// unterminated final line.
-pub fn parse_cells_lossy(text: &str) -> Result<(Vec<ParsedCell>, Option<String>), GateError> {
+fn parse_cells_lossy(text: &str) -> Result<(Vec<ParsedCell>, Option<String>), GateError> {
     match parse_cells(text) {
         Ok(cells) => Ok((cells, None)),
         Err(error) => {
@@ -188,7 +188,9 @@ pub fn parse_cells_lossy(text: &str) -> Result<(Vec<ParsedCell>, Option<String>)
     }
 }
 
-/// Loads one JSONL cell stream with [`parse_cells_lossy`] semantics.
+/// Loads one JSONL cell stream, tolerating a crash-torn final line: an
+/// unterminated last line that does not parse is dropped, and its error is
+/// returned alongside the cells.
 ///
 /// # Errors
 ///

@@ -109,7 +109,7 @@ impl SampleStats {
     /// and upper halves, each half including the central sample when the
     /// count is odd.
     #[must_use]
-    pub fn quartiles(&self) -> (f64, f64) {
+    fn quartiles(&self) -> (f64, f64) {
         let sorted = self.sorted();
         let n = sorted.len();
         let lower = &sorted[..n.div_ceil(2)];

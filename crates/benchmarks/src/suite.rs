@@ -6,11 +6,10 @@ use crate::{
 };
 use powermove_circuit::Circuit;
 use powermove_hardware::Architecture;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The benchmark families evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BenchmarkFamily {
     /// QAOA on a random 3-regular graph.
     QaoaRegular3,
@@ -79,7 +78,7 @@ impl fmt::Display for BenchmarkFamily {
 
 /// One benchmark instance: a named circuit plus the default hardware
 /// configuration the paper derives from its qubit count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkInstance {
     /// The benchmark family.
     pub family: BenchmarkFamily,

@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Entanglement pattern of the hardware-efficient VQE ansatz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EntanglementPattern {
     /// CZ between neighbouring qubits `(i, i+1)`.
     Linear,
@@ -14,8 +14,6 @@ pub enum EntanglementPattern {
     /// CZ between every qubit pair.
     Full,
 }
-
-use serde::{Deserialize, Serialize};
 
 /// Builds a hardware-efficient VQE ansatz: per repetition, a layer of
 /// parameterized Ry/Rz rotations on every qubit followed by an entangling

@@ -1,7 +1,6 @@
 //! Circuit statistics used by the experiment harness and documentation.
 
 use crate::{BlockProgram, Circuit};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Summary statistics of a circuit and its block-level synthesis.
@@ -22,7 +21,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircuitStats {
     /// Circuit width.
     pub num_qubits: u32,
@@ -46,12 +45,6 @@ impl CircuitStats {
     #[must_use]
     pub fn of(circuit: &Circuit) -> Self {
         let program = BlockProgram::from_circuit(circuit);
-        Self::of_program(circuit, &program)
-    }
-
-    /// Computes the statistics given an already-synthesized block program.
-    #[must_use]
-    pub fn of_program(circuit: &Circuit, program: &BlockProgram) -> Self {
         CircuitStats {
             num_qubits: circuit.num_qubits(),
             one_qubit_gates: circuit.one_qubit_count(),

@@ -6,7 +6,6 @@
 //! and therefore may be freely reordered by the stage scheduler.
 
 use crate::{Circuit, CzGate, Gate, OneQubitGate, Qubit};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// A layer of single-qubit gates.
@@ -15,7 +14,7 @@ use std::collections::BTreeSet;
 /// back-to-back by the Raman system); the neutral-atom hardware executes the
 /// whole layer in parallel across qubits, so only the per-qubit depth of the
 /// layer matters for timing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OneQubitLayer {
     gates: Vec<(Qubit, OneQubitGate)>,
 }
@@ -49,17 +48,6 @@ impl OneQubitLayer {
     pub fn is_empty(&self) -> bool {
         self.gates.is_empty()
     }
-
-    /// Maximum number of gates applied to any single qubit, which determines
-    /// the serial depth (and hence duration) of the layer.
-    #[must_use]
-    pub fn per_qubit_depth(&self) -> usize {
-        let mut counts = std::collections::HashMap::new();
-        for (q, _) in &self.gates {
-            *counts.entry(*q).or_insert(0_usize) += 1;
-        }
-        counts.values().copied().max().unwrap_or(0)
-    }
 }
 
 /// A block of mutually commuting CZ gates.
@@ -68,7 +56,7 @@ impl OneQubitLayer {
 /// gates commutes; a block collects the CZ gates that appear between two
 /// single-qubit layers so the stage scheduler may partition and reorder them
 /// freely (Sec. 4 of the paper).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CzBlock {
     gates: Vec<CzGate>,
 }
@@ -138,7 +126,7 @@ impl FromIterator<CzGate> for CzBlock {
 }
 
 /// One segment of a block program: either a 1Q layer or a CZ block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Segment {
     /// A layer of single-qubit gates.
     OneQubit(OneQubitLayer),
@@ -153,7 +141,7 @@ pub enum Segment {
 /// yields exactly the *dependent CZ blocks* of Sec. 4.1: CZ gates within one
 /// block commute, while gates in different blocks are ordered by the 1Q
 /// layers between them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockProgram {
     num_qubits: u32,
     segments: Vec<Segment>,
@@ -252,24 +240,6 @@ impl BlockProgram {
 
         BlockProgram {
             num_qubits: circuit.num_qubits(),
-            segments,
-        }
-    }
-
-    /// Builds a block program directly from pre-partitioned segments.
-    ///
-    /// Empty segments are dropped.
-    #[must_use]
-    pub fn from_segments(num_qubits: u32, segments: Vec<Segment>) -> Self {
-        let segments = segments
-            .into_iter()
-            .filter(|s| match s {
-                Segment::OneQubit(l) => !l.is_empty(),
-                Segment::Cz(b) => !b.is_empty(),
-            })
-            .collect();
-        BlockProgram {
-            num_qubits,
             segments,
         }
     }
@@ -445,28 +415,6 @@ mod tests {
             CzGate::new(q(0), q(3)),
         ]);
         assert_eq!(block.max_qubit_degree(), 3);
-    }
-
-    #[test]
-    fn per_qubit_depth_counts_serial_gates() {
-        let mut layer = OneQubitLayer::new();
-        layer.push(q(0), OneQubitGate::H);
-        layer.push(q(0), OneQubitGate::Rz(0.1));
-        layer.push(q(1), OneQubitGate::H);
-        assert_eq!(layer.per_qubit_depth(), 2);
-        assert_eq!(layer.len(), 3);
-    }
-
-    #[test]
-    fn from_segments_drops_empty() {
-        let p = BlockProgram::from_segments(
-            2,
-            vec![
-                Segment::OneQubit(OneQubitLayer::new()),
-                Segment::Cz(CzBlock::from_gates(vec![CzGate::new(q(0), q(1))])),
-            ],
-        );
-        assert_eq!(p.segments().len(), 1);
     }
 
     #[test]

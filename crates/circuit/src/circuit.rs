@@ -1,7 +1,7 @@
 //! Gate-level circuit container and builder methods.
 
 use crate::{CircuitError, CzGate, Gate, OneQubitGate, Qubit};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A gate-level quantum circuit over `num_qubits` qubits.
@@ -23,7 +23,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Circuit {
     num_qubits: u32,
     gates: Vec<Gate>,

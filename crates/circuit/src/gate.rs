@@ -1,7 +1,7 @@
 //! Gate types supported by the neutral-atom IR.
 
 use crate::Qubit;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Single-qubit gate kinds.
@@ -11,7 +11,7 @@ use std::fmt;
 /// (Sec. 2.1 of the paper). The compiler only needs the gate *count* and the
 /// qubit it acts on; the concrete unitary is carried for completeness so that
 /// a program can be lowered back to an executable description.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum OneQubitGate {
     /// Hadamard gate.
     H,
@@ -78,7 +78,7 @@ impl fmt::Display for OneQubitGate {
 /// assert_eq!(a.lo(), Qubit::new(1));
 /// assert_eq!(a.hi(), Qubit::new(3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct CzGate {
     lo: Qubit,
     hi: Qubit,
@@ -118,12 +118,6 @@ impl CzGate {
         [self.lo, self.hi]
     }
 
-    /// Returns `true` if the gate acts on qubit `q`.
-    #[must_use]
-    pub fn acts_on(&self, q: Qubit) -> bool {
-        self.lo == q || self.hi == q
-    }
-
     /// Given one qubit of the pair, returns the other.
     ///
     /// Returns `None` if `q` is not part of this gate.
@@ -137,12 +131,6 @@ impl CzGate {
             None
         }
     }
-
-    /// Returns `true` if this gate shares at least one qubit with `other`.
-    #[must_use]
-    pub fn overlaps(&self, other: &CzGate) -> bool {
-        self.acts_on(other.lo) || self.acts_on(other.hi)
-    }
 }
 
 impl fmt::Display for CzGate {
@@ -152,7 +140,7 @@ impl fmt::Display for CzGate {
 }
 
 /// A gate in the gate-level IR: either a single-qubit gate or a CZ gate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Gate {
     /// A single-qubit gate applied to one qubit.
     OneQubit {
@@ -218,22 +206,9 @@ mod tests {
     #[test]
     fn cz_partner_and_acts_on() {
         let g = CzGate::new(Qubit::new(0), Qubit::new(3));
-        assert!(g.acts_on(Qubit::new(0)));
-        assert!(g.acts_on(Qubit::new(3)));
-        assert!(!g.acts_on(Qubit::new(1)));
         assert_eq!(g.partner(Qubit::new(0)), Some(Qubit::new(3)));
         assert_eq!(g.partner(Qubit::new(3)), Some(Qubit::new(0)));
         assert_eq!(g.partner(Qubit::new(7)), None);
-    }
-
-    #[test]
-    fn cz_overlap_detection() {
-        let a = CzGate::new(Qubit::new(0), Qubit::new(1));
-        let b = CzGate::new(Qubit::new(1), Qubit::new(2));
-        let c = CzGate::new(Qubit::new(2), Qubit::new(3));
-        assert!(a.overlaps(&b));
-        assert!(b.overlaps(&c));
-        assert!(!a.overlaps(&c));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Logical qubit identifiers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Identifier of a logical (program-level) qubit.
@@ -18,7 +18,7 @@ use std::fmt;
 /// assert_eq!(q.index(), 3);
 /// assert_eq!(format!("{q}"), "q3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Qubit(u32);
 
 impl Qubit {

@@ -1,6 +1,6 @@
 //! Compiler configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Selects one of the built-in routing strategies.
 ///
@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// [`RoutingConfig::build`](crate::routing::RoutingStrategy); custom
 /// implementations bypass the enum entirely via
 /// [`PowerMoveCompiler::with_strategy`](crate::PowerMoveCompiler::with_strategy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RoutingStrategyKind {
     /// The paper's continuous router with dwell-ordered chunked packing
     /// ([`GreedyRouter`](crate::GreedyRouter)); byte-identical to the
@@ -51,7 +51,7 @@ impl RoutingStrategyKind {
 
 /// How the multi-AOD scheduler assigns collective moves to parallel
 /// windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum AodAssignment {
     /// Chunk the dwell-time order as-is (the greedy packing of Sec. 6.2).
     Chunked,
@@ -63,7 +63,7 @@ pub enum AodAssignment {
 
 /// Configuration of the routing subsystem: which strategy plans stage
 /// transitions and how collective moves are packed onto AOD arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RoutingConfig {
     /// The active routing strategy.
     pub strategy: RoutingStrategyKind,
@@ -135,7 +135,7 @@ impl Default for RoutingConfig {
 /// the *non-storage* case is [`CompilerConfig::without_storage`] (only the
 /// continuous router is active and every qubit stays in the computation
 /// zone).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CompilerConfig {
     /// Whether non-interacting qubits are parked in the storage zone between
     /// stages (Sec. 4 and Sec. 6 optimizations).
@@ -174,13 +174,6 @@ impl CompilerConfig {
             use_storage: false,
             ..Self::default()
         }
-    }
-
-    /// Overrides the stage-scheduling weight `α`.
-    #[must_use]
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
     }
 
     /// Disables collective-move grouping (the grouping-ablation
@@ -237,12 +230,6 @@ mod tests {
         let c = CompilerConfig::without_storage();
         assert!(!c.use_storage);
         assert_eq!(c.alpha, CompilerConfig::default().alpha);
-    }
-
-    #[test]
-    fn with_alpha_overrides() {
-        let c = CompilerConfig::default().with_alpha(0.25);
-        assert_eq!(c.alpha, 0.25);
     }
 
     #[test]

@@ -994,12 +994,6 @@ impl FreeSiteHarness {
         self.arena.planned_len(site)
     }
 
-    /// Number of free sites in `zone`.
-    #[must_use]
-    pub fn free_len(&self, zone: Zone) -> usize {
-        self.arena.free[zone_index(zone)].len()
-    }
-
     /// The index-pruned best-first search, forced regardless of free-list
     /// length (no linear fallback, no debug cross-check — tests compare
     /// against [`FreeSiteHarness::best_linear`] explicitly). `min_bias` and
@@ -1352,7 +1346,10 @@ mod tests {
             "freed anchor site should win at distance zero"
         );
         h.vacate(q(0));
-        assert_eq!(h.free_len(Zone::Compute), grid.num_compute_sites() - 5);
+        assert_eq!(
+            h.arena.free[zone_index(Zone::Compute)].len(),
+            grid.num_compute_sites() - 5
+        );
         assert_eq!(h.planned_len(anchor_site), 0);
     }
 

@@ -2,11 +2,10 @@
 //! (Algorithm 1 of the paper, Sec. 4.1).
 
 use powermove_circuit::{CzBlock, CzGate, Qubit};
-use serde::{Deserialize, Serialize};
 
 /// One Rydberg stage: a set of CZ gates acting on pairwise-disjoint qubits,
 /// executable under a single global Rydberg excitation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Stage {
     gates: Vec<CzGate>,
 }

@@ -6,10 +6,9 @@ use powermove_circuit::{BlockProgram, Circuit, CzBlock, Segment};
 use powermove_exec::{Parallelism, ThreadPool};
 use powermove_hardware::{AodId, Architecture, HardwareError, Zone};
 use powermove_schedule::{CollMove, CompiledProgram, Instruction, Layout};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Enola baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnolaConfig {
     /// Node budget of the branch-and-bound MIS solver used per stage
     /// extraction. Larger budgets produce (provably) larger stages at the

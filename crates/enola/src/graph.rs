@@ -3,7 +3,6 @@
 //! extracts independent sets from it ([`crate::partition_stages_mis`]).
 
 use powermove_circuit::{CzBlock, CzGate, Qubit};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Gate-level conflict graph of a CZ block.
@@ -11,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Vertex `i` corresponds to `block.gates()[i]`; an edge connects two gates
 /// that act on at least one common qubit and therefore cannot be executed in
 /// the same Rydberg stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateConflictGraph {
     gates: Vec<CzGate>,
     adjacency: Vec<Vec<usize>>,

@@ -54,5 +54,5 @@ mod router;
 
 pub use compiler::{EnolaCompiler, EnolaConfig};
 pub use graph::GateConflictGraph;
-pub use mis::{maximum_independent_set, partition_stages_mis};
+pub use mis::partition_stages_mis;
 pub use router::RevertRouter;

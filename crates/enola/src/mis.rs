@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 /// at least as large as the greedy solution and is optimal whenever the
 /// budget suffices.
 #[must_use]
-pub fn maximum_independent_set(
+fn maximum_independent_set(
     adjacency: &[Vec<usize>],
     active: &BTreeSet<usize>,
     node_budget: usize,

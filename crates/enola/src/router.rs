@@ -42,7 +42,7 @@ impl RevertRouter {
     ///
     /// Panics if the qubit is not placed in the initial layout.
     #[must_use]
-    pub fn home_site(&self, q: Qubit) -> SiteId {
+    fn home_site(&self, q: Qubit) -> SiteId {
         self.initial
             .site_of(q)
             .expect("every qubit is placed in the initial layout")

@@ -23,7 +23,6 @@ pub const THREADS_ENV: &str = "POWERMOVE_THREADS";
 ///
 /// assert_eq!(Parallelism::fixed(4).threads(), 4);
 /// assert!(Parallelism::available().threads() >= 1);
-/// assert!(Parallelism::fixed(1).is_sequential());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Parallelism {
@@ -77,12 +76,6 @@ impl Parallelism {
     pub fn threads(&self) -> usize {
         self.threads.get()
     }
-
-    /// Whether the configuration degenerates to sequential execution.
-    #[must_use]
-    pub fn is_sequential(&self) -> bool {
-        self.threads.get() == 1
-    }
 }
 
 impl Default for Parallelism {
@@ -99,8 +92,6 @@ mod tests {
     fn fixed_clamps_zero_to_one() {
         assert_eq!(Parallelism::fixed(0).threads(), 1);
         assert_eq!(Parallelism::fixed(3).threads(), 3);
-        assert!(Parallelism::fixed(0).is_sequential());
-        assert!(!Parallelism::fixed(2).is_sequential());
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl ThreadPool {
     /// The oversubscription factor keeps workers busy when chunk runtimes are
     /// skewed without approaching one-job-per-item queue pressure.
     #[must_use]
-    pub fn chunk_count(&self, len: usize) -> usize {
+    fn chunk_count(&self, len: usize) -> usize {
         len.min(self.threads() * CHUNKS_PER_WORKER).max(1)
     }
 }

@@ -1,6 +1,6 @@
 //! Per-factor fidelity breakdown.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The five multiplicative factors of the output fidelity (Eq. 1).
@@ -8,7 +8,7 @@ use std::fmt;
 /// Each field is a fidelity in `[0, 1]`; the product of all five is the
 /// estimated output fidelity of the program. Fig. 6 of the paper plots the
 /// infidelity contribution of the last four factors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FidelityBreakdown {
     /// `f1^g1`: single-qubit gate factor.
     pub one_qubit: f64,
@@ -25,18 +25,6 @@ pub struct FidelityBreakdown {
 }
 
 impl FidelityBreakdown {
-    /// A breakdown with every factor equal to 1 (perfect fidelity).
-    #[must_use]
-    pub fn perfect() -> Self {
-        FidelityBreakdown {
-            one_qubit: 1.0,
-            two_qubit: 1.0,
-            excitation: 1.0,
-            transfer: 1.0,
-            decoherence: 1.0,
-        }
-    }
-
     /// Product of all five factors.
     #[must_use]
     pub fn total(&self) -> f64 {
@@ -51,30 +39,18 @@ impl FidelityBreakdown {
     pub fn total_excluding_one_qubit(&self) -> f64 {
         self.two_qubit * self.excitation * self.transfer * self.decoherence
     }
-
-    /// The infidelity contribution `1 - f` of each factor, in the order
-    /// `(two_qubit, excitation, transfer, decoherence)` used by Fig. 6.
-    #[must_use]
-    pub fn infidelities(&self) -> [f64; 4] {
-        [
-            1.0 - self.two_qubit,
-            1.0 - self.excitation,
-            1.0 - self.transfer,
-            1.0 - self.decoherence,
-        ]
-    }
-
-    /// Negative natural log of the total fidelity; additive across factors
-    /// and convenient for plotting on a log scale.
-    #[must_use]
-    pub fn log_infidelity(&self) -> f64 {
-        -self.total().max(f64::MIN_POSITIVE).ln()
-    }
 }
 
+/// A breakdown with every factor equal to 1 (perfect fidelity).
 impl Default for FidelityBreakdown {
     fn default() -> Self {
-        Self::perfect()
+        FidelityBreakdown {
+            one_qubit: 1.0,
+            two_qubit: 1.0,
+            excitation: 1.0,
+            transfer: 1.0,
+            decoherence: 1.0,
+        }
     }
 }
 
@@ -99,11 +75,9 @@ mod tests {
 
     #[test]
     fn perfect_breakdown_has_total_one() {
-        let b = FidelityBreakdown::perfect();
+        let b = FidelityBreakdown::default();
         assert_eq!(b.total(), 1.0);
         assert_eq!(b.total_excluding_one_qubit(), 1.0);
-        assert_eq!(b.infidelities(), [0.0; 4]);
-        assert_eq!(FidelityBreakdown::default(), b);
     }
 
     #[test]
@@ -120,18 +94,8 @@ mod tests {
     }
 
     #[test]
-    fn log_infidelity_is_positive_for_imperfect() {
-        let b = FidelityBreakdown {
-            two_qubit: 0.5,
-            ..FidelityBreakdown::perfect()
-        };
-        assert!(b.log_infidelity() > 0.0);
-        assert_eq!(FidelityBreakdown::perfect().log_infidelity(), 0.0);
-    }
-
-    #[test]
     fn display_contains_total() {
-        let b = FidelityBreakdown::perfect();
+        let b = FidelityBreakdown::default();
         assert!(b.to_string().contains("fidelity"));
     }
 }

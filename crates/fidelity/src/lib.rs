@@ -34,10 +34,6 @@
 
 mod breakdown;
 mod model;
-mod movement;
-mod sensitivity;
 
 pub use breakdown::FidelityBreakdown;
 pub use model::{evaluate_program, evaluate_trace, FidelityReport};
-pub use movement::{attribute_movement, AodMovementStats};
-pub use sensitivity::{sensitivity_sweep, ParameterAxis, SensitivityPoint};

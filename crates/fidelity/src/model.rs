@@ -3,11 +3,10 @@
 use crate::FidelityBreakdown;
 use powermove_hardware::PhysicalParams;
 use powermove_schedule::{simulate, CompiledProgram, ExecutionTrace, ScheduleError};
-use serde::{Deserialize, Serialize};
 
 /// The result of evaluating a compiled program: its execution trace, the
 /// fidelity breakdown and the execution-time metric.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FidelityReport {
     /// Per-factor fidelity breakdown (Eq. 1).
     pub breakdown: FidelityBreakdown,

@@ -1,7 +1,7 @@
 //! The machine description handed to compilers.
 
 use crate::{HardwareError, PhysicalParams, ZonedGrid};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A complete neutral-atom machine description: zoned site grid, physical
 /// parameters and number of independently-operating AOD arrays.
@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(arch.num_aods(), 2);
 /// assert!(arch.grid().num_compute_sites() >= 40);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Architecture {
     grid: ZonedGrid,
     params: PhysicalParams,

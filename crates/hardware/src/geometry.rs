@@ -1,6 +1,6 @@
 //! Planar geometry primitives: physical positions and site identifiers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A position in the 2D atom plane, in **meters**.
@@ -16,9 +16,9 @@ use std::fmt;
 /// let a = Point::from_um(0.0, 0.0);
 /// let b = Point::from_um(30.0, 40.0);
 /// assert!((a.distance(b) - 50e-6).abs() < 1e-12);
-/// assert!((b.x_um() - 30.0).abs() < 1e-9);
+/// assert!((b.x - 30e-6).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Point {
     /// Horizontal coordinate in meters.
     pub x: f64,
@@ -44,13 +44,13 @@ impl Point {
 
     /// The horizontal coordinate in micrometers.
     #[must_use]
-    pub fn x_um(&self) -> f64 {
+    fn x_um(&self) -> f64 {
         self.x * 1e6
     }
 
     /// The vertical coordinate in micrometers.
     #[must_use]
-    pub fn y_um(&self) -> f64 {
+    fn y_um(&self) -> f64 {
         self.y * 1e6
     }
 
@@ -71,9 +71,7 @@ impl fmt::Display for Point {
 ///
 /// Sites are indexed densely: all computation-zone sites first (row-major),
 /// followed by all storage-zone sites (row-major).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct SiteId(usize);
 
 impl SiteId {

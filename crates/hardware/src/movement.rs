@@ -9,7 +9,7 @@
 
 use crate::{HardwareError, Point};
 use powermove_circuit::Qubit;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -18,9 +18,7 @@ use std::fmt;
 /// NAQC hardware may drive several independently-operating AOD arrays;
 /// conflicting moves can be executed in parallel if they are assigned to
 /// different arrays (Sec. 6.2).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Default)]
 pub struct AodId(usize);
 
 impl AodId {
@@ -67,7 +65,7 @@ pub fn move_duration(distance: f64, max_acceleration: f64) -> f64 {
 }
 
 /// A single-qubit movement between two physical positions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrapMove {
     /// The qubit being moved.
     pub qubit: Qubit,
@@ -94,13 +92,6 @@ impl TrapMove {
     #[must_use]
     pub fn duration(&self, max_acceleration: f64) -> f64 {
         move_duration(self.distance(), max_acceleration)
-    }
-
-    /// Returns `true` if the movement ends at a lower `y` than it starts
-    /// (i.e. heads towards the storage zone in the default layout).
-    #[must_use]
-    pub fn heads_down(&self) -> bool {
-        self.to.y < self.from.y
     }
 
     /// Returns `true` if this move and `other` cannot be executed within the
@@ -141,7 +132,7 @@ impl fmt::Display for TrapMove {
 /// order constraint), and batches assigned to *distinct* AODs may execute in
 /// the same parallel window even when their moves would conflict within a
 /// single lattice (Sec. 6.2).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AodBatch {
     /// The AOD array that executes this batch.
     pub aod: AodId,
@@ -358,12 +349,6 @@ mod tests {
         let moves = vec![mv(0, 0.0, 0.0, 15.0, 0.0), mv(0, 30.0, 0.0, 45.0, 0.0)];
         let err = validate_collective_move(&moves).unwrap_err();
         assert!(matches!(err, HardwareError::DuplicateMovedQubit { .. }));
-    }
-
-    #[test]
-    fn heads_down_detects_storage_direction() {
-        assert!(mv(0, 0.0, 0.0, 0.0, -30.0).heads_down());
-        assert!(!mv(0, 0.0, -30.0, 0.0, 0.0).heads_down());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Physical operation parameters (Table 1 of the paper).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Fidelities and durations of the elementary neutral-atom operations,
 /// together with the geometric constants of the zoned architecture.
@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let t = (27.5e-6_f64 / p.max_acceleration).sqrt();
 /// assert!((t - 100e-6).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct PhysicalParams {
     /// Fidelity of a single-qubit (Raman) gate. Paper: 99.99 %.
     pub one_qubit_fidelity: f64,

@@ -128,15 +128,6 @@ impl RingEnumerator<'_> {
             arm,
         });
     }
-
-    /// The distance of the nearest not-yet-yielded site, if any.
-    ///
-    /// Every site yielded later is at least this far from the anchor — the
-    /// lower bound a pruned search tests its cutoff against.
-    #[must_use]
-    pub fn peek_distance(&self) -> Option<f64> {
-        self.heap.peek().map(|h| h.dist)
-    }
 }
 
 impl Iterator for RingEnumerator<'_> {
@@ -216,21 +207,6 @@ mod tests {
             assert_eq!(pos, grid.position(site));
             assert_eq!(dist, pos.distance(anchor));
         }
-    }
-
-    #[test]
-    fn peek_distance_lower_bounds_every_later_site() {
-        let grid = ZonedGrid::for_qubits(30);
-        let anchor = grid.position(grid.site(Zone::Compute, 3, 2).unwrap());
-        let mut ring = grid.ring_sites(Zone::Compute, anchor);
-        while let Some(bound) = ring.peek_distance() {
-            let (_, _, dist) = ring.next().unwrap();
-            assert_eq!(dist, bound);
-            if let Some(next_bound) = ring.peek_distance() {
-                assert!(next_bound >= bound);
-            }
-        }
-        assert!(ring.next().is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Zoned site grid: computation zone, inter-zone gap and storage zone.
 
 use crate::{HardwareError, Point, SiteId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The zone a site belongs to.
@@ -10,7 +10,7 @@ use std::fmt;
 /// the global Rydberg laser acts and CZ gates are executed, from a **storage
 /// zone**, where qubits are unaffected by Rydberg excitation and suffer
 /// negligible decoherence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Zone {
     /// Computation zone: Rydberg excitation acts here.
     Compute,
@@ -51,7 +51,7 @@ impl fmt::Display for Zone {
 /// let site = grid.site(Zone::Storage, 2, 1).unwrap();
 /// assert_eq!(grid.zone_of(site), Zone::Storage);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ZonedGrid {
     cols: u32,
     compute_rows: u32,
@@ -107,13 +107,6 @@ impl ZonedGrid {
             site_spacing: 15e-6,
             zone_gap: 30e-6,
         })
-    }
-
-    /// Overrides the site spacing (meters).
-    #[must_use]
-    pub fn with_site_spacing(mut self, spacing: f64) -> Self {
-        self.site_spacing = spacing;
-        self
     }
 
     /// Overrides the inter-zone gap (meters).
@@ -422,10 +415,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let g = ZonedGrid::for_qubits(4)
-            .with_site_spacing(10e-6)
-            .with_zone_gap(40e-6);
-        assert_eq!(g.site_spacing(), 10e-6);
+        let g = ZonedGrid::for_qubits(4).with_zone_gap(40e-6);
+        assert_eq!(g.site_spacing(), 15e-6);
         assert_eq!(g.zone_gap(), 40e-6);
         let c = g.position(g.site(Zone::Compute, 0, 0).unwrap());
         let s = g.position(g.site(Zone::Storage, 0, 0).unwrap());

@@ -10,11 +10,11 @@
 //! |---|---|
 //! | [`check_schedule`] | the program simulates cleanly and preserves the circuit's CZ gates |
 //! | [`check_aod_batches`] | every move group lowers to per-AOD batches passing [`validate_aod_batches`] |
-//! | [`check_intra_aod_overlap`] | no AOD array owns two overlapping busy windows |
+//! | [`check_intra_aod_overlap`] | no AOD array is named by two non-empty collective moves of one move group |
 //! | [`check_storage_before_interaction`] | no storage-bound window follows an interaction window within a stage transition |
 
-use crate::{validate, CompiledProgram, Instruction, Timeline};
-use powermove_hardware::{validate_aod_batches, AodBatch, Zone};
+use crate::{validate, CompiledProgram, Instruction};
+use powermove_hardware::{validate_aod_batches, AodBatch, AodId, Zone};
 
 /// `schedule-validate`: the program simulates cleanly; when
 /// `expected_cz` is given, its CZ count must also match the source circuit.
@@ -56,17 +56,30 @@ pub fn check_aod_batches(program: &CompiledProgram) -> Result<(), String> {
     Ok(())
 }
 
-/// `intra-aod-overlap`: no AOD array may own two overlapping busy windows.
+/// `intra-aod-overlap`: no AOD array is double-booked, i.e. named by two
+/// non-empty collective moves of one move group.
+///
+/// This is exactly "no AOD owns two overlapping busy windows": every window
+/// of a group starts at the group's start and lasts two transfers plus its
+/// own translation (always positive), so two windows of one AOD in one group
+/// overlap; and no window outlasts its group's duration, so windows of
+/// different groups never do.
 ///
 /// # Errors
 ///
 /// Returns the violation message.
 pub fn check_intra_aod_overlap(program: &CompiledProgram) -> Result<(), String> {
-    let windows = Timeline::of(program).aod_windows(program);
-    for (i, a) in windows.iter().enumerate() {
-        for b in &windows[i + 1..] {
-            if a.aod == b.aod && a.overlaps(b) {
-                return Err(format!("AOD {} double-booked", a.aod));
+    for instruction in program.instructions() {
+        if let Instruction::MoveGroup { coll_moves } = instruction {
+            let busy: Vec<AodId> = coll_moves
+                .iter()
+                .filter(|cm| !cm.is_empty())
+                .map(|cm| cm.aod)
+                .collect();
+            for (i, aod) in busy.iter().enumerate() {
+                if busy[i + 1..].contains(aod) {
+                    return Err(format!("AOD {aod} double-booked"));
+                }
             }
         }
     }

@@ -2,12 +2,12 @@
 
 use powermove_circuit::{CzGate, OneQubitGate, Qubit};
 use powermove_hardware::{AodId, Architecture, SiteId, TrapMove};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// A single-qubit movement between two sites, part of a collective move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SiteMove {
     /// The qubit being moved.
     pub qubit: Qubit,
@@ -53,7 +53,7 @@ impl fmt::Display for SiteMove {
 /// Every qubit of a collective move is transferred from its static trap into
 /// the AOD (one transfer), translated, and dropped back into a static trap
 /// (a second transfer).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CollMove {
     /// The AOD array executing this collective move.
     pub aod: AodId,
@@ -90,12 +90,6 @@ impl CollMove {
             .fold(0.0, f64::max)
     }
 
-    /// Total movement distance over all constituent moves, in meters.
-    #[must_use]
-    pub fn total_distance(&self, arch: &Architecture) -> f64 {
-        self.moves.iter().map(|m| m.distance(arch)).sum()
-    }
-
     /// Duration of the translation (excluding transfers), in seconds.
     #[must_use]
     pub fn move_duration(&self, arch: &Architecture) -> f64 {
@@ -110,7 +104,7 @@ impl CollMove {
 }
 
 /// One instruction of a compiled program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Instruction {
     /// A layer of single-qubit gates executed by parallel Raman pulses.
     OneQubitLayer {
@@ -159,18 +153,6 @@ impl Instruction {
                 2 * coll_moves.iter().map(CollMove::len).sum::<usize>()
             }
             _ => 0,
-        }
-    }
-
-    /// Number of qubit slots this instruction acts on: one per single-qubit
-    /// gate, one per moved qubit, two per CZ gate (a qubit named twice is
-    /// counted twice).
-    #[must_use]
-    pub fn active_qubit_count(&self) -> usize {
-        match self {
-            Instruction::OneQubitLayer { gates } => gates.len(),
-            Instruction::MoveGroup { coll_moves } => coll_moves.iter().map(CollMove::len).sum(),
-            Instruction::RydbergStage { gates } => 2 * gates.len(),
         }
     }
 
@@ -241,7 +223,6 @@ mod tests {
             ],
         );
         assert!((cm.max_distance(&arch) - 30e-6).abs() < 1e-12);
-        assert!((cm.total_distance(&arch) - 45e-6).abs() < 1e-12);
         assert!(cm.move_duration(&arch) > 0.0);
         assert_eq!(cm.len(), 2);
         assert!(!cm.is_empty());
@@ -258,23 +239,6 @@ mod tests {
         ]);
         assert_eq!(instr.transfer_count(), 4);
         assert_eq!(Instruction::rydberg(vec![]).transfer_count(), 0);
-    }
-
-    #[test]
-    fn active_qubit_count_per_instruction_kind() {
-        let layer =
-            Instruction::one_qubit_layer(vec![(q(0), OneQubitGate::H), (q(0), OneQubitGate::X)]);
-        assert_eq!(layer.active_qubit_count(), 2);
-        let stage = Instruction::rydberg(vec![CzGate::new(q(1), q(2)), CzGate::new(q(3), q(4))]);
-        assert_eq!(stage.active_qubit_count(), 4);
-        let arch = Architecture::for_qubits(4);
-        let g = arch.grid();
-        let s = |c, r| g.site(Zone::Compute, c, r).unwrap();
-        let group = Instruction::move_group(vec![
-            CollMove::new(AodId::new(0), vec![SiteMove::new(q(0), s(0, 0), s(1, 0))]),
-            CollMove::new(AodId::new(1), vec![SiteMove::new(q(1), s(0, 1), s(1, 1))]),
-        ]);
-        assert_eq!(group.active_qubit_count(), 2);
     }
 
     #[test]

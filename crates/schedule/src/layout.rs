@@ -3,7 +3,7 @@
 use crate::ScheduleError;
 use powermove_circuit::Qubit;
 use powermove_hardware::{Architecture, SiteId, Zone};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 /// The assignment of logical qubits to trap sites at one point in time.
@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 /// assert!(layout.site_of(Qubit::new(0)).is_some());
 /// assert_eq!(layout.num_placed(), 9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Layout {
     sites: Vec<Option<SiteId>>,
     occupants: BTreeMap<SiteId, Vec<Qubit>>,
@@ -156,12 +156,6 @@ impl Layout {
     pub fn occupied_sites(&self) -> impl Iterator<Item = (SiteId, &[Qubit])> + '_ {
         self.occupants.iter().map(|(s, v)| (*s, v.as_slice()))
     }
-
-    /// Largest occupancy over all sites (0 for an empty layout).
-    #[must_use]
-    pub fn max_occupancy(&self) -> usize {
-        self.occupants.values().map(Vec::len).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +174,7 @@ mod tests {
         // Qubit 5 -> col 1, row 1.
         let expected = arch.grid().site(Zone::Compute, 1, 1).unwrap();
         assert_eq!(layout.site_of(q(5)), Some(expected));
-        assert_eq!(layout.max_occupancy(), 1);
+        assert!(layout.occupied_sites().all(|(_, qs)| qs.len() == 1));
     }
 
     #[test]

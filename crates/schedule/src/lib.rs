@@ -49,7 +49,6 @@ mod error;
 mod instruction;
 mod layout;
 mod program;
-mod timeline;
 mod timing;
 mod trace;
 mod validate;
@@ -59,10 +58,6 @@ pub use error::ScheduleError;
 pub use instruction::{CollMove, Instruction, SiteMove};
 pub use layout::Layout;
 pub use program::{CompileMetadata, CompiledProgram, PassCounter, PassTiming};
-pub use timeline::{AodWindow, EventKind, Timeline, TimelineEvent};
-pub use timing::{
-    instruction_duration, move_group_duration, movement_wall_clock, one_qubit_layer_duration,
-    MovementClock,
-};
+pub use timing::{instruction_duration, move_group_duration, movement_wall_clock, MovementClock};
 pub use trace::{simulate, ExecutionTrace};
 pub use validate::validate;

@@ -2,11 +2,11 @@
 
 use crate::{CollMove, Instruction, Layout};
 use powermove_hardware::Architecture;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Wall-clock time attributed to one named pipeline pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct PassTiming {
     /// Pass name, e.g. `"stage"` or `"route"`.
     pub pass: String,
@@ -15,7 +15,7 @@ pub struct PassTiming {
 }
 
 /// A named work counter accumulated during compilation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Default)]
 pub struct PassCounter {
     /// Counter name, e.g. `"coll_moves"`.
     pub name: String,
@@ -24,7 +24,7 @@ pub struct PassCounter {
 }
 
 /// Metadata describing how a program was produced.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Serialize, Default)]
 pub struct CompileMetadata {
     /// Human-readable compiler name, e.g. `"powermove"` or `"enola"`.
     pub compiler: String,
@@ -89,7 +89,7 @@ impl CompileMetadata {
 /// assert_eq!(program.num_instructions(), 1);
 /// assert_eq!(program.rydberg_stage_count(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CompiledProgram {
     architecture: Architecture,
     num_qubits: u32,

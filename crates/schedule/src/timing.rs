@@ -10,7 +10,7 @@ use powermove_hardware::Architecture;
 /// Duration of a single-qubit layer: the per-qubit serial depth times the
 /// single-qubit gate duration (gates on distinct qubits run in parallel).
 #[must_use]
-pub fn one_qubit_layer_duration(depth: usize, arch: &Architecture) -> f64 {
+fn one_qubit_layer_duration(depth: usize, arch: &Architecture) -> f64 {
     depth as f64 * arch.params().one_qubit_duration
 }
 

@@ -5,13 +5,12 @@ use powermove_circuit::{CzGate, Qubit};
 use powermove_hardware::{
     validate_aod_batches, AodBatch, AodId, HardwareError, SiteId, Zone, ZonedGrid,
 };
-use serde::{Deserialize, Serialize};
 
 /// Quantities accumulated by replaying a [`CompiledProgram`].
 ///
 /// These are exactly the inputs of the fidelity formula (Eq. 1 of the paper)
 /// plus the execution-time metric `T_exe` and a few diagnostic counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionTrace {
     /// Total execution time `T_exe`, in seconds.
     pub total_time: f64,
@@ -43,14 +42,6 @@ pub struct ExecutionTrace {
     pub storage_time: Vec<f64>,
     /// Layout after the last instruction.
     pub final_layout: Layout,
-}
-
-impl ExecutionTrace {
-    /// Total idle (non-storage) time summed over qubits.
-    #[must_use]
-    pub fn total_idle_time(&self) -> f64 {
-        self.idle_time.iter().sum()
-    }
 }
 
 /// Replays a compiled program, validating every instruction against the
@@ -431,7 +422,7 @@ mod tests {
         assert_eq!(t.total_time, 0.0);
         assert_eq!(t.cz_gate_count, 0);
         assert_eq!(t.transfer_count, 0);
-        assert_eq!(t.total_idle_time(), 0.0);
+        assert!(t.idle_time.iter().all(|&idle| idle == 0.0));
     }
 
     #[test]

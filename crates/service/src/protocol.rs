@@ -231,10 +231,12 @@ fn parse_compile(id: i64, value: &Value) -> Result<CompileRequest, FrameError> {
             .ok_or_else(|| FrameError::new(Some(id), "`aods` must be a positive integer"))?,
     };
     let config = parse_config(id, value.get("config"))?;
-    let include_program = value
-        .get("include_program")
-        .and_then(Value::as_bool)
-        .unwrap_or(false);
+    let include_program = match value.get("include_program") {
+        None => false,
+        Some(v) => v
+            .as_bool()
+            .ok_or_else(|| FrameError::new(Some(id), "`include_program` must be a boolean"))?,
+    };
     Ok(CompileRequest {
         id,
         source,
@@ -288,6 +290,9 @@ fn parse_config(id: i64, value: Option<&Value>) -> Result<CompilerConfig, FrameE
     let Some(value) = value else {
         return Ok(config);
     };
+    if value.as_object().is_none() {
+        return Err(FrameError::new(Some(id), "`config` must be an object"));
+    }
     if let Some(storage) = value.get("storage") {
         match storage.as_bool() {
             Some(true) => {}
@@ -318,22 +323,29 @@ fn parse_config(id: i64, value: Option<&Value>) -> Result<CompilerConfig, FrameE
                 FrameError::new(Some(id), "`config.threads` must be a non-negative integer")
             })?;
     }
-    if let Some(routing) = value.get("routing") {
-        let name = routing
-            .as_str()
-            .ok_or_else(|| FrameError::new(Some(id), "`config.routing` must be a string"))?;
-        let lookahead = match value.get("lookahead") {
-            None => 2,
-            Some(v) => v
-                .as_i64()
-                .and_then(|d| usize::try_from(d).ok())
-                .ok_or_else(|| {
-                    FrameError::new(
-                        Some(id),
-                        "`config.lookahead` must be a non-negative integer",
-                    )
-                })?,
-        };
+    let routing = match value.get("routing") {
+        None => None,
+        Some(routing) => Some(
+            routing
+                .as_str()
+                .ok_or_else(|| FrameError::new(Some(id), "`config.routing` must be a string"))?,
+        ),
+    };
+    // Checked even without `routing`, so a malformed window is never
+    // silently ignored.
+    let lookahead = match value.get("lookahead") {
+        None => 2,
+        Some(v) => v
+            .as_i64()
+            .and_then(|d| usize::try_from(d).ok())
+            .ok_or_else(|| {
+                FrameError::new(
+                    Some(id),
+                    "`config.lookahead` must be a non-negative integer",
+                )
+            })?,
+    };
+    if let Some(name) = routing {
         config.routing = match name {
             "greedy" => RoutingConfig::greedy(),
             "lookahead" => RoutingConfig::lookahead(lookahead),
@@ -479,6 +491,23 @@ mod tests {
                     "config": {"routing": "auto-model"}}"#,
                 Some(11),
                 "unknown routing strategy `auto-model`",
+            ),
+            (
+                r#"{"id": 12, "benchmark": {"family": "BV", "qubits": 8}, "config": 5}"#,
+                Some(12),
+                "`config` must be an object",
+            ),
+            (
+                r#"{"id": 13, "benchmark": {"family": "BV", "qubits": 8},
+                    "include_program": "yes"}"#,
+                Some(13),
+                "`include_program` must be a boolean",
+            ),
+            (
+                r#"{"id": 14, "benchmark": {"family": "BV", "qubits": 8},
+                    "config": {"lookahead": "deep"}}"#,
+                Some(14),
+                "`config.lookahead` must be a non-negative integer",
             ),
         ];
         for (frame, id, message) in rows {

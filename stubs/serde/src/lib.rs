@@ -2,17 +2,17 @@
 //!
 //! The build environment cannot reach crates.io, so the workspace vendors a
 //! minimal serialization framework with the same import surface the code
-//! uses (`use serde::{Deserialize, Serialize};` plus the derive macros). A
-//! [`Serialize`] implementation produces a tree-structured [`Value`] that the
-//! vendored `serde_json` renders as JSON. Deserialization is accepted at the
-//! derive level but intentionally unimplemented — nothing in this workspace
-//! reads serialized data back.
+//! uses (`use serde::Serialize;` plus the derive macro). A [`Serialize`]
+//! implementation produces a tree-structured [`Value`] that the vendored
+//! `serde_json` renders as JSON. There is no derive-based read half: code
+//! that reads JSON walks the [`Value`] tree that `serde_json::from_str`
+//! returns.
 
 // Let the generated `::serde::...` paths resolve when the derive is used
 // inside this crate's own tests.
 extern crate self as serde;
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -104,12 +104,6 @@ pub trait Serialize {
     /// Serializes `self` into a [`Value`].
     fn serialize(&self) -> Value;
 }
-
-/// Marker trait mirroring `serde::Deserialize`.
-///
-/// The vendored derive expands `#[derive(Deserialize)]` to nothing, so this
-/// trait exists only so that `use serde::Deserialize` keeps resolving.
-pub trait Deserialize {}
 
 impl Serialize for Value {
     fn serialize(&self) -> Value {

@@ -1,12 +1,13 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! The build environment has no access to crates.io, so the workspace vendors
-//! a minimal replacement for the serde derive macros. `#[derive(Serialize)]`
-//! generates a real implementation of the vendored `serde::Serialize` trait
-//! (tree-structured `serde::Value` output, externally tagged enums, newtype
-//! unwrapping — mirroring serde's default representation closely enough for
-//! the JSON reports the bench harness emits). `#[derive(Deserialize)]` is
-//! accepted and expands to nothing: no code in this workspace deserializes.
+//! a minimal replacement for serde's `Serialize` derive macro.
+//! `#[derive(Serialize)]` generates a real implementation of the vendored
+//! `serde::Serialize` trait (tree-structured `serde::Value` output,
+//! externally tagged enums, newtype unwrapping — mirroring serde's default
+//! representation closely enough for the JSON reports the bench harness
+//! emits). There is no read-side derive: no code in this workspace parses
+//! JSON into a typed value.
 //!
 //! Supported shapes: non-generic structs (named, tuple, unit) and non-generic
 //! enums with unit, tuple and struct variants. Generic types are rejected
@@ -22,12 +23,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         Err(msg) => return compile_error(&msg),
     };
     generate_impl(&item).parse().expect("generated impl parses")
-}
-
-/// Accepts `#[derive(Deserialize)]` and expands to nothing.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
 }
 
 fn compile_error(msg: &str) -> TokenStream {
@@ -180,24 +175,17 @@ fn count_top_level_fields(stream: TokenStream) -> usize {
     }
     let mut count = 1;
     let mut angle_depth = 0_i32;
-    let mut saw_trailing_comma = false;
     for (idx, tok) in tokens.iter().enumerate() {
         if let TokenTree::Punct(p) = tok {
             match p.as_char() {
                 '<' => angle_depth += 1,
                 '>' => angle_depth -= 1,
-                ',' if angle_depth == 0 => {
-                    if idx + 1 == tokens.len() {
-                        saw_trailing_comma = true;
-                    } else {
-                        count += 1;
-                    }
-                }
+                // A trailing comma does not start another field.
+                ',' if angle_depth == 0 && idx + 1 < tokens.len() => count += 1,
                 _ => {}
             }
         }
     }
-    let _ = saw_trailing_comma;
     count
 }
 

@@ -1,8 +1,8 @@
 //! Offline stand-in for `serde_json`: renders the vendored [`serde::Value`]
 //! tree as JSON text, and parses JSON text back into a [`Value`] tree
-//! ([`from_str`]). The derive-based `Deserialize` half of real `serde_json`
-//! is not provided — callers that read JSON (e.g. the `bench-gate` baseline
-//! loader) extract fields from the parsed [`Value`] explicitly.
+//! ([`from_str`]). There is no typed, derive-based parsing: callers that
+//! read JSON (e.g. the `bench-gate` baseline loader) extract fields from the
+//! parsed [`Value`] explicitly.
 
 pub use serde::Value;
 

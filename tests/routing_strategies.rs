@@ -6,21 +6,21 @@
 //!   explicitly reproduces the default compiler's output bit for bit (the
 //!   pre-refactor behaviour, also pinned by the benchmark gate's exact
 //!   stage/transfer checks against the recorded baseline);
-//! * the multi-AOD scheduler's schedules pass validation with zero
-//!   intra-AOD move-window overlaps while distinct AODs do overlap;
+//! * the multi-AOD scheduler's schedules pass validation with no
+//!   double-booked AOD while some move group drives several AODs at once;
 //! * at two or more AODs the balanced windows never move slower than the
 //!   greedy chunking, and beat it on movement-heavy workloads;
 //! * the greedy router's spatial free-site index actually prunes
 //!   candidates on a routing-heavy instance.
 
 use powermove_suite::benchmarks::{generate, BenchmarkFamily};
-use powermove_suite::fidelity::{attribute_movement, evaluate_program};
+use powermove_suite::fidelity::evaluate_program;
 use powermove_suite::hardware::Architecture;
 use powermove_suite::powermove::{
     CompilerConfig, GreedyRouter, PowerMoveCompiler, RoutingConfig, SITES_PRUNED, SITE_SCANS,
 };
 use powermove_suite::schedule::check::check_intra_aod_overlap;
-use powermove_suite::schedule::{canonical_program_bytes, validate, CompiledProgram, Timeline};
+use powermove_suite::schedule::{canonical_program_bytes, validate, CompiledProgram, Instruction};
 use std::sync::Arc;
 
 const SEED: u64 = 20250;
@@ -107,25 +107,17 @@ fn multi_aod_schedules_have_zero_intra_aod_window_overlaps() {
             if let Err(e) = check_intra_aod_overlap(&program) {
                 panic!("{family}@{aods}aods: {e}");
             }
-            let windows = Timeline::of(&program).aod_windows(&program);
-            // The parallelism is real: some window pair on distinct AODs
-            // overlaps (every program here moves more qubits than one AOD
-            // batch carries).
-            let overlapping = windows.iter().enumerate().any(|(i, a)| {
-                windows[i + 1..]
-                    .iter()
-                    .any(|b| a.aod != b.aod && a.overlaps(b))
+            // The parallelism is real: some move group drives two or more
+            // AODs at once (every program here moves more qubits than one
+            // AOD batch carries).
+            let parallel = program.instructions().iter().any(|instruction| {
+                matches!(instruction, Instruction::MoveGroup { coll_moves }
+                    if coll_moves.iter().filter(|cm| !cm.is_empty()).count() >= 2)
             });
             assert!(
-                overlapping,
-                "{family}@{aods}aods: no distinct-AOD windows overlap"
+                parallel,
+                "{family}@{aods}aods: no move group drives two AODs"
             );
-            // Per-AOD attribution covers the whole schedule.
-            let stats = attribute_movement(&program);
-            assert!(!stats.is_empty());
-            let report = evaluate_program(&program).expect("scores");
-            let moved: usize = stats.iter().map(|s| s.moved_qubits).sum();
-            assert_eq!(2 * moved, report.trace.transfer_count);
         }
     }
 }
