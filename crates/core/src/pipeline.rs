@@ -17,14 +17,14 @@
 //!
 //! Passes whose units of work are independent — [`StagePass`] (per CZ
 //! block) and [`MovePass`] (per routed stage) — fan out over a
-//! [`ThreadPool`] with order-preserving `par_map`, so the emitted program is
-//! byte-identical for every `POWERMOVE_THREADS` setting. Each worker records
-//! into a [`CompileContext::scratch`] context that is merged back
-//! deterministically ([`CompileContext::merge`]); merged pass timings
-//! therefore report *total work time* (the sum across workers), which can
-//! exceed the wall-clock `compile_time` on multi-core runs. [`RoutePass`]
-//! stays sequential by construction: the router threads one mutable layout
-//! through every stage transition.
+//! [`ThreadPool`] in contiguous chunks whose results keep input order, so
+//! the emitted program is byte-identical for every `POWERMOVE_THREADS`
+//! setting. Each chunk records into one [`CompileContext::scratch`] context
+//! that is merged back in input order ([`CompileContext::merge`]); merged
+//! pass timings therefore report *total work time* (the sum across
+//! workers), which can exceed the wall-clock `compile_time` on multi-core
+//! runs. [`RoutePass`] stays sequential by construction: the router threads
+//! one mutable layout through every stage transition.
 //!
 //! The [`CompilerBackend`] trait is the open entry point tying it together:
 //! any compiler that lowers a [`BlockProgram`] onto an [`Architecture`] can
@@ -389,7 +389,7 @@ impl StagedProgram {
 /// interchange metric (Sec. 4 of the paper).
 ///
 /// Every CZ block is independent, so the pass fans the blocks out over the
-/// given [`ThreadPool`]. `par_map` preserves input order and the per-block
+/// given [`ThreadPool`]. The fan-out preserves input order and the per-block
 /// computation is deterministic, which keeps the staged program identical
 /// for every worker count.
 #[derive(Debug, Clone, Copy)]
@@ -416,19 +416,18 @@ impl StagePass {
         ctx: &mut CompileContext,
     ) -> StagedProgram {
         let alpha = self.alpha;
-        let jobs: Vec<&Segment> = blocks.segments().iter().collect();
         let segments = par_map_merging(
             pool,
             ctx,
             Self::NAME,
-            jobs,
+            blocks.segments(),
             |segment, worker| match segment {
                 Segment::OneQubit(layer) => StagedSegment::OneQubit(layer.gates().to_vec()),
-                Segment::Cz(block) => worker.time(Self::NAME, |worker| {
+                Segment::Cz(block) => {
                     let stages = schedule_stages(partition_stages(block), alpha);
                     worker.count("stages", stages.len() as u64);
                     StagedSegment::Stages(stages)
-                }),
+                }
             },
         );
         StagedProgram {
@@ -440,35 +439,39 @@ impl StagePass {
 
 /// Shared fan-out scaffolding of the parallel passes: registers `pass` in
 /// `ctx` (so it appears even for empty programs), maps `items` over `pool`
-/// with one [`CompileContext::scratch`] context per item, and merges the
-/// worker contexts back into `ctx` in input order — keeping timing/counter
-/// layout deterministic for every worker count.
+/// one contiguous chunk at a time ([`ThreadPool::par_map_chunks`]), and
+/// merges the chunk contexts back into `ctx` in input order.
 ///
-/// Dispatch is chunked ([`ThreadPool::par_map_chunked`]): block-level
-/// fan-outs scale with program size (a 100k-block program would otherwise
-/// queue 100k jobs), so the pool packs contiguous index ranges into one job
-/// each while `f` still observes items one at a time.
+/// Each chunk gets one [`CompileContext::scratch`] context, which `f` sees
+/// for every item of the chunk, and is timed once under `pass`. Block- and
+/// stage-level fan-outs scale with program size (QFT-256 lowers 65k
+/// segments), so per-item contexts would allocate a pass name and counter
+/// names per item. Counter values are sums and chunks merge in input order,
+/// so the counters and their first-recorded order are the same for every
+/// worker count.
 fn par_map_merging<T, R>(
     pool: &ThreadPool,
     ctx: &mut CompileContext,
     pass: &str,
-    items: Vec<T>,
-    f: impl Fn(T, &mut CompileContext) -> R + Sync,
+    items: &[T],
+    f: impl Fn(&T, &mut CompileContext) -> R + Sync,
 ) -> Vec<R>
 where
-    T: Send,
+    T: Sync,
     R: Send,
 {
     ctx.time(pass, |_| ());
-    let mapped = pool.par_map_chunked(items, |item| {
+    let chunks = pool.par_map_chunks(items, |chunk| {
         let mut worker = CompileContext::scratch();
-        let out = f(item, &mut worker);
+        let out: Vec<R> = worker.time(pass, |worker| {
+            chunk.iter().map(|item| f(item, worker)).collect()
+        });
         (out, worker)
     });
-    let mut results = Vec::with_capacity(mapped.len());
-    for (out, worker) in mapped {
+    let mut results = Vec::with_capacity(items.len());
+    for (out, worker) in chunks {
         ctx.merge(worker);
-        results.push(out);
+        results.extend(out);
     }
     results
 }
@@ -702,37 +705,38 @@ impl MovePass {
         pool: &ThreadPool,
         ctx: &mut CompileContext,
     ) -> Vec<Instruction> {
-        let jobs: Vec<&RoutedSegment> = routed.segments().iter().collect();
-        let runs = par_map_merging(pool, ctx, Self::NAME, jobs, |segment, worker| {
-            match segment {
+        let runs = par_map_merging(
+            pool,
+            ctx,
+            Self::NAME,
+            routed.segments(),
+            |segment, worker| match segment {
                 RoutedSegment::OneQubit(gates) => {
                     vec![Instruction::one_qubit_layer(gates.clone())]
                 }
                 RoutedSegment::Stage(RoutedStage { stage, routing }) => {
-                    worker.time(Self::NAME, |worker| {
-                        // The strategy decides grouping, ordering and AOD
-                        // packing; the greedy default realizes the
-                        // move-in-first policy of Sec. 6.1 (storage-bound
-                        // moves strictly before interactions, so a vacated
-                        // site is free before an interaction arrives).
-                        let mut packed =
-                            self.strategy
-                                .schedule_moves(routing, arch, self.use_grouping);
-                        let coll_moves: usize = packed
-                            .iter()
-                            .map(|i| match i {
-                                Instruction::MoveGroup { coll_moves } => coll_moves.len(),
-                                _ => 0,
-                            })
-                            .sum();
-                        worker.count("coll_moves", coll_moves as u64);
-                        worker.count("move_groups", packed.len() as u64);
-                        packed.push(Instruction::rydberg(stage.gates().to_vec()));
-                        packed
-                    })
+                    // The strategy decides grouping, ordering and AOD
+                    // packing; the greedy default realizes the move-in-first
+                    // policy of Sec. 6.1 (storage-bound moves strictly
+                    // before interactions, so a vacated site is free before
+                    // an interaction arrives).
+                    let mut packed = self
+                        .strategy
+                        .schedule_moves(routing, arch, self.use_grouping);
+                    let coll_moves: usize = packed
+                        .iter()
+                        .map(|i| match i {
+                            Instruction::MoveGroup { coll_moves } => coll_moves.len(),
+                            _ => 0,
+                        })
+                        .sum();
+                    worker.count("coll_moves", coll_moves as u64);
+                    worker.count("move_groups", packed.len() as u64);
+                    packed.push(Instruction::rydberg(stage.gates().to_vec()));
+                    packed
                 }
-            }
-        });
+            },
+        );
         runs.into_iter().flatten().collect()
     }
 }
@@ -1098,6 +1102,36 @@ mod tests {
             &mut CompileContext::new(),
         );
         assert_eq!(sequential, parallel);
+    }
+
+    #[test]
+    fn stage_and_move_pass_counters_are_identical_across_worker_counts() {
+        // QFT-64 lowers thousands of one-gate stages, so every worker count
+        // above one splits both fan-outs into many chunks; the merged
+        // counters, and the order they were first recorded in, must not see
+        // the split.
+        let arch = Architecture::for_qubits(64);
+        let blocks = BlockProgram::from_circuit(&powermove_benchmarks::qft(64));
+        let staged = StagePass::new(0.5).run(&blocks, &pool(), &mut CompileContext::new());
+        let routed = RoutePass::new(true)
+            .run(&staged, &arch, &mut CompileContext::new())
+            .unwrap();
+        let lower_at = |threads: usize| {
+            let pool = ThreadPool::new(Parallelism::fixed(threads));
+            let mut ctx = CompileContext::new();
+            let restaged = StagePass::new(0.5).run(&blocks, &pool, &mut ctx);
+            assert_eq!(restaged, staged, "staging changed at {threads} workers");
+            let instructions = MovePass::new(true).run(&routed, &arch, &pool, &mut ctx);
+            let timed: Vec<String> = ctx.timings().iter().map(|t| t.pass.clone()).collect();
+            assert_eq!(timed, [StagePass::NAME, MovePass::NAME]);
+            (instructions, ctx.counters().to_vec())
+        };
+        let sequential = lower_at(1);
+        let names: Vec<&str> = sequential.1.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["stages", "coll_moves", "move_groups"]);
+        for threads in [2, 3, 8] {
+            assert_eq!(lower_at(threads), sequential, "{threads} workers");
+        }
     }
 
     #[test]

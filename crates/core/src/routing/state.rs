@@ -22,6 +22,12 @@
 //! layout at the end of the stage, the arena and the layout agree at every
 //! stage boundary, so the arena never needs rebuilding.
 //!
+//! The arena also mirrors the *current* layout — each site's occupant
+//! count, the computation-zone residents and the shared sites — updated
+//! wherever the layout moves a qubit. The planner reads vacancy, parking
+//! candidates and stale pairs from the mirror, so routing a one-gate stage
+//! costs what the stage touches, not a walk over every qubit or site.
+//!
 //! # The spatial free-site index
 //!
 //! The planner's hot *query* is `best_free_site`: which free site of a zone
@@ -236,9 +242,6 @@ impl<F: Fn(Qubit, Qubit, SiteId) -> f64> SitePolicy for BiasFn<F> {
     }
 }
 
-/// Marks a site as not present in any free list.
-const NOT_FREE: usize = usize::MAX;
-
 /// One site's planned occupants: at most two (an interacting pair).
 ///
 /// The planner only ever co-locates the two qubits of one CZ gate, so a
@@ -279,18 +282,99 @@ impl PlannedSite {
     }
 }
 
-/// The persistent planned-occupancy arena (see the module docs): flat
-/// site-indexed occupant cells, per-zone lists of planned-free sites (with a
-/// site→list-position index for O(1) removal), the spatial free-site bitset
-/// index mirroring those lists, and a per-qubit departs-to-storage flag
-/// used by the blocking test.
-#[derive(Debug, Clone, Default)]
+/// A key drawn from a dense index range: qubits and sites.
+trait DenseKey: Copy {
+    fn dense(self) -> usize;
+}
+
+impl DenseKey for Qubit {
+    fn dense(self) -> usize {
+        self.as_usize()
+    }
+}
+
+impl DenseKey for SiteId {
+    fn dense(self) -> usize {
+        self.index()
+    }
+}
+
+/// Marks a key as not present in a [`DenseSet`].
+const ABSENT: usize = usize::MAX;
+
+/// A set of dense keys with O(1) insert, remove and membership: the members
+/// in a list plus a key→list-position index, removed by swap-remove. The
+/// list order depends on the update history, so readers that need a
+/// deterministic order sort or fold under a total order.
+#[derive(Debug, Clone)]
+struct DenseSet<T> {
+    members: Vec<T>,
+    pos: Vec<usize>,
+}
+
+impl<T: DenseKey> DenseSet<T> {
+    /// An empty set over the keys `0..universe`.
+    fn new(universe: usize) -> Self {
+        DenseSet {
+            members: Vec::new(),
+            pos: vec![ABSENT; universe],
+        }
+    }
+
+    fn contains(&self, key: T) -> bool {
+        self.pos[key.dense()] != ABSENT
+    }
+
+    fn insert(&mut self, key: T) {
+        debug_assert!(!self.contains(key), "key already in the set");
+        self.pos[key.dense()] = self.members.len();
+        self.members.push(key);
+    }
+
+    fn remove(&mut self, key: T) {
+        let pos = self.pos[key.dense()];
+        debug_assert!(pos != ABSENT, "key was not in the set");
+        self.members.swap_remove(pos);
+        if let Some(&moved) = self.members.get(pos) {
+            self.pos[moved.dense()] = pos;
+        }
+        self.pos[key.dense()] = ABSENT;
+    }
+
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.members
+    }
+}
+
+/// The persistent occupancy arena (see the module docs). It keeps two views
+/// of the grid side by side.
+///
+/// The *planned* view is what the transition being planned will leave
+/// behind: flat site-indexed occupant cells, the per-zone sets of
+/// planned-free sites, the spatial free-site index mirroring those sets,
+/// and a per-qubit departs-to-storage flag used by the blocking test.
+/// [`OccupancyArena::insert`] and [`OccupancyArena::remove`] are its only
+/// update points.
+///
+/// The *current* view mirrors the layout as it stands before the
+/// transition: each site's occupant count, the qubits resident in the
+/// computation zone, and the sites holding two or more qubits. It changes
+/// only where the layout does, through [`OccupancyArena::relocate`], so the
+/// planner reads vacancy, parking candidates and stale pairs without
+/// walking the layout's site map.
+#[derive(Debug, Clone)]
 struct OccupancyArena {
     planned: Vec<PlannedSite>,
-    free: [Vec<SiteId>; 2],
-    free_pos: Vec<usize>,
+    free: [DenseSet<SiteId>; 2],
     storage_mover: Vec<bool>,
     index: SiteIndex,
+    current: Vec<u8>,
+    compute_residents: DenseSet<Qubit>,
+    pairs: DenseSet<SiteId>,
 }
 
 fn zone_index(zone: Zone) -> usize {
@@ -303,12 +387,15 @@ fn zone_index(zone: Zone) -> usize {
 impl OccupancyArena {
     fn new(grid: &ZonedGrid, layout: &Layout) -> Self {
         let num_sites = grid.num_sites();
+        let num_qubits = layout.num_qubits() as usize;
         let mut arena = OccupancyArena {
             planned: vec![PlannedSite::default(); num_sites],
-            free: [Vec::new(), Vec::new()],
-            free_pos: vec![NOT_FREE; num_sites],
-            storage_mover: vec![false; layout.num_qubits() as usize],
+            free: [DenseSet::new(num_sites), DenseSet::new(num_sites)],
+            storage_mover: vec![false; num_qubits],
             index: SiteIndex::new(grid),
+            current: vec![0; num_sites],
+            compute_residents: DenseSet::new(num_qubits),
+            pairs: DenseSet::new(num_sites),
         };
         for zone in [Zone::Compute, Zone::Storage] {
             for site in grid.sites_in(zone) {
@@ -317,26 +404,18 @@ impl OccupancyArena {
         }
         for (q, site) in layout.iter() {
             arena.insert(grid, site, q);
+            arena.arrive(grid, site, q);
         }
         arena
     }
 
     fn mark_free(&mut self, zone: Zone, site: SiteId) {
-        let list = &mut self.free[zone_index(zone)];
-        self.free_pos[site.index()] = list.len();
-        list.push(site);
+        self.free[zone_index(zone)].insert(site);
         self.index.set_free(zone, site);
     }
 
     fn unmark_free(&mut self, zone: Zone, site: SiteId) {
-        let list = &mut self.free[zone_index(zone)];
-        let pos = self.free_pos[site.index()];
-        debug_assert!(pos != NOT_FREE, "site was not in the free list");
-        list.swap_remove(pos);
-        if let Some(&moved) = list.get(pos) {
-            self.free_pos[moved.index()] = pos;
-        }
-        self.free_pos[site.index()] = NOT_FREE;
+        self.free[zone_index(zone)].remove(site);
         self.index.clear_free(zone, site);
     }
 
@@ -362,6 +441,49 @@ impl OccupancyArena {
 
     fn planned_len(&self, site: SiteId) -> usize {
         self.planned[site.index()].0.iter().flatten().count()
+    }
+
+    /// Returns `true` if no qubit occupies `site` in the current layout.
+    fn is_vacant(&self, site: SiteId) -> bool {
+        self.current[site.index()] == 0
+    }
+
+    /// Moves `q` to `to` in `layout` — or removes it, for `None` — and
+    /// updates the current view to match: the single point where the
+    /// layout the arena mirrors changes.
+    fn relocate(&mut self, grid: &ZonedGrid, layout: &mut Layout, q: Qubit, to: Option<SiteId>) {
+        if let Some(from) = layout.site_of(q) {
+            self.depart(grid, from, q);
+        }
+        match to {
+            Some(site) => {
+                layout.place(q, site);
+                self.arrive(grid, site, q);
+            }
+            None => layout.remove(q),
+        }
+    }
+
+    fn arrive(&mut self, grid: &ZonedGrid, site: SiteId, q: Qubit) {
+        let count = &mut self.current[site.index()];
+        *count += 1;
+        if *count == 2 {
+            self.pairs.insert(site);
+        }
+        if grid.zone_of(site) == Zone::Compute {
+            self.compute_residents.insert(q);
+        }
+    }
+
+    fn depart(&mut self, grid: &ZonedGrid, site: SiteId, q: Qubit) {
+        let count = &mut self.current[site.index()];
+        *count -= 1;
+        if *count == 1 {
+            self.pairs.remove(site);
+        }
+        if grid.zone_of(site) == Zone::Compute {
+            self.compute_residents.remove(q);
+        }
     }
 }
 
@@ -505,17 +627,15 @@ impl RoutingState {
         // co-located from a previous stage that do not interact now would
         // undergo an unwanted CZ during the next excitation, so one of them
         // is relocated to the nearest free computation-zone site.
+        // Candidates are the arena's shared sites, visited in ascending site
+        // order with occupants in layout order.
         if !*use_storage {
-            let stale: Vec<(Qubit, SiteId)> = layout
-                .occupied_sites()
-                .filter(|(_, occupants)| occupants.len() >= 2 && occupants.iter().all(idle))
-                .flat_map(|(site, occupants)| {
-                    occupants
-                        .iter()
-                        .skip(1)
-                        .map(move |&q| (q, site))
-                        .collect::<Vec<_>>()
-                })
+            let mut shared = arena.pairs.as_slice().to_vec();
+            shared.sort_unstable();
+            let stale: Vec<(Qubit, SiteId)> = shared
+                .into_iter()
+                .filter(|&site| layout.occupants(site).iter().all(idle))
+                .flat_map(|site| layout.occupants(site)[1..].iter().map(move |&q| (q, site)))
                 .collect();
             for (q, from) in stale {
                 arena.remove(grid, from, q);
@@ -538,12 +658,19 @@ impl RoutingState {
         // prescribed in Sec. 5.2 — lets the farthest qubit take the
         // shallowest free row, which both shortens the longest move and
         // preserves the relative row order of the parked qubits, so the
-        // parking moves typically fit in a single collective move.
+        // parking moves typically fit in a single collective move. The
+        // candidates are the arena's computation-zone residents; the sort
+        // key is total, so their set order does not matter.
         if *use_storage {
-            let mut to_park: Vec<(Qubit, SiteId, Point)> = layout
+            let mut to_park: Vec<(Qubit, SiteId, Point)> = arena
+                .compute_residents
+                .as_slice()
                 .iter()
-                .filter(|(q, site)| idle(q) && grid.zone_of(*site) == Zone::Compute)
-                .map(|(q, site)| (q, site, grid.position(site)))
+                .filter(|q| idle(q))
+                .map(|&q| {
+                    let site = layout.site_of(q).expect("resident qubit is placed");
+                    (q, site, grid.position(site))
+                })
                 .collect();
             to_park.sort_by(|a, b| {
                 b.2.y
@@ -556,7 +683,7 @@ impl RoutingState {
                 let (col, _) = grid.col_row(from);
                 let same_column = (0..grid.storage_rows())
                     .filter_map(|row| grid.site(Zone::Storage, col, row))
-                    .find(|s| arena.planned_len(*s) == 0 && layout.occupancy(*s) == 0);
+                    .find(|s| arena.planned_len(*s) == 0 && arena.is_vacant(*s));
                 let target = same_column
                     .or_else(|| {
                         SiteFinder::new(arena, layout, grid, search)
@@ -676,8 +803,12 @@ impl RoutingState {
         // per-stage departs-to-storage flags. The layout now matches the
         // arena's planned occupancy exactly — the invariant that lets the
         // arena persist into the next stage without a rebuild.
-        for m in routing.all_moves() {
-            layout.move_qubit(m.qubit, m.to);
+        for m in routing
+            .storage_moves
+            .iter()
+            .chain(&routing.interaction_moves)
+        {
+            arena.relocate(grid, layout, m.qubit, Some(m.to));
         }
         for m in &routing.storage_moves {
             arena.storage_mover[m.qubit.as_usize()] = false;
@@ -813,7 +944,7 @@ impl<'a> SiteFinder<'a> {
     ) -> Option<SiteId> {
         let mut best_vacant: Option<(f64, SiteId)> = None;
         let mut best_any: Option<(f64, SiteId)> = None;
-        for &site in &self.arena.free[zone_index(zone)] {
+        for &site in self.arena.free[zone_index(zone)].as_slice() {
             let pos = self.grid.position(site);
             let s = pos.distance(anchor) + bias(site, pos);
             if beats(s, site, &best_any) {
@@ -883,7 +1014,7 @@ impl<'a> SiteFinder<'a> {
                 }
             }
             examined += 1;
-            let vacant = self.layout.occupancy(site) == 0;
+            let vacant = self.arena.is_vacant(site);
             if !vacant && best_vacant.is_some() {
                 continue;
             }
@@ -964,15 +1095,16 @@ impl FreeSiteHarness {
         if let Some(old) = self.layout.site_of(q) {
             self.arena.remove(grid, old, q);
         }
-        self.layout.place(q, site);
+        self.arena.relocate(grid, &mut self.layout, q, Some(site));
         self.arena.insert(grid, site, q);
     }
 
     /// Removes `q` from both the layout and the arena plan.
     pub fn vacate(&mut self, q: Qubit) {
+        let grid = self.arch.grid();
         if let Some(site) = self.layout.site_of(q) {
-            self.arena.remove(self.arch.grid(), site, q);
-            self.layout.remove(q);
+            self.arena.remove(grid, site, q);
+            self.arena.relocate(grid, &mut self.layout, q, None);
         }
     }
 
@@ -1115,11 +1247,47 @@ mod tests {
             let mut current: Vec<Qubit> = router.layout().occupants(site).to_vec();
             current.sort();
             assert_eq!(planned, current, "arena drifted from layout at {site}");
-            let in_free_list = router.arena.free_pos[site.index()] != NOT_FREE;
+            let in_free_list = router.arena.free[zone_index(grid.zone_of(site))].contains(site);
             assert_eq!(
                 in_free_list,
                 planned.is_empty(),
                 "free list stale at {site}"
+            );
+        }
+        assert_current_view_matches(&router.arena, router.layout(), grid);
+    }
+
+    /// The arena's current view — vacancy mirror, compute residents and
+    /// shared sites — must equal the layout it mirrors, at every point the
+    /// layout changes.
+    fn assert_current_view_matches(arena: &OccupancyArena, layout: &Layout, grid: &ZonedGrid) {
+        for site in grid.all_sites() {
+            let occupancy = layout.occupancy(site);
+            assert_eq!(
+                usize::from(arena.current[site.index()]),
+                occupancy,
+                "vacancy mirror drifted from layout at {site}"
+            );
+            assert_eq!(
+                arena.pairs.contains(site),
+                occupancy >= 2,
+                "shared-site set stale at {site}"
+            );
+        }
+        let mut residents: Vec<Qubit> = layout
+            .iter()
+            .filter(|&(_, site)| grid.zone_of(site) == Zone::Compute)
+            .map(|(q, _)| q)
+            .collect();
+        residents.sort();
+        let mut tracked = arena.compute_residents.as_slice().to_vec();
+        tracked.sort();
+        assert_eq!(tracked, residents, "compute residents drifted from layout");
+        for q in 0..layout.num_qubits() {
+            assert_eq!(
+                arena.compute_residents.contains(Qubit::new(q)),
+                residents.binary_search(&Qubit::new(q)).is_ok(),
+                "resident index stale for q{q}"
             );
         }
     }
@@ -1351,6 +1519,67 @@ mod tests {
             grid.num_compute_sites() - 5
         );
         assert_eq!(h.planned_len(anchor_site), 0);
+        assert_current_view_matches(&h.arena, &h.layout, &grid);
+    }
+
+    #[test]
+    fn harness_churn_keeps_the_current_view_in_step_with_the_layout() {
+        // Seeded occupy / relocate / vacate churn across both zones,
+        // including stacking two qubits on one site and moving a qubit off a
+        // shared site; the current view is checked after every step. Each
+        // step also unplans a placed qubit, leaving its site plan-free but
+        // occupied (a departure mid-stage), and asks the pruned search —
+        // which reads vacancy from the mirror — for the site nearest it.
+        let zero = |_: SiteId, _: Point| 0.0;
+        let arch = Architecture::for_qubits(16);
+        let mut h = FreeSiteHarness::new(arch, 16);
+        let grid = h.grid().clone();
+        let num_sites = grid.num_sites() as u64;
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut shared_steps = 0;
+        for step in 0..600 {
+            let qubit = q(next(16) as u32);
+            if next(5) == 0 {
+                h.vacate(qubit);
+            } else {
+                let site = SiteId::new(next(num_sites) as usize);
+                if h.planned_len(site) < 2 || h.layout.site_of(qubit) == Some(site) {
+                    h.occupy(qubit, site);
+                }
+            }
+            if step % 7 == 0 {
+                // Stack a second qubit onto a singly occupied site.
+                let single = h
+                    .layout
+                    .occupied_sites()
+                    .find(|(_, occupants)| occupants.len() == 1)
+                    .map(|(site, _)| site);
+                let other = q(next(16) as u32);
+                if let Some(site) = single.filter(|&s| h.layout.site_of(other) != Some(s)) {
+                    h.occupy(other, site);
+                }
+            }
+            assert_current_view_matches(&h.arena, &h.layout, &grid);
+            shared_steps += usize::from(h.arena.pairs.len() > 0);
+            let mover = q(next(16) as u32);
+            if let Some(site) = h.layout.site_of(mover) {
+                h.unplan(mover, site);
+                let (zone, anchor) = (grid.zone_of(site), grid.position(site));
+                assert_eq!(
+                    h.best(zone, anchor, 0.0, Attractors::default(), &zero),
+                    h.best_linear(zone, anchor, &zero),
+                    "step {step}: pruned search diverged next to a departing qubit"
+                );
+                h.plan(mover, site);
+            }
+        }
+        assert!(shared_steps > 0, "churn never stacked two qubits on a site");
     }
 
     #[test]

@@ -118,14 +118,19 @@ impl EnolaCompiler {
                 Segment::OneQubit(_) => None,
             })
             .collect();
-        let staged = pool.par_map_chunked(cz_blocks, |block| {
-            let mut worker = CompileContext::scratch();
-            let stages = worker.time("stage", |_| partition_stages_mis(block, budget));
-            worker.count("stages", stages.len() as u64);
-            (stages, worker)
+        let staged = pool.par_map_chunks(&cz_blocks, |chunk| {
+            chunk
+                .iter()
+                .map(|block| {
+                    let mut worker = CompileContext::scratch();
+                    let stages = worker.time("stage", |_| partition_stages_mis(block, budget));
+                    worker.count("stages", stages.len() as u64);
+                    (stages, worker)
+                })
+                .collect::<Vec<_>>()
         });
-        let mut staged_blocks = Vec::with_capacity(staged.len());
-        for (stages, worker) in staged {
+        let mut staged_blocks = Vec::with_capacity(cz_blocks.len());
+        for (stages, worker) in staged.into_iter().flatten() {
             ctx.merge(worker);
             staged_blocks.push(stages);
         }

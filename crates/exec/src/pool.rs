@@ -153,60 +153,75 @@ impl ThreadPool {
             .collect()
     }
 
-    /// Like [`ThreadPool::par_map`], but queues one job per contiguous
-    /// **index range** instead of one job per item, so very wide fan-outs
-    /// (e.g. block-level compilation of a 100k-block program) do not pay a
-    /// queue push, mutex slot and wake-up per item.
+    /// Splits `items` into contiguous chunks and applies `f` to each chunk,
+    /// in parallel, returning one result per chunk **in input order**. One
+    /// job is queued per chunk instead of one per item, so very wide
+    /// fan-outs (e.g. block-level compilation of a 100k-block program) do
+    /// not pay a queue push, mutex slot and wake-up per item, and `f` can
+    /// set up per-chunk state once instead of once per item.
     ///
-    /// The input is split into at most `workers × `[`CHUNKS_PER_WORKER`]
-    /// near-equal contiguous chunks (never fewer than one item per chunk);
-    /// each chunk runs `f` over its items sequentially. Results are returned
-    /// in input order, and a sequential configuration degenerates to the
-    /// plain loop — the output is always identical to
-    /// `items.into_iter().map(f).collect()`.
+    /// A parallel configuration splits the input into at most
+    /// `workers × `[`CHUNKS_PER_WORKER`] near-equal chunks: never an empty
+    /// one, sizes differing by at most one item. A sequential configuration
+    /// hands the whole input to `f` as a single chunk, so a
+    /// `POWERMOVE_THREADS=1` run is the plain loop. An empty input calls `f`
+    /// zero times.
+    ///
+    /// ```
+    /// use powermove_exec::{Parallelism, ThreadPool};
+    ///
+    /// let pool = ThreadPool::new(Parallelism::fixed(4));
+    /// let items: Vec<u64> = (0..100).collect();
+    /// let sums = pool.par_map_chunks(&items, |chunk| chunk.iter().sum::<u64>());
+    /// assert_eq!(sums.len(), 16);
+    /// assert_eq!(sums.iter().sum::<u64>(), 4950);
+    /// ```
     ///
     /// # Panics
     ///
     /// Propagates the first panic raised by `f` after the remaining chunks
     /// have completed.
-    pub fn par_map_chunked<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    pub fn par_map_chunks<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
-        T: Send,
+        T: Sync,
         R: Send,
-        F: Fn(T) -> R + Sync,
+        F: Fn(&[T]) -> R + Sync,
     {
-        let chunks = self.chunk_count(items.len());
-        if self.threads() <= 1 || chunks <= 1 {
-            return items.into_iter().map(&f).collect();
+        if items.is_empty() {
+            return Vec::new();
         }
-        let mut chunked: Vec<Vec<T>> = Vec::with_capacity(chunks);
-        let len = items.len();
-        let base = len / chunks;
-        let remainder = len % chunks;
-        let mut items = items.into_iter();
+        let chunks = if self.threads() <= 1 {
+            1
+        } else {
+            self.chunk_count(items.len())
+        };
+        if chunks == 1 {
+            return vec![f(items)];
+        }
+        let base = items.len() / chunks;
+        let remainder = items.len() % chunks;
+        let mut bounds = Vec::with_capacity(chunks);
+        let mut start = 0;
         for index in 0..chunks {
-            let take = base + usize::from(index < remainder);
-            chunked.push(items.by_ref().take(take).collect());
+            let end = start + base + usize::from(index < remainder);
+            bounds.push(start..end);
+            start = end;
         }
-        self.par_map(chunked, |chunk| {
-            chunk.into_iter().map(&f).collect::<Vec<R>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        self.par_map(bounds, |range| f(&items[range]))
     }
 
-    /// How many chunks [`ThreadPool::par_map_chunked`] splits `len` items
-    /// into: `workers × `[`CHUNKS_PER_WORKER`], capped at one item per chunk.
-    /// The oversubscription factor keeps workers busy when chunk runtimes are
-    /// skewed without approaching one-job-per-item queue pressure.
+    /// How many chunks a parallel [`ThreadPool::par_map_chunks`] splits
+    /// `len` items into: `workers × `[`CHUNKS_PER_WORKER`], capped at one
+    /// item per chunk. The oversubscription factor keeps workers busy when
+    /// chunk runtimes are skewed without approaching one-job-per-item queue
+    /// pressure.
     #[must_use]
     fn chunk_count(&self, len: usize) -> usize {
         len.min(self.threads() * CHUNKS_PER_WORKER).max(1)
     }
 }
 
-/// Oversubscription factor of [`ThreadPool::par_map_chunked`]: the number of
+/// Oversubscription factor of [`ThreadPool::par_map_chunks`]: the number of
 /// index-range chunks queued per worker, trading work-stealing balance
 /// against per-job queue overhead.
 pub const CHUNKS_PER_WORKER: usize = 4;
@@ -420,21 +435,33 @@ mod tests {
         assert_eq!(pool.par_map(vec![9], |x| x + 1), vec![10]);
     }
 
+    /// Maps every item through chunks and concatenates the chunk results.
+    fn flat_chunks<T: Sync, R: Send>(
+        pool: &ThreadPool,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        pool.par_map_chunks(items, |chunk| chunk.iter().map(&f).collect::<Vec<R>>())
+            .into_iter()
+            .flatten()
+            .collect()
+    }
+
     #[test]
-    fn par_map_chunked_matches_per_item_map() {
+    fn par_map_chunks_matches_per_item_map() {
         let items: Vec<u64> = (0..1000).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * 7 + 3).collect();
         for threads in [1, 2, 8] {
             let pool = ThreadPool::new(Parallelism::fixed(threads));
-            assert_eq!(pool.par_map_chunked(items.clone(), |x| x * 7 + 3), expected);
+            assert_eq!(flat_chunks(&pool, &items, |x| x * 7 + 3), expected);
         }
     }
 
     #[test]
-    fn par_map_chunked_preserves_order_under_skew() {
+    fn par_map_chunks_preserves_order_under_skew() {
         let pool = ThreadPool::new(Parallelism::fixed(4));
         let items: Vec<usize> = (0..300).collect();
-        let output = pool.par_map_chunked(items.clone(), |x| {
+        let output = flat_chunks(&pool, &items, |&x| {
             if x % 17 == 0 {
                 std::thread::sleep(Duration::from_micros(150));
             }
@@ -444,14 +471,45 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunked_handles_empty_and_tiny_inputs() {
+    fn par_map_chunks_handles_empty_and_tiny_inputs() {
         let pool = ThreadPool::new(Parallelism::fixed(4));
+        let calls = AtomicUsize::new(0);
+        let none = pool.par_map_chunks(&Vec::<u32>::new(), |chunk| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            chunk.to_vec()
+        });
+        assert!(none.is_empty());
+        assert_eq!(calls.into_inner(), 0, "an empty input maps no chunk");
+        assert_eq!(pool.par_map_chunks(&[5], <[u32]>::to_vec), vec![vec![5]]);
         assert_eq!(
-            pool.par_map_chunked(Vec::<u32>::new(), |x| x),
-            Vec::<u32>::new()
+            pool.par_map_chunks(&[1, 2], <[u32]>::to_vec),
+            vec![vec![1], vec![2]]
         );
-        assert_eq!(pool.par_map_chunked(vec![5], |x| x * 2), vec![10]);
-        assert_eq!(pool.par_map_chunked(vec![1, 2], |x| x * 2), vec![2, 4]);
+    }
+
+    #[test]
+    fn par_map_chunks_splits_into_bounded_near_equal_contiguous_chunks() {
+        let items: Vec<usize> = (0..1001).collect();
+        // A sequential pool maps the whole input as one chunk.
+        let sequential = ThreadPool::new(Parallelism::fixed(1));
+        assert_eq!(
+            sequential.par_map_chunks(&items, <[usize]>::len),
+            vec![1001]
+        );
+        for threads in [2, 3, 8] {
+            let pool = ThreadPool::new(Parallelism::fixed(threads));
+            let chunks = pool.par_map_chunks(&items, <[usize]>::to_vec);
+            assert_eq!(chunks.len(), pool.chunk_count(items.len()));
+            assert!(chunks.len() <= threads * CHUNKS_PER_WORKER);
+            let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+            assert!(*min > 0 && max - min <= 1, "uneven chunks {sizes:?}");
+            assert_eq!(
+                chunks.concat(),
+                items,
+                "chunks must tile the input in order"
+            );
+        }
     }
 
     #[test]
@@ -465,10 +523,11 @@ mod tests {
     }
 
     #[test]
-    fn par_map_chunked_propagates_panics() {
+    fn par_map_chunks_propagates_panics() {
         let pool = ThreadPool::new(Parallelism::fixed(4));
+        let items: Vec<u32> = (0..100).collect();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map_chunked((0..100).collect::<Vec<u32>>(), |x| {
+            flat_chunks(&pool, &items, |&x| {
                 assert!(x != 57, "boom on {x}");
                 x
             })

@@ -32,7 +32,7 @@ use powermove_suite::exec::{Parallelism, ThreadPool};
 use powermove_suite::hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
 use powermove_suite::powermove::{
     movement_wall_clock, BiasFn, CompilerConfig, GreedyRouter, LookaheadRouter, MultiAodScheduler,
-    PowerMoveCompiler, RoutingConfig, RoutingState, RoutingStrategy, Stage, ZeroBias,
+    PowerMoveCompiler, RoutingConfig, RoutingState, RoutingStrategy, SitePolicy, Stage, ZeroBias,
 };
 use powermove_suite::schedule::{canonical_program_bytes, Layout, SiteMove};
 
@@ -436,6 +436,98 @@ fn reference_best_free_site(
     candidates(true).or_else(|| candidates(false))
 }
 
+/// QFT-shaped stages: one single-gate stage per qubit pair, in star order
+/// (qubit 0 with every later qubit, then qubit 1, …) — the shape where
+/// every stage parks the previous pair and storage columns fill up.
+fn qft_star_stages(num_qubits: u32) -> Vec<Stage> {
+    (0..num_qubits)
+        .flat_map(|i| ((i + 1)..num_qubits).map(move |j| stage(&[(i, j)])))
+        .collect()
+}
+
+/// Routes `stages` through the arena router under `policy` and through the
+/// reference planner under `bias`, asserting identical move plans and
+/// layouts after every stage. Returns the number of storage moves and of
+/// those whose target lies outside the source column: in storage mode,
+/// parks that fell back to the nearest free storage site; otherwise, stale
+/// pairs separated.
+fn assert_chain_matches_reference(
+    num_qubits: u32,
+    use_storage: bool,
+    stages: &[Stage],
+    policy: &dyn SitePolicy,
+    bias: &dyn Fn(Qubit, Qubit, SiteId) -> f64,
+    label: &str,
+) -> (usize, usize) {
+    let zone = if use_storage {
+        Zone::Storage
+    } else {
+        Zone::Compute
+    };
+    let arch = Architecture::for_qubits(num_qubits);
+    let grid = arch.grid().clone();
+    let initial = Layout::row_major(&arch, num_qubits, zone).unwrap();
+    let mut arena = RoutingState::new(arch.clone(), initial.clone(), use_storage);
+    let mut reference_layout = initial;
+    let mut storage_moves = 0;
+    let mut cross_column = 0;
+    for (i, st) in stages.iter().enumerate() {
+        let planned = arena
+            .route_stage_with(st, policy)
+            .expect("default grid never runs out of sites");
+        let expected = reference_route_stage(&arch, &mut reference_layout, use_storage, st, bias);
+        assert_eq!(
+            planned.all_moves(),
+            expected,
+            "{label} stage {i} (storage={use_storage}): move plans diverged"
+        );
+        assert_eq!(
+            arena.layout(),
+            &reference_layout,
+            "{label} stage {i} (storage={use_storage}): layouts diverged"
+        );
+        storage_moves += planned.storage_moves.len();
+        cross_column += planned
+            .storage_moves
+            .iter()
+            .filter(|m| grid.col_row(m.from).0 != grid.col_row(m.to).0)
+            .count();
+    }
+    (storage_moves, cross_column)
+}
+
+/// Long QFT-shaped chains at 32 and 64 qubits in both storage modes:
+/// hundreds of stages, enough for storage columns to fill so parking falls
+/// back to the nearest-site search, and for stale pairs to accumulate in
+/// the non-storage mode.
+fn assert_qft_chains_match_reference(
+    policy: &dyn SitePolicy,
+    bias: &dyn Fn(Qubit, Qubit, SiteId) -> f64,
+) {
+    for num_qubits in [32, 64] {
+        let stages = qft_star_stages(num_qubits);
+        for use_storage in [true, false] {
+            let label = format!("qft-{num_qubits}");
+            let (storage_moves, cross_column) = assert_chain_matches_reference(
+                num_qubits,
+                use_storage,
+                &stages,
+                policy,
+                bias,
+                &label,
+            );
+            if use_storage {
+                assert!(
+                    cross_column > 0,
+                    "{label}: no park fell back to the nearest storage site"
+                );
+            } else {
+                assert!(storage_moves > 0, "{label}: no stale pair was separated");
+            }
+        }
+    }
+}
+
 #[test]
 fn arena_router_matches_the_btreemap_reference_on_random_stage_chains() {
     let cases = cases();
@@ -446,35 +538,16 @@ fn arena_router_matches_the_btreemap_reference_on_random_stage_chains() {
         // Alternate storage mode across seeds so both planners' step-1
         // branches get even coverage.
         let use_storage = seed % 2 == 0;
-        let zone = if use_storage {
-            Zone::Storage
-        } else {
-            Zone::Compute
-        };
-        let arch = Architecture::for_qubits(num_qubits);
-        let initial = Layout::row_major(&arch, num_qubits, zone).unwrap();
-        let mut arena = RoutingState::new(arch.clone(), initial.clone(), use_storage);
-        let mut reference_layout = initial;
-        for (i, st) in stages.iter().enumerate() {
-            let planned = arena
-                .route_stage_with(st, &ZeroBias)
-                .expect("default grid never runs out of sites");
-            let expected =
-                reference_route_stage(&arch, &mut reference_layout, use_storage, st, &|_, _, _| {
-                    0.0
-                });
-            assert_eq!(
-                planned.all_moves(),
-                expected,
-                "seed {seed} stage {i} (storage={use_storage}): move plans diverged"
-            );
-            assert_eq!(
-                arena.layout(),
-                &reference_layout,
-                "seed {seed} stage {i} (storage={use_storage}): layouts diverged"
-            );
-        }
+        assert_chain_matches_reference(
+            num_qubits,
+            use_storage,
+            &stages,
+            &ZeroBias,
+            &|_, _, _| 0.0,
+            &format!("seed {seed}"),
+        );
     }
+    assert_qft_chains_match_reference(&ZeroBias, &|_, _, _| 0.0);
 }
 
 #[test]
@@ -494,31 +567,14 @@ fn biased_arena_router_matches_the_biased_reference_on_random_stage_chains() {
         let num_qubits = rng.gen_range(4..=10_u32);
         let stages = random_stages(&mut rng, num_qubits);
         let use_storage = seed % 2 == 0;
-        let zone = if use_storage {
-            Zone::Storage
-        } else {
-            Zone::Compute
-        };
-        let arch = Architecture::for_qubits(num_qubits);
-        let initial = Layout::row_major(&arch, num_qubits, zone).unwrap();
-        let mut arena = RoutingState::new(arch.clone(), initial.clone(), use_storage);
-        let mut reference_layout = initial;
-        for (i, st) in stages.iter().enumerate() {
-            let planned = arena
-                .route_stage_with(st, &policy)
-                .expect("default grid never runs out of sites");
-            let expected =
-                reference_route_stage(&arch, &mut reference_layout, use_storage, st, &pseudo_bias);
-            assert_eq!(
-                planned.all_moves(),
-                expected,
-                "seed {seed} stage {i} (storage={use_storage}): biased move plans diverged"
-            );
-            assert_eq!(
-                arena.layout(),
-                &reference_layout,
-                "seed {seed} stage {i} (storage={use_storage}): biased layouts diverged"
-            );
-        }
+        assert_chain_matches_reference(
+            num_qubits,
+            use_storage,
+            &stages,
+            &policy,
+            &pseudo_bias,
+            &format!("biased seed {seed}"),
+        );
     }
+    assert_qft_chains_match_reference(&policy, &pseudo_bias);
 }
