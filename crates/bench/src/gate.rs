@@ -35,7 +35,7 @@
 use crate::harness::ShardRegistry;
 use crate::stats::SampleStats;
 use crate::RunResult;
-use serde::{Serialize, Value};
+use serde::{Serialize, Serializer, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -183,11 +183,11 @@ pub struct Baseline {
 
 impl Serialize for Baseline {
     /// Serializes as `{"version": 2, "entries": [...]}`.
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), Value::Int(BASELINE_VERSION)),
-            ("entries".to_string(), self.entries.serialize()),
-        ])
+    fn serialize<W: std::fmt::Write + ?Sized>(&self, out: &mut Serializer<'_, W>) {
+        out.begin_object();
+        out.entry("version", &BASELINE_VERSION);
+        out.entry("entries", &self.entries);
+        out.end_object();
     }
 }
 
@@ -625,6 +625,17 @@ pub fn compare(baseline: &Baseline, current: &[BaselineEntry], tol: &GateToleran
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_checked_in_baseline_re_renders_byte_for_byte() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baseline.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let expected = text.strip_suffix('\n').unwrap_or(&text);
+        let tree = serde_json::from_str(&text).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&tree).unwrap(), expected);
+        let typed = Baseline::parse(&text).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&typed).unwrap(), expected);
+    }
 
     fn entry(compiler: &str, benchmark: &str) -> BaselineEntry {
         BaselineEntry {

@@ -12,7 +12,7 @@
 //! the observed range), so the gate can compare the current median against
 //! the baseline's interval instead of multiplying by a generous constant.
 
-use serde::{Serialize, Value};
+use serde::{Serialize, Serializer, Value};
 
 /// Default number of repeat runs used to sample wall-clock metrics.
 pub const DEFAULT_REPEATS: usize = 3;
@@ -170,14 +170,14 @@ impl Serialize for SampleStats {
     /// Serializes as an object carrying the raw samples plus the derived
     /// summaries (median and interval bounds) for human readers; parsing
     /// only trusts `samples` (see [`SampleStats::from_value`]).
-    fn serialize(&self) -> Value {
+    fn serialize<W: std::fmt::Write + ?Sized>(&self, out: &mut Serializer<'_, W>) {
         let (ci_low, ci_high) = self.ci();
-        Value::Object(vec![
-            ("samples".to_string(), self.samples.serialize()),
-            ("median".to_string(), Value::Float(self.median())),
-            ("ci_low".to_string(), Value::Float(ci_low)),
-            ("ci_high".to_string(), Value::Float(ci_high)),
-        ])
+        out.begin_object();
+        out.entry("samples", &self.samples);
+        out.entry("median", &self.median());
+        out.entry("ci_low", &ci_low);
+        out.entry("ci_high", &ci_high);
+        out.end_object();
     }
 }
 
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn serializes_with_summaries_and_round_trips_from_samples() {
         let stats = SampleStats::from_samples(vec![0.3, 0.1, 0.2]);
-        let value = stats.serialize();
+        let value = serde_json::to_value(&stats);
         assert_eq!(value.get("median").and_then(Value::as_f64), Some(0.2));
         assert!(value.get("ci_low").is_some() && value.get("ci_high").is_some());
         let parsed = SampleStats::from_value(&value).unwrap();

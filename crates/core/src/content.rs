@@ -10,7 +10,7 @@
 use crate::CompilerConfig;
 use powermove_circuit::Circuit;
 use powermove_hardware::Architecture;
-use powermove_schedule::{canonical_json, fnv1a_64};
+use powermove_schedule::{write_canonical_json, Fnv1a};
 use std::fmt;
 
 /// A deterministic identity for one compile request.
@@ -19,7 +19,8 @@ use std::fmt;
 /// is FNV-1a 64 over the canonical JSON of each component
 /// ([`powermove_schedule::canonical_json`]), with an unambiguous separator
 /// between components so `(ab, c)` and `(a, bc)` cannot collide by
-/// concatenation.
+/// concatenation. The JSON is streamed into the hash
+/// ([`powermove_schedule::write_canonical_json`]), never built as text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentHash(u64);
 
@@ -79,13 +80,13 @@ pub fn content_hash(
 ) -> ContentHash {
     // The '\n' separator cannot occur inside a component: compact JSON
     // escapes raw newlines, so component boundaries are unambiguous.
-    let canonical = format!(
-        "{}\n{}\n{}",
-        canonical_json(circuit),
-        canonical_json(arch),
-        canonical_json(config),
-    );
-    ContentHash(fnv1a_64(canonical.as_bytes()))
+    let mut hash = Fnv1a::new();
+    write_canonical_json(&mut hash, circuit);
+    hash.write_bytes(b"\n");
+    write_canonical_json(&mut hash, arch);
+    hash.write_bytes(b"\n");
+    write_canonical_json(&mut hash, config);
+    ContentHash(hash.finish())
 }
 
 /// Hashes the front-end inputs `(circuit, config)` into a content address
@@ -125,8 +126,11 @@ pub fn content_hash(
 pub fn stage_hash(circuit: &Circuit, config: &CompilerConfig) -> ContentHash {
     // Same framing as `content_hash`: '\n'-separated compact JSON, which
     // cannot contain a raw newline.
-    let canonical = format!("{}\n{}", canonical_json(circuit), canonical_json(config));
-    ContentHash(fnv1a_64(canonical.as_bytes()))
+    let mut hash = Fnv1a::new();
+    write_canonical_json(&mut hash, circuit);
+    hash.write_bytes(b"\n");
+    write_canonical_json(&mut hash, config);
+    ContentHash(hash.finish())
 }
 
 #[cfg(test)]

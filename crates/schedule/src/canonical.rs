@@ -13,9 +13,14 @@
 //! The canonical form is the vendored serializer's compact JSON: struct
 //! fields render in declaration order, map keys are never reordered, and
 //! float rendering is fixed, so equal values always produce equal bytes.
+//! The serializer streams that text into any [`fmt::Write`] sink, so the
+//! hashes here ([`program_digest`], and the service keys built on
+//! [`write_canonical_json`] and [`Fnv1a`]) feed it straight into FNV-1a
+//! without materializing a `String` or a value tree.
 
 use crate::CompiledProgram;
 use serde::Serialize;
+use std::fmt;
 
 /// Renders any serializable value in its canonical compact-JSON form.
 ///
@@ -36,22 +41,68 @@ pub fn canonical_json<T: Serialize + ?Sized>(value: &T) -> String {
     serde_json::to_string(value).expect("the vendored serializer is infallible")
 }
 
-/// 64-bit FNV-1a hash of a byte string.
+/// Streams the canonical compact JSON of `value` into `out`: byte for byte
+/// what [`canonical_json`] returns, with no intermediate `String`.
+pub fn write_canonical_json<W: fmt::Write + ?Sized, T: Serialize + ?Sized>(out: &mut W, value: &T) {
+    serde_json::to_writer(out, value);
+}
+
+/// A streaming 64-bit FNV-1a hasher, usable as a [`fmt::Write`] sink.
 ///
 /// Chosen for content addressing because it is fully deterministic across
 /// platforms, allocation-free and has no dependencies; it is **not** a
 /// cryptographic hash — cache keys assume cooperative clients, not
-/// adversarial collision construction.
-#[must_use]
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+/// adversarial collision construction. Hashing text in pieces gives the
+/// same value as hashing the concatenation ([`fnv1a_64`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
     const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET_BASIS;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
+
+    /// A hasher that has seen no bytes.
+    #[must_use]
+    pub const fn new() -> Self {
+        Fnv1a(Self::OFFSET_BASIS)
     }
-    hash
+
+    /// Feeds `bytes` into the hash.
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        let mut hash = self.0;
+        for &byte in bytes {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(Self::PRIME);
+        }
+        self.0 = hash;
+    }
+
+    /// The hash of every byte fed so far.
+    #[must_use]
+    pub const fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// 64-bit FNV-1a hash of a byte string (see [`Fnv1a`]).
+#[must_use]
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    let mut hash = Fnv1a::new();
+    hash.write_bytes(bytes);
+    hash.finish()
 }
 
 /// Serializes the observable content of a program — initial layout,
@@ -80,27 +131,37 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// ```
 #[must_use]
 pub fn canonical_program_bytes(program: &CompiledProgram) -> String {
-    let metadata = program.metadata();
-    format!(
-        "{layout}|{instructions}|{counters}|stages={stages}|storage={storage}",
-        layout = canonical_json(program.initial_layout()),
-        instructions = canonical_json(program.instructions()),
-        counters = canonical_json(&metadata.counters),
-        stages = metadata.num_stages,
-        storage = metadata.uses_storage,
-    )
+    let mut bytes = String::new();
+    write_program(&mut bytes, program).expect("writing to a String is infallible");
+    bytes
 }
 
-/// 16-hex-digit digest of [`canonical_program_bytes`].
+/// 16-hex-digit digest of [`canonical_program_bytes`], streamed into the
+/// hash without building the bytes.
 ///
 /// Small enough to embed in every service response frame, so clients can
 /// verify that a cache hit is byte-identical to a cold compile without
 /// shipping the full program back.
 #[must_use]
 pub fn program_digest(program: &CompiledProgram) -> String {
-    format!(
-        "{:016x}",
-        fnv1a_64(canonical_program_bytes(program).as_bytes())
+    let mut hash = Fnv1a::new();
+    write_program(&mut hash, program).expect("hashing is infallible");
+    format!("{:016x}", hash.finish())
+}
+
+/// Writes `layout|instructions|counters|stages=…|storage=…`, the text of
+/// [`canonical_program_bytes`].
+fn write_program<W: fmt::Write>(out: &mut W, program: &CompiledProgram) -> fmt::Result {
+    let metadata = program.metadata();
+    write_canonical_json(out, program.initial_layout());
+    out.write_char('|')?;
+    write_canonical_json(out, program.instructions());
+    out.write_char('|')?;
+    write_canonical_json(out, &metadata.counters);
+    write!(
+        out,
+        "|stages={}|storage={}",
+        metadata.num_stages, metadata.uses_storage
     )
 }
 
@@ -126,6 +187,22 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn streamed_hashes_match_hashing_the_text() {
+        let p = sample_program(2);
+        let bytes = canonical_program_bytes(&p);
+        assert_eq!(
+            program_digest(&p),
+            format!("{:016x}", fnv1a_64(bytes.as_bytes()))
+        );
+        let mut pieces = Fnv1a::new();
+        write_canonical_json(&mut pieces, p.initial_layout());
+        assert_eq!(
+            pieces.finish(),
+            fnv1a_64(canonical_json(p.initial_layout()).as_bytes())
+        );
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! * [`canonical_json`] / [`canonical_program_bytes`] / [`program_digest`]:
 //!   deterministic serialized forms used for content hashing (the compile
 //!   service's schedule cache) and byte-identity checks (the determinism
-//!   tests).
+//!   tests); [`write_canonical_json`] streams the same text into a sink
+//!   such as the [`Fnv1a`] hasher.
 //!
 //! # Example
 //!
@@ -53,7 +54,9 @@ mod timing;
 mod trace;
 mod validate;
 
-pub use canonical::{canonical_json, canonical_program_bytes, fnv1a_64, program_digest};
+pub use canonical::{
+    canonical_json, canonical_program_bytes, fnv1a_64, program_digest, write_canonical_json, Fnv1a,
+};
 pub use error::ScheduleError;
 pub use instruction::{CollMove, Instruction, SiteMove};
 pub use layout::Layout;

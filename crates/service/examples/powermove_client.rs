@@ -7,8 +7,11 @@
 //! and `shutdown` once every compile has answered, and asserts:
 //!
 //! * every request succeeded and every response correlates to a request;
-//! * responses sharing a content `key` report the same program `digest`
-//!   (cache hits are byte-identical to the cold compile);
+//! * every response's `key` is the in-process
+//!   [`content_hash`](powermove::content_hash) of its cell, and its
+//!   `digest` the [`program_digest`](powermove_schedule::program_digest) of
+//!   a direct [`powermove::compile`] — so a hit, a coalesced request and a
+//!   cold compile all serve the program the request asked for;
 //! * the cache recorded hits and the daemon compiled each distinct cell at
 //!   most a handful of times (coalescing keeps redundant compiles down);
 //! * the daemon acknowledged `shutdown` as its final frame and exited
@@ -17,6 +20,8 @@
 //! Exits nonzero on any violation, so CI can run it as a gate.
 
 use powermove_bench::service_smoke_cells;
+use powermove_hardware::Architecture;
+use powermove_service::protocol::Request;
 use serde::Value;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -38,6 +43,29 @@ fn serve_binary() -> PathBuf {
     profile_dir.join("powermove-serve")
 }
 
+/// The compile frame for one smoke cell.
+fn frame(id: i64, family: impl std::fmt::Display, qubits: u32) -> String {
+    format!(
+        r#"{{"id": {id}, "op": "compile", "benchmark": {{"family": "{family}", "qubits": {qubits}}}}}"#
+    )
+}
+
+/// The `(key, digest)` a cell's replies must carry: the content hash of the
+/// request the frame parses to, and the digest of compiling it directly.
+fn expected_reply(frame: &str) -> Result<(String, String), String> {
+    let Ok(Request::Compile(request)) = Request::parse(frame) else {
+        return Err(format!("smoke frame does not parse as a compile: {frame}"));
+    };
+    let circuit = request.circuit().map_err(|e| e.message)?;
+    let arch = Architecture::for_qubits(circuit.num_qubits()).with_num_aods(request.aods);
+    let program = powermove::compile(&circuit, &arch, &request.config)
+        .map_err(|e| format!("direct compile of {frame}: {e}"))?;
+    Ok((
+        powermove::content_hash(&circuit, &arch, &request.config).hex(),
+        powermove_schedule::program_digest(&program),
+    ))
+}
+
 fn fail(message: &str) -> ExitCode {
     eprintln!("powermove_client: FAIL: {message}");
     ExitCode::FAILURE
@@ -47,6 +75,13 @@ fn fail(message: &str) -> ExitCode {
 fn main() -> ExitCode {
     let cells = service_smoke_cells();
     let requests: usize = ROUNDS * cells.len();
+    let mut expected = Vec::new();
+    for (family, qubits) in cells {
+        match expected_reply(&frame(0, family, qubits)) {
+            Ok(reply) => expected.push(reply),
+            Err(message) => return fail(&message),
+        }
+    }
 
     let binary = serve_binary();
     let mut child = match Command::new(&binary)
@@ -69,10 +104,7 @@ fn main() -> ExitCode {
     for round in 0..ROUNDS {
         for (cell, (family, qubits)) in cells.iter().enumerate() {
             let id = (round * cells.len() + cell) as i64;
-            let frame = format!(
-                r#"{{"id": {id}, "op": "compile", "benchmark": {{"family": "{family}", "qubits": {qubits}}}}}"#
-            );
-            if writeln!(stdin, "{frame}").is_err() {
+            if writeln!(stdin, "{}", frame(id, family, *qubits)).is_err() {
                 return fail("daemon closed stdin early");
             }
             sent += 1;
@@ -118,6 +150,22 @@ fn main() -> ExitCode {
             continue; // the shutdown ack
         };
         ok_replies += 1;
+        let cell = frame
+            .get("id")
+            .and_then(Value::as_i64)
+            .and_then(|id| usize::try_from(id).ok())
+            .filter(|id| *id < requests)
+            .map(|id| id % cells.len());
+        let Some(cell) = cell else {
+            return fail(&format!("reply does not correlate to a request: {line}"));
+        };
+        let (want_key, want_digest) = &expected[cell];
+        if key != want_key || digest != want_digest {
+            return fail(&format!(
+                "reply for cell {cell} carries key {key} / digest {digest}; \
+                 a direct compile gives {want_key} / {want_digest}"
+            ));
+        }
         if let Some(previous) = digest_by_key.insert(key.to_string(), digest.to_string()) {
             if previous != digest {
                 return fail(&format!(

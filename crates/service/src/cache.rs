@@ -1,6 +1,6 @@
 //! The content-addressed LRU cache backing the compile service.
 
-use powermove_schedule::CompiledProgram;
+use powermove_schedule::{program_digest, CompiledProgram};
 use serde::Serialize;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -29,7 +29,40 @@ pub struct LruCache<T> {
     evictions: u64,
 }
 
-/// An LRU cache of emitted programs, keyed by the
+/// An emitted program together with its
+/// [`program_digest`](powermove_schedule::program_digest), computed once
+/// when the entry is made: every reply that serves the program reads the
+/// digest instead of re-serializing the program.
+#[derive(Debug)]
+pub struct CachedProgram {
+    program: Arc<CompiledProgram>,
+    digest: String,
+}
+
+impl CachedProgram {
+    /// Wraps a program, computing its digest.
+    #[must_use]
+    pub fn new(program: CompiledProgram) -> Self {
+        CachedProgram {
+            digest: program_digest(&program),
+            program: Arc::new(program),
+        }
+    }
+
+    /// The emitted program.
+    #[must_use]
+    pub fn program(&self) -> &Arc<CompiledProgram> {
+        &self.program
+    }
+
+    /// The program's 16-hex-digit digest.
+    #[must_use]
+    pub fn digest(&self) -> &str {
+        &self.digest
+    }
+}
+
+/// An LRU cache of emitted programs and their digests, keyed by the
 /// [`ContentHash`](powermove::ContentHash) of the compile request that
 /// produced them.
 ///
@@ -42,7 +75,7 @@ pub struct LruCache<T> {
 /// # Example
 ///
 /// ```
-/// use powermove_service::ScheduleCache;
+/// use powermove_service::{CachedProgram, ScheduleCache};
 /// use powermove::{content_hash, CompilerConfig};
 /// use powermove_circuit::{Circuit, Qubit};
 /// use powermove_hardware::Architecture;
@@ -58,14 +91,15 @@ pub struct LruCache<T> {
 /// let mut cache = ScheduleCache::new(8);
 /// assert!(cache.get(key.value()).is_none());
 /// let program = powermove::compile(&circuit, &arch, &config)?;
-/// cache.insert(key.value(), Arc::new(program));
-/// assert!(cache.get(key.value()).is_some());
+/// cache.insert(key.value(), Arc::new(CachedProgram::new(program)));
+/// let entry = cache.get(key.value()).expect("cached");
+/// assert_eq!(entry.digest(), powermove_schedule::program_digest(entry.program()));
 /// assert_eq!(cache.stats().hits, 1);
 /// assert_eq!(cache.stats().misses, 1);
 /// # Ok(())
 /// # }
 /// ```
-pub type ScheduleCache = LruCache<CompiledProgram>;
+pub type ScheduleCache = LruCache<CachedProgram>;
 
 /// A point-in-time snapshot of cache effectiveness counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -191,17 +225,17 @@ mod tests {
     use powermove_circuit::{Circuit, Qubit};
     use powermove_hardware::Architecture;
 
-    fn program(n: u32) -> Arc<CompiledProgram> {
+    fn program(n: u32) -> Arc<CachedProgram> {
         let mut circuit = Circuit::new(n);
         circuit.cz(Qubit::new(0), Qubit::new(1)).unwrap();
-        Arc::new(
+        Arc::new(CachedProgram::new(
             powermove::compile(
                 &circuit,
                 &Architecture::for_qubits(n),
                 &CompilerConfig::default(),
             )
             .unwrap(),
-        )
+        ))
     }
 
     #[test]

@@ -9,6 +9,7 @@ use powermove_hardware::Architecture;
 use serde::Serialize;
 use std::fs::File;
 use std::io::{BufRead, BufReader, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -61,6 +62,9 @@ impl<W: Write> FrameWriter<W> {
     }
 }
 
+/// Answers one parsed compile frame.
+type CompileHandler = fn(&CompileService, &CompileRequest) -> Result<CompileReply, FrameError>;
+
 /// The compile daemon: drives a [`CompileService`] from JSONL frame
 /// streams.
 ///
@@ -70,11 +74,14 @@ impl<W: Write> FrameWriter<W> {
 /// concurrently on a work-stealing pool — identical concurrent requests
 /// coalesce onto one compile — while `stats` and `shutdown` are answered
 /// inline. Responses stream in completion order, correlated by `id`; the
-/// shutdown acknowledgement is always the last frame written.
+/// shutdown acknowledgement is always the last frame written. Every frame
+/// gets exactly one reply: a compile that panics is answered with an
+/// `internal` error frame, and the loop keeps serving.
 pub struct Daemon<'a> {
     service: &'a CompileService,
     parallelism: Parallelism,
     log: Option<Arc<Mutex<File>>>,
+    handler: CompileHandler,
 }
 
 impl<'a> Daemon<'a> {
@@ -86,7 +93,15 @@ impl<'a> Daemon<'a> {
             service,
             parallelism: Parallelism::from_env(),
             log: None,
+            handler: handle_compile,
         }
+    }
+
+    /// Replaces the compile-frame handler, to inject faults.
+    #[cfg(test)]
+    fn with_handler(mut self, handler: CompileHandler) -> Self {
+        self.handler = handler;
+        self
     }
 
     /// Pins the handler pool's worker count.
@@ -159,9 +174,9 @@ impl<'a> Daemon<'a> {
                         break;
                     }
                     Ok(Request::Compile(request)) => {
-                        let service = self.service;
+                        let (service, handler) = (self.service, self.handler);
                         let errors = &errors;
-                        scope.spawn(move || match handle_compile(service, &request) {
+                        scope.spawn(move || match guarded(handler, service, &request) {
                             Ok(reply) => writer.write(&reply),
                             Err(err) => {
                                 errors.fetch_add(1, Ordering::Relaxed);
@@ -248,30 +263,54 @@ impl<'a> Daemon<'a> {
     }
 }
 
+/// Runs `handler` on one compile frame, answering a panic with an
+/// `internal` error for that frame so one faulty compile never takes the
+/// daemon down. A panicking cold compile still wakes the requests
+/// coalesced onto it (its in-flight guard is dropped while unwinding).
+fn guarded(
+    handler: CompileHandler,
+    service: &CompileService,
+    request: &CompileRequest,
+) -> Result<CompileReply, FrameError> {
+    panic::catch_unwind(AssertUnwindSafe(|| handler(service, request))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("the compile panicked");
+        Err(FrameError::new(
+            Some(request.id),
+            format!("internal: {message}"),
+        ))
+    })
+}
+
 /// Handles one compile request end to end: materialize the circuit, derive
-/// the architecture, compile through the service, shape the reply.
+/// the architecture, compile through the service, shape the reply. The
+/// request is hashed once, inside the service, and the digest comes from
+/// the cache entry.
 fn handle_compile(
     service: &CompileService,
     request: &CompileRequest,
 ) -> Result<CompileReply, FrameError> {
     let circuit = request.circuit()?;
     let arch = Architecture::for_qubits(circuit.num_qubits()).with_num_aods(request.aods);
-    let key = powermove::content_hash(&circuit, &arch, &request.config);
-    let (program, outcome) = service
-        .compile(&circuit, &arch, &request.config)
+    let served = service
+        .compile_keyed(&circuit, &arch, &request.config)
         .map_err(|e| FrameError::new(Some(request.id), format!("compile: {e}")))?;
+    let program = served.entry.program();
     Ok(CompileReply {
         id: request.id,
         ok: true,
-        cache: outcome.as_str().to_string(),
-        key: key.hex(),
-        digest: powermove_schedule::program_digest(&program),
+        cache: served.outcome.as_str().to_string(),
+        key: served.key.hex(),
+        digest: served.entry.digest().to_string(),
         qubits: program.num_qubits(),
         instructions: program.num_instructions(),
         stages: program.rydberg_stage_count(),
         program: request
             .include_program
-            .then(|| serde_json::to_value(&*program)),
+            .then(|| serde_json::to_value(&**program)),
     })
 }
 
@@ -383,6 +422,65 @@ mod tests {
             .iter()
             .any(|f| f.get("id").and_then(Value::as_i64) == Some(3)
                 && f.get("ok").and_then(Value::as_bool) == Some(true)));
+    }
+
+    #[test]
+    fn a_panicking_compile_gets_one_error_reply_and_the_loop_keeps_serving() {
+        fn faulty(
+            service: &CompileService,
+            request: &CompileRequest,
+        ) -> Result<CompileReply, FrameError> {
+            if request.id == 2 {
+                panic!("injected fault in frame {}", request.id);
+            }
+            handle_compile(service, request)
+        }
+        let service = CompileService::new(8);
+        let daemon = Daemon::new(&service)
+            .with_parallelism(Parallelism::fixed(2))
+            .with_handler(faulty);
+        let input = concat!(
+            r#"{"id": 1, "benchmark": {"family": "BV", "qubits": 6}}"#,
+            "\n",
+            r#"{"id": 2, "benchmark": {"family": "BV", "qubits": 6}}"#,
+            "\n",
+            r#"{"id": 3, "benchmark": {"family": "QFT", "qubits": 6}}"#,
+            "\n",
+            r#"{"id": 4, "op": "shutdown"}"#,
+            "\n",
+        );
+        let mut out = Vec::new();
+        let report = daemon.serve(input.as_bytes(), &mut out);
+        assert_eq!(
+            report,
+            ServeReport {
+                frames: 4,
+                errors: 1,
+                shutdown: true,
+            }
+        );
+        let frames = parse_lines(&out);
+        assert_eq!(frames.len(), 4);
+        let replies_to = |id| {
+            frames
+                .iter()
+                .filter(|f| f.get("id").and_then(Value::as_i64) == Some(id))
+                .collect::<Vec<_>>()
+        };
+        let faulted = replies_to(2);
+        assert_eq!(faulted.len(), 1, "exactly one reply to the panicking frame");
+        assert_eq!(faulted[0].get("ok").and_then(Value::as_bool), Some(false));
+        assert_eq!(
+            faulted[0].get("error").and_then(Value::as_str),
+            Some("internal: injected fault in frame 2")
+        );
+        for id in [1, 3] {
+            let replies = replies_to(id);
+            assert_eq!(replies.len(), 1);
+            assert_eq!(replies[0].get("ok").and_then(Value::as_bool), Some(true));
+        }
+        let last = frames.last().unwrap();
+        assert_eq!(last.get("shutdown").and_then(Value::as_bool), Some(true));
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! makes compile results cacheable and identical concurrent requests
 //! coalescible. This crate builds the serving layer on top of that purity:
 //!
-//! * [`ScheduleCache`]: an LRU cache ([`LruCache`]) of emitted programs
-//!   keyed by [`content_hash`](powermove::content_hash), with
-//!   hit/miss/eviction counters — a hit is byte-identical to a cold compile
-//!   by construction;
+//! * [`ScheduleCache`]: an LRU cache ([`LruCache`]) of emitted programs,
+//!   each stored with its digest ([`CachedProgram`]), keyed by
+//!   [`content_hash`](powermove::content_hash), with hit/miss/eviction
+//!   counters — a hit is byte-identical to a cold compile by construction;
 //! * a second [`LruCache`] of frozen front-end IRs keyed by
 //!   [`stage_hash`](powermove::stage_hash): cold compiles that differ only
 //!   in target architecture share one staged IR and replay only the
@@ -55,6 +55,6 @@ mod daemon;
 pub mod protocol;
 mod service;
 
-pub use cache::{CacheStats, LruCache, ScheduleCache};
+pub use cache::{CacheStats, CachedProgram, LruCache, ScheduleCache};
 pub use daemon::{Daemon, ServeReport};
-pub use service::{CacheOutcome, CompileService, ServiceStats};
+pub use service::{CacheOutcome, CompileService, KeyedCompile, ServiceStats};

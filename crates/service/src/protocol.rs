@@ -21,7 +21,8 @@
 //! A compile request names its circuit either inline (`qasm`, OpenQASM 2.0
 //! text) or as a generated benchmark instance (`benchmark` with a Table 2
 //! `family` name, `qubits`, and an optional `seed` defaulting to the bench
-//! harness default) of at most [`MAX_BENCHMARK_QUBITS`] qubits. The
+//! harness default) of at most [`MAX_BENCHMARK_QUBITS`] qubits; either way
+//! the circuit may hold at most [`MAX_FRAME_GATES`] gates. The
 //! architecture is derived from the circuit width (plus optional `aods`,
 //! default 1), and `config` fields override [`CompilerConfig`] defaults one
 //! by one; `threads` defaults to 1 inside the daemon because request-level
@@ -35,12 +36,18 @@
 //! {"id": 1, "ok": true, "cache": "miss", "key": "92b11c…", "digest": "5d1f…",
 //!  "qubits": 10, "instructions": 42, "stages": 9, "program": null}
 //! {"id": 7, "ok": false, "error": "unknown benchmark family `qproc`"}
+//! {"id": 8, "ok": false, "error": "internal: <panic message>"}
 //! ```
+//!
+//! Every request frame gets exactly one response frame. A frame whose `id`
+//! cannot be read is answered with `"id": null`; a compile that panics is
+//! answered with an `internal` error and the daemon keeps serving.
 //!
 //! `key` is the request's content hash, `digest` the canonical digest of
 //! the emitted program ([`program_digest`](powermove_schedule::program_digest));
-//! identical keys always report identical digests, which is how the smoke
-//! test asserts cache hits are byte-identical to cold compiles. With
+//! identical keys always report identical digests, and the smoke test
+//! checks both against an in-process hash and compile, so a hit is shown
+//! byte-identical to a cold compile of the same request. With
 //! `"include_program": true` the response carries the full serialized
 //! program in `program`.
 
@@ -54,11 +61,20 @@ pub const DEFAULT_SEED: u64 = 20250;
 
 /// Widest circuit a `benchmark` source may generate, the counterpart of
 /// [`MAX_QASM_QUBITS`](powermove_circuit::qasm::MAX_QASM_QUBITS) for inline
-/// QASM. Generated gate counts grow up to quadratically with width (QFT),
-/// so an unbounded frame could stall a worker indefinitely; the limit
-/// still covers the widest suite circuit any test, bench or workload
-/// generates.
+/// QASM. It covers the widest suite circuit any test, bench or workload
+/// generates (QAOA at 1024 qubits); [`MAX_FRAME_GATES`] bounds the work.
 pub const MAX_BENCHMARK_QUBITS: u32 = 1024;
+
+/// Most gates a compile frame's circuit may hold, whatever its source.
+///
+/// Width alone does not bound a compile: QFT's gate count grows
+/// quadratically, so QFT-1024 (1,572,352 gates, 523,776 of them CZ) fits
+/// [`MAX_BENCHMARK_QUBITS`] yet would occupy a worker for minutes. The
+/// bound, 2^17, admits the largest circuit any benchmark workload compiles
+/// — QFT-256, 98,176 gates — with a third to spare, and rejects QFT from
+/// about 296 qubits up. It is checked once the circuit is materialized,
+/// before the request is hashed or compiled.
+pub const MAX_FRAME_GATES: usize = 1 << 17;
 
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,9 +129,24 @@ impl CompileRequest {
     ///
     /// # Errors
     ///
-    /// Returns a [`FrameError`] if the QASM text does not parse or the
-    /// benchmark parameters are infeasible.
+    /// Returns a [`FrameError`] if the QASM text does not parse, the
+    /// benchmark parameters are infeasible, or the circuit holds more than
+    /// [`MAX_FRAME_GATES`] gates.
     pub fn circuit(&self) -> Result<Circuit, FrameError> {
+        let circuit = self.materialize()?;
+        if circuit.num_gates() > MAX_FRAME_GATES {
+            return Err(FrameError::new(
+                Some(self.id),
+                format!(
+                    "circuit has {} gates; a frame may hold at most {MAX_FRAME_GATES}",
+                    circuit.num_gates()
+                ),
+            ));
+        }
+        Ok(circuit)
+    }
+
+    fn materialize(&self) -> Result<Circuit, FrameError> {
         match &self.source {
             Source::Qasm(text) => powermove_circuit::qasm::from_qasm(text)
                 .map_err(|e| FrameError::new(Some(self.id), format!("qasm: {e}"))),
@@ -476,11 +507,15 @@ mod tests {
 
     #[test]
     fn malformed_frames_report_errors() {
-        // (frame, echoed id, error substring)
-        let rows = [
+        // (frame, echoed id, error substring). A frame fails either to parse
+        // or, for a compile, to materialize its circuit.
+        let mut rows: Vec<(String, Option<i64>, &str)> = [
             ("not json", None, "malformed frame"),
             (r#"{"op": "stats"}"#, None, "integer `id`"),
+            (r#"{"id": "7", "op": "stats"}"#, None, "integer `id`"),
+            (r#"{"id": 1.5, "op": "stats"}"#, None, "integer `id`"),
             (r#"{"id": 9, "op": "launch"}"#, Some(9), "unknown op"),
+            (r#"{"id": 10, "op": 3}"#, Some(10), "`op` must be a string"),
             (
                 r#"{"id": 4, "benchmark": {"family": "nope", "qubits": 4}}"#,
                 Some(4),
@@ -509,13 +544,137 @@ mod tests {
                 Some(14),
                 "`config.lookahead` must be a non-negative integer",
             ),
-        ];
+            (
+                r#"{"id": 15, "qasm": "", "benchmark": {"family": "BV", "qubits": 8}}"#,
+                Some(15),
+                "not both",
+            ),
+            (r#"{"id": 16}"#, Some(16), "needs a `qasm` or `benchmark`"),
+            (
+                r#"{"id": 17, "qasm": 7}"#,
+                Some(17),
+                "`qasm` must be a string",
+            ),
+            (
+                r#"{"id": 18, "benchmark": {"family": "BV", "qubits": 8}, "aods": 0}"#,
+                Some(18),
+                "`aods` must be a positive integer",
+            ),
+            (
+                r#"{"id": 19, "benchmark": {"family": "BV", "qubits": 8}, "aods": "2"}"#,
+                Some(19),
+                "`aods` must be a positive integer",
+            ),
+            (
+                r#"{"id": 20, "benchmark": 5}"#,
+                Some(20),
+                "`benchmark.family` must be a string",
+            ),
+            (
+                r#"{"id": 21, "benchmark": {"family": "BV", "qubits": -3}}"#,
+                Some(21),
+                "`benchmark.qubits` must be a non-negative integer",
+            ),
+            (
+                r#"{"id": 22, "benchmark": {"family": "BV", "qubits": 8, "seed": -1}}"#,
+                Some(22),
+                "`benchmark.seed` must be a non-negative integer",
+            ),
+            (
+                r#"{"id": 23, "benchmark": {"family": "BV", "qubits": 8},
+                    "config": {"storage": "no"}}"#,
+                Some(23),
+                "`config.storage` must be a boolean",
+            ),
+            (
+                r#"{"id": 24, "benchmark": {"family": "BV", "qubits": 8},
+                    "config": {"alpha": "high"}}"#,
+                Some(24),
+                "`config.alpha` must be a number",
+            ),
+            (
+                r#"{"id": 25, "benchmark": {"family": "BV", "qubits": 8},
+                    "config": {"grouping": 1}}"#,
+                Some(25),
+                "`config.grouping` must be a boolean",
+            ),
+            (
+                r#"{"id": 26, "benchmark": {"family": "BV", "qubits": 8},
+                    "config": {"threads": -1}}"#,
+                Some(26),
+                "`config.threads` must be a non-negative integer",
+            ),
+            (
+                r#"{"id": 27, "benchmark": {"family": "BV", "qubits": 8},
+                    "config": {"routing": 3}}"#,
+                Some(27),
+                "`config.routing` must be a string",
+            ),
+            (
+                r#"{"id": 28, "benchmark": {"family": "BV", "qubits": 1}}"#,
+                Some(28),
+                "at least 2",
+            ),
+            (
+                r#"{"id": 29, "benchmark": {"family": "BV", "qubits": 1025}}"#,
+                Some(29),
+                "at most 1024",
+            ),
+            (
+                r#"{"id": 30, "qasm": "OPENQASM 2.0; qreg q[2]; cz q[0], q[5];"}"#,
+                Some(30),
+                "qasm:",
+            ),
+            (
+                r#"{"id": 31, "benchmark": {"family": "QFT", "qubits": 1024}}"#,
+                Some(31),
+                "1572352 gates; a frame may hold at most 131072",
+            ),
+        ]
+        .into_iter()
+        .map(|(frame, id, message)| (frame.to_string(), id, message))
+        .collect();
+        // Inline QASM is bounded by the same gate count as benchmarks.
+        let qasm = format!(
+            "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n{}",
+            "h q[0];\n".repeat(MAX_FRAME_GATES + 1)
+        );
+        rows.push((
+            serde_json::to_string(&Value::Object(vec![
+                ("id".into(), Value::Int(32)),
+                ("qasm".into(), Value::String(qasm)),
+            ]))
+            .unwrap(),
+            Some(32),
+            "131073 gates; a frame may hold at most 131072",
+        ));
         for (frame, id, message) in rows {
-            let err = Request::parse(frame).unwrap_err();
+            let err = Request::parse(&frame)
+                .and_then(|request| match request {
+                    Request::Compile(request) => request.circuit().map(drop),
+                    _ => Ok(()),
+                })
+                .unwrap_err();
+            let frame = &frame[..frame.len().min(120)];
             assert_eq!(err.id, id, "{frame}");
             assert!(err.message.contains(message), "{frame}: {}", err.message);
             let reply = serde_json::to_string(&err.reply()).unwrap();
             assert!(reply.contains("\"ok\": false") || reply.contains("\"ok\":false"));
+        }
+    }
+
+    #[test]
+    fn the_gate_bound_admits_every_workload_circuit() {
+        // The largest circuit a benchmark workload compiles, and the widest.
+        for (family, qubits) in [("QFT", 256), ("QAOA-regular4", 1024)] {
+            let frame = format!(
+                r#"{{"id": 1, "benchmark": {{"family": "{family}", "qubits": {qubits}}}}}"#
+            );
+            let Request::Compile(req) = Request::parse(&frame).unwrap() else {
+                panic!("expected compile");
+            };
+            let circuit = req.circuit().unwrap();
+            assert!(circuit.num_gates() <= MAX_FRAME_GATES);
         }
     }
 

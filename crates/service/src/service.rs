@@ -1,8 +1,9 @@
 //! The compile service: cache and in-flight coalescing.
 
-use crate::cache::{CacheStats, LruCache, ScheduleCache};
+use crate::cache::{CacheStats, CachedProgram, LruCache, ScheduleCache};
 use powermove::{
-    content_hash, stage_hash, CompileError, CompilerConfig, PowerMoveCompiler, StagedIr,
+    content_hash, stage_hash, CompileError, CompilerConfig, ContentHash, PowerMoveCompiler,
+    StagedIr,
 };
 use powermove_circuit::Circuit;
 use powermove_hardware::Architecture;
@@ -34,6 +35,18 @@ impl CacheOutcome {
             CacheOutcome::Coalesced => "coalesced",
         }
     }
+}
+
+/// One request as the service answered it: its content key, how it was
+/// satisfied, and the cache entry holding the program and its digest.
+#[derive(Debug)]
+pub struct KeyedCompile {
+    /// The request's [`content_hash`].
+    pub key: ContentHash,
+    /// How the request was satisfied.
+    pub outcome: CacheOutcome,
+    /// The emitted program and its digest.
+    pub entry: Arc<CachedProgram>,
 }
 
 /// A point-in-time snapshot of service counters, reported by the `stats`
@@ -163,6 +176,9 @@ impl CompileService {
     /// Compiles a request, satisfying it from the cache or an in-flight
     /// identical compile when possible.
     ///
+    /// A thin wrapper over [`CompileService::compile_keyed`] for callers that
+    /// need neither the key nor the digest.
+    ///
     /// # Errors
     ///
     /// Propagates [`CompileError`] from a cold compile. A failed compile is
@@ -178,7 +194,36 @@ impl CompileService {
         arch: &Architecture,
         config: &CompilerConfig,
     ) -> Result<(Arc<CompiledProgram>, CacheOutcome), CompileError> {
-        let key = content_hash(circuit, arch, config).value();
+        let served = self.compile_keyed(circuit, arch, config)?;
+        Ok((Arc::clone(served.entry.program()), served.outcome))
+    }
+
+    /// Compiles a request like [`CompileService::compile`], and also returns
+    /// the content key it hashed and the cache entry, which carries the
+    /// program's digest. The request is hashed once; the digest is computed
+    /// once per cold compile, outside the lock, before the entry is cached,
+    /// so hits and coalesced waiters read it instead of re-serializing the
+    /// program.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompileService::compile`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if another thread panicked while holding the service lock.
+    pub fn compile_keyed(
+        &self,
+        circuit: &Circuit,
+        arch: &Architecture,
+        config: &CompilerConfig,
+    ) -> Result<KeyedCompile, CompileError> {
+        let key = content_hash(circuit, arch, config);
+        let served = |entry, outcome| KeyedCompile {
+            key,
+            outcome,
+            entry,
+        };
         let mut waited = false;
         let in_flight = {
             let mut inner = self.inner.lock().expect("service lock poisoned");
@@ -187,21 +232,24 @@ impl CompileService {
                 // in exactly one of `cache.hits`, `coalesced` and `compiles`
                 // (or fails).
                 let cached = if waited {
-                    inner.cache.touch(key)
+                    inner.cache.touch(key.value())
                 } else {
-                    inner.cache.get(key)
+                    inner.cache.get(key.value())
                 };
-                if let Some(program) = cached {
+                if let Some(entry) = cached {
                     let outcome = if waited {
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
                         CacheOutcome::Coalesced
                     } else {
                         CacheOutcome::Hit
                     };
-                    return Ok((program, outcome));
+                    return Ok(served(entry, outcome));
                 }
-                if inner.in_flight.insert(key) {
-                    break InFlight { service: self, key };
+                if inner.in_flight.insert(key.value()) {
+                    break InFlight {
+                        service: self,
+                        key: key.value(),
+                    };
                 }
                 waited = true;
                 inner = self
@@ -210,19 +258,21 @@ impl CompileService {
                     .expect("service lock poisoned while waiting");
             }
         };
-        // Compile outside the lock: identical concurrent requests block on
-        // the condvar above, different requests proceed in parallel. The
-        // front end is served from the stage cache when possible, so a
-        // request that differs from a cached one only in architecture pays
-        // only for the route/emit back end. Dropping `in_flight` — after
-        // caching, on error or on panic — wakes the waiters.
-        let program = Arc::new(self.emit_via_stage_cache(circuit, arch, config)?);
+        // Compile and digest outside the lock: identical concurrent requests
+        // block on the condvar above, different requests proceed in
+        // parallel. The front end is served from the stage cache when
+        // possible, so a request that differs from a cached one only in
+        // architecture pays only for the route/emit back end. Dropping
+        // `in_flight` — after caching, on error or on panic — wakes the
+        // waiters.
+        let program = self.emit_via_stage_cache(circuit, arch, config)?;
+        let entry = Arc::new(CachedProgram::new(program));
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock().expect("service lock poisoned");
-        inner.cache.insert(key, Arc::clone(&program));
+        inner.cache.insert(key.value(), Arc::clone(&entry));
         drop(inner);
         drop(in_flight);
-        Ok((program, CacheOutcome::Miss))
+        Ok(served(entry, CacheOutcome::Miss))
     }
 
     /// Runs one cold compile, reusing a cached front-end IR if one exists

@@ -3,11 +3,14 @@
 //! The build environment has no access to crates.io, so the workspace vendors
 //! a minimal replacement for serde's `Serialize` derive macro.
 //! `#[derive(Serialize)]` generates a real implementation of the vendored
-//! `serde::Serialize` trait (tree-structured `serde::Value` output,
-//! externally tagged enums, newtype unwrapping — mirroring serde's default
+//! `serde::Serialize` trait: a `serialize` that streams the value's JSON
+//! tokens into a `serde::Serializer` with no intermediate tree (externally
+//! tagged enums, newtype unwrapping — mirroring serde's default
 //! representation closely enough for the JSON reports the bench harness
-//! emits). There is no read-side derive: no code in this workspace parses
-//! JSON into a typed value.
+//! emits), and an `is_json_string` override for unit variants and
+//! newtypes, which map serialization reads to choose between an object and
+//! `[key, value]` pairs. There is no read-side derive: no code in this
+//! workspace parses JSON into a typed value.
 //!
 //! Supported shapes: non-generic structs (named, tuple, unit) and non-generic
 //! enums with unit, tuple and struct variants. Generic types are rejected
@@ -229,71 +232,78 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn generate_impl(item: &Item) -> String {
     let name = &item.name;
+    // Calls on the serializer `__s`, a name no field binding can shadow.
+    let field = |key: &str, value: &str| format!("__s.entry({key:?}, {value});");
+    let element = |value: &str| format!("__s.element({value});");
+    let mut is_json_string = String::new();
     let body = match &item.body {
-        Body::UnitStruct => "::serde::Value::Null".to_string(),
-        Body::TupleStruct(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
+        Body::UnitStruct => "__s.null();".to_string(),
+        Body::TupleStruct(1) => {
+            is_json_string = "::serde::Serialize::is_json_string(&self.0)".to_string();
+            "::serde::Serialize::serialize(&self.0, __s);".to_string()
+        }
         Body::TupleStruct(n) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
+            let elems: String = (0..*n).map(|i| element(&format!("&self.{i}"))).collect();
+            format!("__s.begin_array(); {elems} __s.end_array();")
         }
         Body::NamedStruct(fields) => {
-            let entries: Vec<String> = fields
+            let entries: String = fields
                 .iter()
-                .map(|f| format!("(String::from({f:?}), ::serde::Serialize::serialize(&self.{f}))"))
+                .map(|f| field(f, &format!("&self.{f}")))
                 .collect();
-            format!("::serde::Value::Object(vec![{}])", entries.join(", "))
+            format!("__s.begin_object(); {entries} __s.end_object();")
         }
         Body::Enum(variants) => {
+            let units: Vec<String> = variants
+                .iter()
+                .filter(|v| matches!(v.fields, VariantFields::Unit))
+                .map(|v| format!("Self::{}", v.name))
+                .collect();
+            if !units.is_empty() {
+                is_json_string = format!("matches!(self, {})", units.join(" | "));
+            }
             let arms: Vec<String> = variants
                 .iter()
                 .map(|v| {
                     let vname = &v.name;
                     match &v.fields {
-                        VariantFields::Unit => format!(
-                            "{name}::{vname} => ::serde::Value::String(String::from({vname:?}))"
-                        ),
+                        VariantFields::Unit => format!("Self::{vname} => __s.str({vname:?}),"),
                         VariantFields::Tuple(1) => format!(
-                            "{name}::{vname}(f0) => ::serde::Value::Object(vec![(String::from({vname:?}), ::serde::Serialize::serialize(f0))])"
+                            "Self::{vname}(f0) => {{ __s.begin_object(); {} __s.end_object(); }}",
+                            field(vname, "f0")
                         ),
                         VariantFields::Tuple(n) => {
-                            let binds: Vec<String> =
-                                (0..*n).map(|i| format!("f{i}")).collect();
-                            let elems: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::serialize({b})"))
-                                .collect();
+                            let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
+                            let elems: String = binds.iter().map(|b| element(b)).collect();
                             format!(
-                                "{name}::{vname}({}) => ::serde::Value::Object(vec![(String::from({vname:?}), ::serde::Value::Array(vec![{}]))])",
-                                binds.join(", "),
-                                elems.join(", ")
+                                "Self::{vname}({}) => {{ __s.begin_object(); __s.key({vname:?}); \
+                                 __s.begin_array(); {elems} __s.end_array(); __s.end_object(); }}",
+                                binds.join(", ")
                             )
                         }
                         VariantFields::Named(fields) => {
-                            let binds = fields.join(", ");
-                            let entries: Vec<String> = fields
-                                .iter()
-                                .map(|f| {
-                                    format!(
-                                        "(String::from({f:?}), ::serde::Serialize::serialize({f}))"
-                                    )
-                                })
-                                .collect();
+                            let entries: String = fields.iter().map(|f| field(f, f)).collect();
                             format!(
-                                "{name}::{vname} {{ {binds} }} => ::serde::Value::Object(vec![(String::from({vname:?}), ::serde::Value::Object(vec![{}]))])",
-                                entries.join(", ")
+                                "Self::{vname} {{ {} }} => {{ __s.begin_object(); __s.key({vname:?}); \
+                                 __s.begin_object(); {entries} __s.end_object(); __s.end_object(); }}",
+                                fields.join(", ")
                             )
                         }
                     }
                 })
                 .collect();
-            format!("match self {{ {} }}", arms.join(", "))
+            format!("match self {{ {} }}", arms.join(" "))
         }
+    };
+    let is_json_string = if is_json_string.is_empty() {
+        String::new()
+    } else {
+        format!("fn is_json_string(&self) -> bool {{ {is_json_string} }}")
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-             fn serialize(&self) -> ::serde::Value {{ {body} }}\n\
+             fn serialize<__W: ::core::fmt::Write + ?Sized>(&self, __s: &mut ::serde::Serializer<'_, __W>) {{ {body} }}\n\
+             {is_json_string}\n\
          }}"
     )
 }

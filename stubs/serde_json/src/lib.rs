@@ -1,13 +1,15 @@
-//! Offline stand-in for `serde_json`: renders the vendored [`serde::Value`]
-//! tree as JSON text, and parses JSON text back into a [`Value`] tree
-//! ([`from_str`]). There is no typed, derive-based parsing: callers that
-//! read JSON (e.g. the `bench-gate` baseline loader) extract fields from the
-//! parsed [`Value`] explicitly.
+//! Offline stand-in for `serde_json`: streams any [`Serialize`] value as
+//! JSON text through the vendored [`Serializer`] — into a `String`
+//! ([`to_string`], [`to_string_pretty`]) or any [`fmt::Write`] sink
+//! ([`to_writer`]), with no intermediate tree — and parses JSON text into a
+//! [`Value`] tree ([`from_str`]). There is no typed, derive-based parsing:
+//! callers that read JSON (e.g. the `bench-gate` baseline loader) extract
+//! fields from the parsed [`Value`] explicitly.
 
-pub use serde::Value;
+pub use serde::{Serializer, Value};
 
 use serde::Serialize;
-use std::fmt::Write as _;
+use std::fmt;
 
 /// Error type mirroring `serde_json::Error`.
 ///
@@ -41,9 +43,22 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Serializes a value into its [`Value`] tree.
+/// Builds a value's [`Value`] tree, for the callers that need one: the tree
+/// is parsed back from the value's compact JSON, so it renders to exactly
+/// those bytes again.
+///
+/// # Panics
+///
+/// Never in practice: the compact writer only emits JSON the parser reads.
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
-    value.serialize()
+    let text = to_string(value).expect("serialization is infallible");
+    from_str(&text).expect("the compact writer emits valid JSON")
+}
+
+/// Streams a value's compact JSON into a [`fmt::Write`] sink — byte for
+/// byte what [`to_string`] returns, without building the `String`.
+pub fn to_writer<W: fmt::Write + ?Sized, T: Serialize + ?Sized>(out: &mut W, value: &T) {
+    value.serialize(&mut Serializer::compact(out));
 }
 
 /// Serializes a value to a compact JSON string.
@@ -53,7 +68,7 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Value {
 /// Never fails; the `Result` mirrors the real `serde_json` signature.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    render(&value.serialize(), &mut out, None, 0);
+    to_writer(&mut out, value);
     Ok(out)
 }
 
@@ -64,76 +79,8 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
 /// Never fails; the `Result` mirrors the real `serde_json` signature.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    render(&value.serialize(), &mut out, Some(2), 0);
+    value.serialize(&mut Serializer::pretty(&mut out));
     Ok(out)
-}
-
-fn render(value: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::Float(x) => {
-            if x.is_finite() {
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    let _ = write!(out, "{x:.1}");
-                } else {
-                    let _ = write!(out, "{x}");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::String(s) => escape_into(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                render(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                escape_into(key, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                render(item, out, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * depth {
-            out.push(' ');
-        }
-    }
 }
 
 /// Serializes a value as one newline-terminated JSON Lines record (compact
@@ -397,24 +344,6 @@ impl Parser<'_> {
             .map(Value::Float)
             .map_err(|_| Error::parse("invalid number", start))
     }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

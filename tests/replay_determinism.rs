@@ -465,8 +465,30 @@ fn assert_chain_matches_reference(
         Zone::Compute
     };
     let arch = Architecture::for_qubits(num_qubits);
-    let grid = arch.grid().clone();
     let initial = Layout::row_major(&arch, num_qubits, zone).unwrap();
+    assert_chain_from_layout_matches_reference(
+        &arch,
+        initial,
+        use_storage,
+        stages,
+        policy,
+        bias,
+        label,
+    )
+}
+
+/// [`assert_chain_matches_reference`] from an explicit machine and initial
+/// layout.
+fn assert_chain_from_layout_matches_reference(
+    arch: &Architecture,
+    initial: Layout,
+    use_storage: bool,
+    stages: &[Stage],
+    policy: &dyn SitePolicy,
+    bias: &dyn Fn(Qubit, Qubit, SiteId) -> f64,
+    label: &str,
+) -> (usize, usize) {
+    let grid = arch.grid().clone();
     let mut arena = RoutingState::new(arch.clone(), initial.clone(), use_storage);
     let mut reference_layout = initial;
     let mut storage_moves = 0;
@@ -475,7 +497,7 @@ fn assert_chain_matches_reference(
         let planned = arena
             .route_stage_with(st, policy)
             .expect("default grid never runs out of sites");
-        let expected = reference_route_stage(&arch, &mut reference_layout, use_storage, st, bias);
+        let expected = reference_route_stage(arch, &mut reference_layout, use_storage, st, bias);
         assert_eq!(
             planned.all_moves(),
             expected,
@@ -577,4 +599,48 @@ fn biased_arena_router_matches_the_biased_reference_on_random_stage_chains() {
         );
     }
     assert_qft_chains_match_reference(&policy, &pseudo_bias);
+}
+
+#[test]
+fn step_three_pairs_prefer_vacant_sites_over_sites_vacated_in_the_same_stage() {
+    // Eight qubits on the 8×8 compute grid of a 64-qubit machine (no
+    // storage), so the free list is long enough for the pruned search:
+    //
+    //   site 0 (corner)  qubits 2, 3     site 1   qubit 4
+    //   site 8 (below 0) qubit 6         site 27  qubits 0, 1
+    //   site 40          qubit 5
+    //
+    // Gate (0, 2) finds both its sites shared with a partner that stays, so
+    // the pair is resolved in step 3 around the anchor on site 0. Gate
+    // (4, 5) moves qubit 4 to site 40 in the same stage, so site 1, next to
+    // the anchor, is free in the plan but still occupied. The nearest
+    // vacant site is the diagonal site 9, one step farther: the search must
+    // prefer it over site 1.
+    let arch = Architecture::for_qubits(64);
+    let mut initial = Layout::empty(7);
+    for (qubit, site) in [(0, 27), (1, 27), (2, 0), (3, 0), (4, 1), (5, 40), (6, 8)] {
+        initial.place(q(qubit), SiteId::new(site));
+    }
+    let stages = [stage(&[(0, 2), (4, 5)])];
+    assert_chain_from_layout_matches_reference(
+        &arch,
+        initial.clone(),
+        false,
+        &stages,
+        &ZeroBias,
+        &|_, _, _| 0.0,
+        "vacated",
+    );
+    let mut state = RoutingState::new(arch, initial, false);
+    let planned = state.route_stage_with(&stages[0], &ZeroBias).unwrap();
+    let target = |qubit| {
+        planned
+            .all_moves()
+            .iter()
+            .find(|m| m.qubit == q(qubit))
+            .map(|m| m.to.index())
+    };
+    assert_eq!(target(4), Some(40));
+    assert_eq!(target(2), Some(9), "the pair takes the nearest vacant site");
+    assert_eq!(target(0), Some(9));
 }
