@@ -1,53 +1,39 @@
-//! The benchmark-regression gate: runs the sharded backend × suite matrix
-//! with repeat-run wall-clock sampling, streams every completed cell to a
-//! JSONL report, and compares the results against the checked-in
-//! `bench/baseline.json` (schema v2), exiting non-zero on any regression or
-//! coverage drift. CI runs one matrix job per shard plus a final
-//! merge-and-gate job.
+//! The benchmark-regression gate: runs the whole gated backend × suite
+//! matrix in one run, with repeat-run wall-clock sampling, and compares the
+//! results against the checked-in `bench/baseline.json` (schema v2),
+//! exiting non-zero on any regression or coverage drift.
 //!
 //! Usage:
 //!
 //! ```text
-//! bench-gate [--shard <name>] [--repeats <n>] [--jsonl <path>]
-//!            [--baseline <path>] [--json <path>] [--update]
-//!            [--filter <substr>] [--list-shards]
+//! bench-gate [--repeats <n>] [--baseline <path>] [--json <path>]
+//!            [--update] [--filter <substr>]
 //!            [--fidelity-tol <rel>] [--exec-tol <rel>]
 //!            [--compile-tol <rel>] [--compile-floor <seconds>]
-//!
-//! bench-gate merge <shard.jsonl>... [--baseline <path>] [--json <path>]
-//!            [tolerance flags]
 //! ```
 //!
-//! Gate mode:
-//!
-//! * `--shard` — run and gate only the named shard (see `--list-shards`);
-//!   coverage-drift checks are scoped to that shard's cells;
 //! * `--repeats` — compile-time samples per cell (default 3; exact metrics
 //!   are single-run);
-//! * `--jsonl` — stream one JSON line per completed cell; a crashed run
-//!   still leaves a parseable partial report;
-//! * `--json` — additionally record the full `RunResult` report at the end;
-//! * `--update` — refresh the baseline from this run instead of gating:
-//!   only the selected shard's cells are replaced, entries of other shards
-//!   are never dropped (commit the refreshed file);
-//! * `--filter` — restrict to benchmarks whose name contains the substring;
+//! * `--json` — additionally record the full `RunResult` report;
+//! * `--update` — rewrite the whole baseline from this run instead of
+//!   gating (commit the refreshed file); it cannot be combined with
+//!   `--filter`, since a partial run cannot stand for the whole file;
+//! * `--filter` — run only benchmarks whose name contains the substring,
+//!   gated against the matching baseline cells (for local runs);
 //! * tolerance flags — override the `GateTolerance` defaults.
 //!
-//! Merge mode reassembles per-shard JSONL part-files into the full-matrix
-//! report (`--json` output is byte-identical to a monolithic run's) and
-//! renders the verdict table against the **whole** baseline, so a shard
-//! that crashed — leaving a partial part-file — surfaces as missing cells.
+//! Every cell carries the label of its gate group (`table2`, `fig6/sweep`,
+//! `fig7/multi-aod`, `lint/corpus`); an unfiltered run answers for every
+//! baseline entry, so a cell the run did not produce fails as MISSING.
 //!
 //! Exit codes: `0` pass (improvements allowed), `1` regression or missing
 //! entry, `2` usage/baseline errors.
 
 use powermove_bench::gate::{compare, Baseline, GateReport, GateTolerance, Verdict};
 use powermove_bench::{
-    merge_cells, read_cells_lossy, run_shard, take_f64_flag, take_flag, take_json_path,
-    take_switch, take_usize_flag, write_json, BackendRegistry, BaselineEntry, ParsedCell,
-    ReportWriter, RunResult, ShardRegistry, SuiteShard, DEFAULT_REPEATS, DEFAULT_SEED,
+    run_shard, take_f64_flag, take_flag, take_json_path, take_switch, take_usize_flag, write_json,
+    BackendRegistry, RunResult, ShardRegistry, SuiteShard, DEFAULT_REPEATS, DEFAULT_SEED,
 };
-use serde::Value;
 use std::path::PathBuf;
 
 /// Extracts the shared tolerance flags.
@@ -66,32 +52,6 @@ fn take_tolerance(args: &mut Vec<String>) -> GateTolerance {
         tolerance.compile_time_floor_s = v;
     }
     tolerance
-}
-
-/// Loads the baseline once, up front. A missing or corrupt file is fatal
-/// (exit 2) unless `allow_missing` — the `--update` bootstrap, which starts
-/// from an empty baseline when the file does not exist yet.
-fn load_baseline(path: &std::path::Path, allow_missing: bool) -> Option<Baseline> {
-    match Baseline::load(path) {
-        Ok(baseline) => Some(baseline),
-        Err(e) => {
-            if allow_missing && !path.exists() {
-                return None;
-            }
-            eprintln!("bench-gate: {e}");
-            eprintln!("bench-gate: run with --update to record a fresh baseline");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The shard registry for a loaded baseline: the `table2/small` /
-/// `table2/large` split is balanced from its recorded per-cell compile wall
-/// clocks (the qubit-count heuristic when bootstrapping without one).
-/// Deriving the split from the *checked-in* medians keeps shard membership
-/// deterministic across machines.
-fn shards_for(baseline: Option<&Baseline>) -> ShardRegistry {
-    ShardRegistry::standard_with_baseline(DEFAULT_SEED, baseline)
 }
 
 /// Prints the verdict table and summary line; returns whether the gate
@@ -141,22 +101,10 @@ fn render_report(report: &GateReport) -> bool {
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("merge") {
-        args.remove(0);
-        merge_main(args);
-    } else {
-        gate_main(args);
-    }
-}
-
-fn gate_main(mut args: Vec<String>) {
     let json_path = take_json_path(&mut args);
-    let jsonl_path = take_flag(&mut args, "--jsonl").map(PathBuf::from);
     let baseline_path = take_flag(&mut args, "--baseline")
         .map_or_else(|| PathBuf::from("bench/baseline.json"), PathBuf::from);
     let update = take_switch(&mut args, "--update");
-    let list_shards = take_switch(&mut args, "--list-shards");
-    let shard_name = take_flag(&mut args, "--shard");
     let repeats = take_usize_flag(&mut args, "--repeats").unwrap_or(DEFAULT_REPEATS);
     let filter = take_flag(&mut args, "--filter").unwrap_or_default();
     let tolerance = take_tolerance(&mut args);
@@ -164,36 +112,27 @@ fn gate_main(mut args: Vec<String>) {
         eprintln!("unrecognized arguments: {args:?}");
         std::process::exit(2);
     }
-
-    let loaded_baseline = load_baseline(&baseline_path, update || list_shards);
-    let shards = shards_for(loaded_baseline.as_ref());
-    if list_shards {
-        println!("{:<16} {:>7}  backends", "shard", "cells");
-        for shard in shards.iter() {
-            println!(
-                "{:<16} {:>7}  {}",
-                shard.name(),
-                shard.cells().len() * shard.backends().len(),
-                shard.backends().join(",")
-            );
-        }
-        return;
+    if update && !filter.is_empty() {
+        eprintln!("bench-gate: --update rewrites the whole baseline and cannot take --filter");
+        std::process::exit(2);
     }
-
-    let selected: Vec<SuiteShard> = match &shard_name {
-        None => shards.iter().map(|s| s.filtered(&filter)).collect(),
-        Some(name) => match shards.get(name) {
-            Some(shard) => vec![shard.filtered(&filter)],
-            None => {
-                eprintln!(
-                    "bench-gate: unknown shard {name:?}; available: {}",
-                    shards.names().join(", ")
-                );
-                std::process::exit(2);
-            }
-        },
+    // Loaded before the run, so a missing or corrupt file fails fast. Only
+    // the gate needs it: `--update` writes a fresh file from scratch.
+    let baseline = if update {
+        None
+    } else {
+        Some(Baseline::load(&baseline_path).unwrap_or_else(|e| {
+            eprintln!("bench-gate: {e}");
+            eprintln!("bench-gate: run with --update to record a fresh baseline");
+            std::process::exit(2);
+        }))
     };
-    let total_cells: usize = selected
+
+    let groups: Vec<SuiteShard> = ShardRegistry::standard(DEFAULT_SEED)
+        .iter()
+        .map(|s| s.filtered(&filter))
+        .collect();
+    let total_cells: usize = groups
         .iter()
         .map(|s| s.cells().len() * s.backends().len())
         .sum();
@@ -205,30 +144,19 @@ fn gate_main(mut args: Vec<String>) {
     }
 
     let registry = BackendRegistry::standard().with_routing_variants();
-    let writer = jsonl_path.as_deref().map(ReportWriter::create);
     println!(
-        "bench-gate: {} shard(s), {} cells, {} compile-time sample(s) per cell",
-        selected.len(),
+        "bench-gate: {} cells, {} compile-time sample(s) per cell",
         total_cells,
         repeats.max(1)
     );
     let started = std::time::Instant::now();
-    let mut runs: Vec<(String, Vec<RunResult>)> = Vec::new();
-    for shard in &selected {
-        let shard_started = std::time::Instant::now();
-        let results = run_shard(shard, &registry, repeats, |index, result| {
-            if let Some(writer) = &writer {
-                writer.append(shard.name(), index, result);
-            }
-        });
-        println!(
-            "bench-gate: shard {} finished in {:.1}s ({} cells)",
-            shard.name(),
-            shard_started.elapsed().as_secs_f64(),
-            results.len()
-        );
-        runs.push((shard.name().to_string(), results));
-    }
+    let runs: Vec<(String, Vec<RunResult>)> = groups
+        .iter()
+        .map(|group| {
+            let results = run_shard(group, &registry, repeats);
+            (group.name().to_string(), results)
+        })
+        .collect();
     println!(
         "bench-gate: matrix finished in {:.1}s",
         started.elapsed().as_secs_f64()
@@ -239,107 +167,23 @@ fn gate_main(mut args: Vec<String>) {
     }
 
     let fresh = Baseline::from_shard_runs(&runs);
-    if update {
-        let previous = loaded_baseline.unwrap_or_default();
-        // Stale-cell pruning is membership-based and therefore skipped for
-        // --filter runs: a filtered update must only touch the cells it
-        // actually re-ran.
-        let prune: Vec<String> = if filter.is_empty() {
-            selected.iter().map(|s| s.name().to_string()).collect()
-        } else {
-            Vec::new()
-        };
-        let updated = previous.merged_update(fresh.entries, &prune, &shards);
-        write_json(&baseline_path, &updated);
+    let Some(baseline) = baseline else {
+        write_json(&baseline_path, &fresh);
         println!(
-            "bench-gate: baseline refreshed with {} entries ({} shard(s) re-run) — review and commit it",
-            updated.entries.len(),
-            selected.len()
+            "bench-gate: baseline rewritten with {} entries — review and commit it",
+            fresh.entries.len()
         );
         return;
-    }
-
-    let baseline = loaded_baseline.expect("gate mode always loads a baseline");
-    // A full, unfiltered run holds the entire baseline accountable (stale
-    // entries fail as missing); a shard or filter run only gates its slice.
-    let scoped = if shard_name.is_none() && filter.is_empty() {
+    };
+    // An unfiltered run holds the entire baseline accountable (stale
+    // entries fail as missing); a filtered run gates only its slice.
+    let baseline = if filter.is_empty() {
         baseline
     } else {
-        let cells: Vec<(String, String)> = selected.iter().flat_map(SuiteShard::cell_ids).collect();
+        let cells: Vec<(String, String)> = groups.iter().flat_map(SuiteShard::cell_ids).collect();
         baseline.scoped(&cells)
     };
-    let report = compare(&scoped, &fresh.entries, &tolerance);
-    if !render_report(&report) {
-        std::process::exit(1);
-    }
-}
-
-fn merge_main(mut args: Vec<String>) {
-    let json_path = take_json_path(&mut args);
-    let baseline_path = take_flag(&mut args, "--baseline")
-        .map_or_else(|| PathBuf::from("bench/baseline.json"), PathBuf::from);
-    let tolerance = take_tolerance(&mut args);
-    if args.is_empty() {
-        eprintln!("bench-gate merge: no part-files given");
-        eprintln!("usage: bench-gate merge <shard.jsonl>... [--baseline <path>] [--json <path>]");
-        std::process::exit(2);
-    }
-
-    let baseline = load_baseline(&baseline_path, false).expect("merge mode requires a baseline");
-    let shards = shards_for(Some(&baseline));
-    let mut files: Vec<Vec<ParsedCell>> = Vec::new();
-    for path in &args {
-        // Lossy read: a part-file whose run was SIGKILLed mid-append ends in
-        // a torn line. The valid prefix still merges — the lost cell then
-        // fails the gate as MISSING, which is the verdict the operator
-        // needs, instead of a usage error hiding the crash.
-        match read_cells_lossy(&PathBuf::from(path)) {
-            Ok((cells, dropped)) => {
-                println!("bench-gate merge: {path}: {} cells", cells.len());
-                if let Some(dropped) = dropped {
-                    eprintln!(
-                        "bench-gate merge: {path}: dropped torn final line ({dropped}) — \
-                         the unfinished cell will gate as MISSING"
-                    );
-                }
-                files.push(cells);
-            }
-            Err(e) => {
-                eprintln!("bench-gate merge: {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let cells = match merge_cells(files, &shards) {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("bench-gate merge: {e}");
-            std::process::exit(2);
-        }
-    };
-    println!(
-        "bench-gate merge: {} cells reassembled from {} part-file(s)",
-        cells.len(),
-        args.len()
-    );
-    if let Some(path) = json_path {
-        // Re-render the parsed result trees verbatim: the merged report is
-        // byte-identical to the one a monolithic `bench-gate --json` writes.
-        let results: Vec<&Value> = cells.iter().map(|c| &c.result).collect();
-        write_json(&path, &results);
-    }
-
-    let current = cells
-        .iter()
-        .map(|c| BaselineEntry::from_result_value(&c.result, &c.shard))
-        .collect::<Result<Vec<_>, _>>()
-        .unwrap_or_else(|e| {
-            eprintln!("bench-gate merge: {e}");
-            std::process::exit(2);
-        });
-    // The merged matrix answers for the whole baseline: a shard that
-    // crashed (partial part-file) or never uploaded surfaces as MISSING.
-    let report = compare(&baseline, &current, &tolerance);
+    let report = compare(&baseline, &fresh.entries, &tolerance);
     if !render_report(&report) {
         std::process::exit(1);
     }

@@ -1,6 +1,6 @@
 //! Regenerates Table 2 of the paper: the benchmark instances and the zone
 //! dimensions of the hardware configuration derived from each qubit count,
-//! plus the gate shard each instance belongs to.
+//! plus the `bench-gate` group that gates each instance.
 //!
 //! Usage:
 //!
@@ -51,7 +51,7 @@ fn main() {
         let (iw, ih) = arch.grid().inter_zone_size_um();
         let (sw, sh) = arch.grid().zone_size_um(Zone::Storage);
         // Every Table 2 instance is gated under the with-storage backend in
-        // exactly one shard of the standard partition.
+        // exactly one group of the standard registry.
         let shard = shards
             .shard_of_cell(POWERMOVE_STORAGE, &instance.name)
             .map_or("-", |s| s.name())

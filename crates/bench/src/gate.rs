@@ -1,8 +1,9 @@
 //! The benchmark-regression gate behind the `bench-gate` binary.
 //!
-//! CI runs the full backend × suite matrix ([`run_matrix`]), converts the
-//! results into [`BaselineEntry`] records, and compares them against the
-//! checked-in `bench/baseline.json` with a configurable [`GateTolerance`]:
+//! `bench-gate` runs the whole gated backend × suite matrix ([`run_shard`]
+//! over every group), converts the results into [`BaselineEntry`] records,
+//! and compares them against the checked-in `bench/baseline.json` with a
+//! configurable [`GateTolerance`]:
 //!
 //! * **fidelity** — higher is better, relative tolerance;
 //! * **execution time** — lower is better, relative tolerance;
@@ -25,14 +26,11 @@
 //! The baseline file is **schema v2**: a top-level `version` field, one
 //! `shard` label per entry, and the compile wall clock stored as a
 //! `{"samples": [...], "median": ..., "ci_low": ..., "ci_high": ...}`
-//! object. Legacy v1 files (scalar `compile_time_s`, no version) still
-//! parse — each scalar becomes a single-sample statistic with a degenerate
-//! interval, and the next full `--update` relabels every live cell from the
-//! current shard registry (and prunes cells no shard gates any more).
+//! object. Any other version, or none, is rejected; `bench-gate --update`
+//! rewrites the whole file from a full run.
 //!
-//! [`run_matrix`]: crate::run_matrix
+//! [`run_shard`]: crate::run_shard
 
-use crate::harness::ShardRegistry;
 use crate::stats::SampleStats;
 use crate::RunResult;
 use serde::{Serialize, Serializer, Value};
@@ -99,8 +97,7 @@ pub struct BaselineEntry {
     pub compiler: String,
     /// Benchmark name, e.g. `"QAOA-regular3-30"`.
     pub benchmark: String,
-    /// Name of the shard that gates this cell, e.g. `"table2/small"`
-    /// (empty for entries read from a legacy v1 baseline).
+    /// Label of the group that gates this cell, e.g. `"table2"`.
     pub shard: String,
     /// Output fidelity excluding the 1Q factor.
     pub fidelity: f64,
@@ -117,7 +114,7 @@ pub struct BaselineEntry {
 }
 
 impl BaselineEntry {
-    /// Captures the gate metrics of one run under the given shard label.
+    /// Captures the gate metrics of one run under the given group label.
     #[must_use]
     fn from_run(result: &RunResult, shard: &str) -> Self {
         BaselineEntry {
@@ -132,52 +129,12 @@ impl BaselineEntry {
             cz_gates: result.cz_gates,
         }
     }
-
-    /// Extracts the gate metrics from a serialized [`RunResult`] tree (one
-    /// `result` field of a streamed JSONL cell), labelled with `shard`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GateError::Parse`] on missing or mistyped fields.
-    pub fn from_result_value(value: &Value, shard: &str) -> Result<Self, GateError> {
-        let samples = value
-            .get("compile_time_samples")
-            .and_then(Value::as_array)
-            .ok_or_else(|| {
-                GateError::Parse("result: missing `compile_time_samples` array".to_string())
-            })?
-            .iter()
-            .map(|s| {
-                s.as_f64().ok_or_else(|| {
-                    GateError::Parse(
-                        "result: `compile_time_samples` holds a non-number".to_string(),
-                    )
-                })
-            })
-            .collect::<Result<Vec<f64>, GateError>>()?;
-        if samples.is_empty() {
-            return Err(GateError::Parse(
-                "result: `compile_time_samples` is empty".to_string(),
-            ));
-        }
-        Ok(BaselineEntry {
-            compiler: str_field(value, "compiler", 0)?,
-            benchmark: str_field(value, "benchmark", 0)?,
-            shard: shard.to_string(),
-            fidelity: f64_field(value, "fidelity", 0)?,
-            execution_time_us: f64_field(value, "execution_time_us", 0)?,
-            compile_time: SampleStats::from_samples(samples),
-            stages: usize_field(value, "stages", 0)?,
-            transfers: usize_field(value, "transfers", 0)?,
-            cz_gates: usize_field(value, "cz_gates", 0)?,
-        })
-    }
 }
 
 /// A parsed `bench/baseline.json` (schema v2; see the module docs).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Baseline {
-    /// The recorded entries, in canonical shard order.
+    /// The recorded entries, in the order they were recorded.
     pub entries: Vec<BaselineEntry>,
 }
 
@@ -239,8 +196,8 @@ fn str_field(object: &Value, key: &str, index: usize) -> Result<String, GateErro
 }
 
 impl Baseline {
-    /// Captures the gate metrics of a sequence of per-shard runs as a new
-    /// baseline, labelling every entry with its shard.
+    /// Captures the gate metrics of a sequence of per-group runs as a new
+    /// baseline, labelling every entry with its group.
     #[must_use]
     pub fn from_shard_runs(runs: &[(String, Vec<RunResult>)]) -> Self {
         Baseline {
@@ -255,10 +212,8 @@ impl Baseline {
 
     /// Parses the JSON text of a baseline file.
     ///
-    /// Accepts both the current v2 schema (`{"version": 2, "entries":
-    /// [...]}` with `shard` labels and `compile_time` sample objects) and
-    /// the legacy v1 shape (no `version`, scalar `compile_time_s`, no
-    /// `shard`); v1 scalars become single-sample statistics.
+    /// Accepts the v2 schema only: `{"version": 2, "entries": [...]}` with
+    /// `shard` labels and `compile_time` sample objects.
     ///
     /// # Errors
     ///
@@ -272,9 +227,9 @@ impl Baseline {
                 .as_i64()
                 .ok_or_else(|| GateError::Parse("`version` is not an integer".to_string()))?,
         };
-        if version != 1 && version != BASELINE_VERSION {
+        if version != BASELINE_VERSION {
             return Err(GateError::Parse(format!(
-                "unsupported baseline schema version {version} (expected 1 or {BASELINE_VERSION})"
+                "unsupported baseline schema version {version} (expected {BASELINE_VERSION})"
             )));
         }
         let entries = root
@@ -285,27 +240,16 @@ impl Baseline {
             .iter()
             .enumerate()
             .map(|(index, entry)| {
-                let compiler = str_field(entry, "compiler", index)?;
-                let benchmark = str_field(entry, "benchmark", index)?;
-                let (shard, compile_time) = if version == 1 {
-                    (
-                        String::new(),
-                        SampleStats::single(f64_field(entry, "compile_time_s", index)?),
-                    )
-                } else {
-                    let stats_value = field(entry, "compile_time", index)?;
-                    let stats = SampleStats::from_value(stats_value).map_err(|e| {
-                        GateError::Parse(format!("entry {index}: `compile_time` {e}"))
-                    })?;
-                    (str_field(entry, "shard", index)?, stats)
-                };
                 Ok(BaselineEntry {
-                    compiler,
-                    benchmark,
-                    shard,
+                    compiler: str_field(entry, "compiler", index)?,
+                    benchmark: str_field(entry, "benchmark", index)?,
+                    shard: str_field(entry, "shard", index)?,
                     fidelity: f64_field(entry, "fidelity", index)?,
                     execution_time_us: f64_field(entry, "execution_time_us", index)?,
-                    compile_time,
+                    compile_time: SampleStats::from_value(field(entry, "compile_time", index)?)
+                        .map_err(|e| {
+                            GateError::Parse(format!("entry {index}: `compile_time` {e}"))
+                        })?,
                     stages: usize_field(entry, "stages", index)?,
                     transfers: usize_field(entry, "transfers", index)?,
                     cz_gates: usize_field(entry, "cz_gates", index)?,
@@ -335,12 +279,9 @@ impl Baseline {
             .find(|e| e.compiler == compiler && e.benchmark == benchmark)
     }
 
-    /// The baseline restricted to the given `(compiler, benchmark)` cells.
-    ///
-    /// Per-shard gating scopes the baseline to the shard's **current** cell
-    /// list (not the recorded `shard` labels), so a cell that migrated
-    /// between shards is gated where it now lives and coverage-drift checks
-    /// stay per-shard.
+    /// The baseline restricted to the given `(compiler, benchmark)` cells:
+    /// a `--filter` run is gated against the cells it ran, so coverage
+    /// drift is checked within the filtered slice.
     #[must_use]
     pub fn scoped(&self, cells: &[(String, String)]) -> Baseline {
         Baseline {
@@ -355,64 +296,6 @@ impl Baseline {
                 .cloned()
                 .collect(),
         }
-    }
-
-    /// Merges freshly re-run entries into this baseline for
-    /// `bench-gate --update`.
-    ///
-    /// Exactly the cells present in `fresh` are replaced; every other
-    /// recorded entry is kept, so updating one shard can never silently
-    /// drop another shard's entries. Additionally, stale entries are
-    /// pruned:
-    ///
-    /// * entries recorded under a shard named in `prune_shards` whose cell
-    ///   that shard no longer gates (the shard definition shrank);
-    /// * when `prune_shards` covers **every** current shard (a full,
-    ///   unfiltered `--update`), entries whose cell no shard gates at all —
-    ///   this is what cleans out cells left behind by a removed benchmark
-    ///   or carried over from a legacy v1 baseline (whose recorded shard
-    ///   label is empty).
-    ///
-    /// Pass an empty list — e.g. for a `--filter`ed update — to prune
-    /// nothing. The result is sorted into canonical order
-    /// ([`ShardRegistry::cell_rank`]), with unknown cells last in their
-    /// prior relative order.
-    #[must_use]
-    pub fn merged_update(
-        self,
-        fresh: Vec<BaselineEntry>,
-        prune_shards: &[String],
-        shards: &ShardRegistry,
-    ) -> Baseline {
-        let replaced = |e: &BaselineEntry| {
-            fresh
-                .iter()
-                .any(|f| f.compiler == e.compiler && f.benchmark == e.benchmark)
-        };
-        let full_prune = !shards.is_empty()
-            && shards
-                .iter()
-                .all(|s| prune_shards.iter().any(|p| p == s.name()));
-        let stale = |e: &BaselineEntry| {
-            let dropped_from_recorded_shard = prune_shards.contains(&e.shard)
-                && shards
-                    .get(&e.shard)
-                    .map_or(true, |s| !s.contains_cell(&e.compiler, &e.benchmark));
-            let orphaned = full_prune && shards.shard_of_cell(&e.compiler, &e.benchmark).is_none();
-            dropped_from_recorded_shard || orphaned
-        };
-        let mut entries: Vec<BaselineEntry> = self
-            .entries
-            .into_iter()
-            .filter(|e| !replaced(e) && !stale(e))
-            .collect();
-        entries.extend(fresh);
-        entries.sort_by_key(|e| {
-            shards
-                .cell_rank(&e.compiler, &e.benchmark)
-                .unwrap_or(usize::MAX)
-        });
-        Baseline { entries }
     }
 }
 
@@ -641,7 +524,7 @@ mod tests {
         BaselineEntry {
             compiler: compiler.to_string(),
             benchmark: benchmark.to_string(),
-            shard: "table2/small".to_string(),
+            shard: "table2".to_string(),
             fidelity: 0.8,
             execution_time_us: 1000.0,
             compile_time: SampleStats::single(2.0),
@@ -754,8 +637,7 @@ mod tests {
 
     #[test]
     fn single_sample_baseline_cell_still_gates_correctly() {
-        // A cell recorded with one sample (legacy v1 import or --repeats 1)
-        // has a degenerate [value, value] interval: the gate must still
+        // A cell recorded with one sample (`--repeats 1`) has a degenerate [value, value] interval: the gate must still
         // pass identical runs, flag regressions past the slack, and report
         // improvements — never divide by a zero-width notch into NaN.
         let tol = GateTolerance::default();
@@ -846,30 +728,17 @@ mod tests {
         let parsed = Baseline::parse(&json).unwrap();
         assert_eq!(parsed, original);
         assert_eq!(parsed.entry("enola", "BV-14").unwrap().stages, 10);
-        assert_eq!(
-            parsed.entry("enola", "BV-14").unwrap().shard,
-            "table2/small"
-        );
+        assert_eq!(parsed.entry("enola", "BV-14").unwrap().shard, "table2");
         assert!(parsed.entry("enola", "nope").is_none());
-    }
-
-    #[test]
-    fn legacy_v1_baselines_parse_as_single_samples() {
-        let v1 = r#"{"entries": [{"compiler": "enola", "benchmark": "BV-14",
-            "fidelity": 0.8, "execution_time_us": 1000.0, "compile_time_s": 2.0,
-            "stages": 10, "transfers": 40, "cz_gates": 15}]}"#;
-        let parsed = Baseline::parse(v1).unwrap();
-        assert_eq!(parsed.entries.len(), 1);
-        let entry = &parsed.entries[0];
-        assert_eq!(entry.shard, "", "v1 carries no shard labels");
-        assert_eq!(entry.compile_time, SampleStats::single(2.0));
-        assert_eq!(entry.compile_time.ci(), (2.0, 2.0));
     }
 
     #[test]
     fn unknown_schema_versions_are_rejected() {
         let err = Baseline::parse(r#"{"version": 99, "entries": []}"#).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
+        // A file without `version` is the retired v1 schema.
+        let err = Baseline::parse(r#"{"entries": []}"#).unwrap_err();
+        assert!(err.to_string().contains("unsupported"), "{err}");
     }
 
     #[test]
@@ -882,18 +751,23 @@ mod tests {
             Baseline::parse(r#"{"no_entries": []}"#),
             Err(GateError::Parse(_))
         ));
-        let missing = r#"{"entries": [{"compiler": "x"}]}"#;
-        let err = Baseline::parse(missing).unwrap_err();
+        let samples = r#""compile_time": {"samples": [1.0]}"#;
+        let missing = format!(r#"{{"version": 2, "entries": [{{"compiler": "x", {samples}}}]}}"#);
+        let err = Baseline::parse(&missing).unwrap_err();
         assert!(err.to_string().contains("benchmark"));
-        let mistyped = r#"{"entries": [{"compiler": "x", "benchmark": "y",
-            "fidelity": "high", "execution_time_us": 1.0, "compile_time_s": 1.0,
-            "stages": 1, "transfers": 1, "cz_gates": 1}]}"#;
-        let err = Baseline::parse(mistyped).unwrap_err();
+        let mistyped = format!(
+            r#"{{"version": 2, "entries": [{{"compiler": "x", "benchmark": "y",
+            "shard": "s", "fidelity": "high", "execution_time_us": 1.0, {samples},
+            "stages": 1, "transfers": 1, "cz_gates": 1}}]}}"#
+        );
+        let err = Baseline::parse(&mistyped).unwrap_err();
         assert!(err.to_string().contains("fidelity"));
-        let negative = r#"{"entries": [{"compiler": "x", "benchmark": "y",
-            "fidelity": 1.0, "execution_time_us": 1.0, "compile_time_s": 1.0,
-            "stages": -1, "transfers": 1, "cz_gates": 1}]}"#;
-        assert!(Baseline::parse(negative).is_err());
+        let negative = format!(
+            r#"{{"version": 2, "entries": [{{"compiler": "x", "benchmark": "y",
+            "shard": "s", "fidelity": 1.0, "execution_time_us": 1.0, {samples},
+            "stages": -1, "transfers": 1, "cz_gates": 1}}]}}"#
+        );
+        assert!(Baseline::parse(&negative).is_err());
         let bad_samples = r#"{"version": 2, "entries": [{"compiler": "x",
             "benchmark": "y", "shard": "s", "fidelity": 1.0,
             "execution_time_us": 1.0, "compile_time": {"samples": []},
@@ -929,90 +803,5 @@ mod tests {
         let report = compare(&Baseline::default(), &[], &GateTolerance::default());
         assert!(report.passed());
         assert!(report.checks.is_empty());
-    }
-
-    #[test]
-    fn merged_update_replaces_only_fresh_cells_and_keeps_other_shards() {
-        let shards = ShardRegistry::standard(crate::DEFAULT_SEED);
-        let mut large = entry("enola", "BV-70");
-        large.shard = "table2/large".to_string();
-        let old = Baseline {
-            entries: vec![entry("enola", "BV-14"), large],
-        };
-        let mut fresh = entry("enola", "BV-14");
-        fresh.fidelity = 0.95;
-        let updated = old.merged_update(vec![fresh], &["table2/small".to_string()], &shards);
-        assert_eq!(updated.entries.len(), 2);
-        assert_eq!(updated.entry("enola", "BV-14").unwrap().fidelity, 0.95);
-        assert!(
-            updated.entry("enola", "BV-70").is_some(),
-            "updating one shard must never drop another shard's entries"
-        );
-    }
-
-    #[test]
-    fn merged_update_prunes_stale_cells_of_selected_shards_only() {
-        let shards = ShardRegistry::standard(crate::DEFAULT_SEED);
-        let mut stale = entry("enola", "GONE-99");
-        stale.shard = "table2/small".to_string();
-        let mut untouched = entry("enola", "ALSO-GONE-99");
-        untouched.shard = "table2/large".to_string();
-        let old = Baseline {
-            entries: vec![stale, untouched],
-        };
-        let updated = old.merged_update(Vec::new(), &["table2/small".to_string()], &shards);
-        assert!(
-            updated.entry("enola", "GONE-99").is_none(),
-            "stale cell pruned"
-        );
-        assert!(
-            updated.entry("enola", "ALSO-GONE-99").is_some(),
-            "unselected shard untouched"
-        );
-    }
-
-    #[test]
-    fn full_merged_update_prunes_orphaned_cells_even_with_unknown_labels() {
-        let shards = ShardRegistry::standard(crate::DEFAULT_SEED);
-        // A legacy v1 entry (empty shard label) whose benchmark left the
-        // suite: no shard gates it and no run will ever replace it.
-        let mut orphan = entry("enola", "REMOVED-99");
-        orphan.shard = String::new();
-        let mut live_v1 = entry("enola", "BV-14");
-        live_v1.shard = String::new();
-        let old = Baseline {
-            entries: vec![orphan.clone(), live_v1.clone()],
-        };
-
-        // A per-shard update must leave both untouched (conservative) …
-        let kept = old
-            .clone()
-            .merged_update(Vec::new(), &["table2/small".to_string()], &shards);
-        assert_eq!(kept.entries.len(), 2);
-
-        // … but a full update (every shard selected) prunes the orphan
-        // while keeping the live cell for its re-run entry to replace.
-        let all_shards: Vec<String> = shards.names().iter().map(|n| n.to_string()).collect();
-        let mut fresh = entry("enola", "BV-14");
-        fresh.fidelity = 0.9;
-        let updated = old.merged_update(vec![fresh], &all_shards, &shards);
-        assert!(updated.entry("enola", "REMOVED-99").is_none());
-        assert_eq!(updated.entry("enola", "BV-14").unwrap().fidelity, 0.9);
-        assert_eq!(updated.entries.len(), 1);
-    }
-
-    #[test]
-    fn merged_update_sorts_into_canonical_cell_order() {
-        let shards = ShardRegistry::standard(crate::DEFAULT_SEED);
-        let old = Baseline {
-            entries: vec![entry("powermove-storage", "BV-14"), entry("enola", "BV-14")],
-        };
-        let updated = old.merged_update(Vec::new(), &[], &shards);
-        let compilers: Vec<&str> = updated
-            .entries
-            .iter()
-            .map(|e| e.compiler.as_str())
-            .collect();
-        assert_eq!(compilers, vec!["enola", "powermove-storage"]);
     }
 }

@@ -23,7 +23,6 @@
 //! numbers, run with `POWERMOVE_THREADS=1`; the `bench-gate` tolerances
 //! absorb the contention noise instead (generous slack + absolute floor).
 
-use crate::gate::Baseline;
 use crate::stats::SampleStats;
 use enola_baseline::{EnolaCompiler, EnolaConfig};
 use powermove::{CompilerBackend, CompilerConfig, PowerMoveCompiler, RoutingConfig};
@@ -166,7 +165,7 @@ impl BackendRegistry {
     /// [`POWERMOVE_MULTI_AOD`] (the multi-AOD collective-move scheduler),
     /// [`POWERMOVE_LOOKAHEAD`] (the two-stage lookahead router) and
     /// [`POWERMOVE_AUTO`] (the portfolio auto-tuner; gated with the greedy
-    /// router and the scheduler on the `fig7/multi-aod` shard). Like the
+    /// router and the scheduler on the `fig7/multi-aod` group). Like the
     /// standard backends, all pin their pipelines to one worker.
     ///
     /// Ids follow the usual [`BackendRegistry::register`] uniqueness
@@ -498,13 +497,8 @@ fn run_matrix_sampled(
     })
 }
 
-/// Threshold splitting the Table 2 suite into the `table2/small` and
-/// `table2/large` shards: instances with at least this many qubits land in
-/// the large shard.
-pub const LARGE_SHARD_QUBITS: u32 = 50;
-
 /// The qubit sweeps of Fig. 6(a)–(e), the single source of truth shared by
-/// the `fig6` binary and the `fig6/sweep` shard.
+/// the `fig6` binary and the `fig6/sweep` gate group.
 #[must_use]
 pub fn fig6_sweeps() -> Vec<(BenchmarkFamily, Vec<u32>)> {
     vec![
@@ -517,7 +511,7 @@ pub fn fig6_sweeps() -> Vec<(BenchmarkFamily, Vec<u32>)> {
 }
 
 /// The five benchmark instances of Fig. 7, the single source of truth shared
-/// by the `fig7` binary and the `fig7/multi-aod` shard.
+/// by the `fig7` binary and the `fig7/multi-aod` gate group.
 #[must_use]
 pub fn fig7_cases() -> [(BenchmarkFamily, u32); 5] {
     [
@@ -544,11 +538,11 @@ pub fn service_smoke_cells() -> [(BenchmarkFamily, u32); 5] {
     ]
 }
 
-/// The heterogeneous-architecture grid of the `lint/corpus` shard: three
+/// The heterogeneous-architecture grid of the `lint/corpus` gate group: three
 /// stress geometries ([`ArchVariant::Wide`], [`ArchVariant::DeepStorage`],
 /// [`ArchVariant::SlowTransfer`]) × three benchmark families at 2–4 AOD
-/// arrays. The single source of truth shared by the shard registry, the
-/// `schedule-lint` campaign and the shard-cover workspace test. Cell names
+/// arrays. The single source of truth shared by the group registry, the
+/// `schedule-lint` campaign and the group-cover workspace test. Cell names
 /// carry both an `@aods<k>` and an `@arch:<variant>` suffix so every cell
 /// keys uniquely in the baseline.
 #[must_use]
@@ -577,7 +571,7 @@ pub fn lint_corpus_cells(seed: u64) -> Vec<ShardCell> {
 
 /// A named hardware-architecture variant for heterogeneous-architecture
 /// cells: the paper's default machine plus three stress geometries the
-/// `lint/corpus` shard and the schedule-lint campaign sweep so invariants
+/// `lint/corpus` gate group and the schedule-lint campaign sweep so invariants
 /// are exercised off the default `ceil(sqrt(n))` square.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArchVariant {
@@ -658,7 +652,7 @@ impl ArchVariant {
     }
 }
 
-/// One cell row of a shard: a benchmark instance plus the AOD-array count it
+/// One cell row of a gate group: a benchmark instance plus the AOD-array count it
 /// is compiled for.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCell {
@@ -704,9 +698,9 @@ impl ShardCell {
 /// A named slice of the benchmark matrix: a set of instance × AOD cells plus
 /// the registry ids of the backends gated on them.
 ///
-/// The standard shards ([`ShardRegistry::standard`]) form a disjoint exact
-/// cover of the full gated suite, so running every shard and merging the
-/// per-shard reports reproduces a monolithic run cell for cell.
+/// A group exists to label cells that share a backend list; the standard
+/// groups ([`ShardRegistry::standard`]) form a disjoint exact cover of the
+/// gated suite, and `bench-gate` runs them all in one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SuiteShard {
     name: String,
@@ -715,7 +709,7 @@ pub struct SuiteShard {
 }
 
 impl SuiteShard {
-    /// Creates a shard from its parts.
+    /// Creates a group from its parts.
     #[must_use]
     pub fn new(name: impl Into<String>, backends: Vec<String>, cells: Vec<ShardCell>) -> Self {
         SuiteShard {
@@ -725,19 +719,19 @@ impl SuiteShard {
         }
     }
 
-    /// The shard name, e.g. `"table2/small"`.
+    /// The group label, e.g. `"table2"`.
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// Registry ids of the backends gated on this shard.
+    /// Registry ids of the backends gated on this group.
     #[must_use]
     pub fn backends(&self) -> &[String] {
         &self.backends
     }
 
-    /// The instance × AOD cells of the shard, in matrix order.
+    /// The instance × AOD cells of the group, in matrix order.
     #[must_use]
     pub fn cells(&self) -> &[ShardCell] {
         &self.cells
@@ -757,14 +751,14 @@ impl SuiteShard {
             .collect()
     }
 
-    /// Whether the shard gates the given `(compiler, benchmark)` cell.
+    /// Whether the group gates the given `(compiler, benchmark)` cell.
     #[must_use]
     pub fn contains_cell(&self, compiler: &str, benchmark: &str) -> bool {
         self.backends.iter().any(|b| b == compiler)
             && self.cells.iter().any(|c| c.instance.name == benchmark)
     }
 
-    /// A copy of the shard restricted to instances whose name contains
+    /// A copy of the group restricted to instances whose name contains
     /// `filter` (an empty filter keeps everything).
     #[must_use]
     pub fn filtered(&self, filter: &str) -> SuiteShard {
@@ -781,26 +775,21 @@ impl SuiteShard {
     }
 }
 
-/// The named shards of the benchmark matrix, in canonical (CI fan-out)
-/// order.
+/// The labelled groups of the gated benchmark matrix, in run order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRegistry {
     shards: Vec<SuiteShard>,
 }
 
 impl ShardRegistry {
-    /// The standard sharding of the gated suite:
+    /// The standard groups of the gated suite:
     ///
-    /// * `table2/small` / `table2/large` — the Table 2 suite split into a
-    ///   fast and a slow half (see [`ShardRegistry::standard_with_baseline`]
-    ///   for how the split is derived), all three standard backends plus
-    ///   the portfolio auto-tuner ([`POWERMOVE_AUTO`]): the portfolio
-    ///   compiles by staging once and replaying only the route/emit back
-    ///   end per candidate, and gating its compile wall clock here — on the
-    ///   heaviest Table 2 instances in particular — regression-guards that
-    ///   replay fast path. Both halves carry the same backend list so the
-    ///   baseline-driven split can never change *which* cells are gated,
-    ///   only where;
+    /// * `table2` — the Table 2 suite in suite order, all three standard
+    ///   backends plus the portfolio auto-tuner ([`POWERMOVE_AUTO`]): the
+    ///   portfolio compiles by staging once and replaying only the
+    ///   route/emit back end per candidate, and gating its compile wall
+    ///   clock here — on the heaviest Table 2 instances in particular —
+    ///   regression-guards that replay fast path;
     /// * `fig6/sweep` — Fig. 6 sweep sizes not already covered by Table 2,
     ///   all three standard backends;
     /// * `fig7/multi-aod` — the Fig. 7 instances at 2–4 AOD arrays
@@ -815,47 +804,23 @@ impl ShardRegistry {
     ///   same backend list as `fig7/multi-aod`, so the gate pins schedule
     ///   invariants and scores off the paper's default machine geometry.
     ///
-    /// Together the shards cover every gated cell exactly once
+    /// Together the groups cover every gated cell exactly once
     /// (asserted by the workspace test suite).
-    ///
-    /// Without a baseline the Table 2 split falls back to the
-    /// [`LARGE_SHARD_QUBITS`] qubit-count heuristic for every cell.
     #[must_use]
     pub fn standard(seed: u64) -> Self {
-        Self::standard_with_baseline(seed, None)
-    }
-
-    /// [`ShardRegistry::standard`] with the Table 2 small/large split
-    /// derived from recorded per-cell compile wall clocks.
-    ///
-    /// Each instance's cost is the sum of its standard backends' median
-    /// compile times in `baseline`; costed instances are distributed over
-    /// the two shards by greedy longest-first balancing, so shard runtimes
-    /// stay level as the suite grows instead of drifting with the
-    /// hand-tuned qubit threshold. Instances without any baseline entry
-    /// (new benchmarks, bootstrap runs) fall back to the qubit-count
-    /// heuristic. The split changes only *which* of the two table2 shards
-    /// gates a cell — the union of gated cells is identical for every
-    /// baseline, preserving the exact-cover invariant.
-    #[must_use]
-    pub fn standard_with_baseline(seed: u64, baseline: Option<&Baseline>) -> Self {
         let standard_backends = vec![
             ENOLA.to_string(),
             POWERMOVE_NON_STORAGE.to_string(),
             POWERMOVE_STORAGE.to_string(),
         ];
-        // Both Table 2 halves additionally gate the portfolio auto-tuner's
-        // compile wall clock (the stage-once replay fast path). Keeping the
-        // two halves' backend lists identical preserves the invariant that
-        // the baseline-driven split only moves cells between the halves and
-        // never changes the union of gated cells.
+        // Table 2 additionally gates the portfolio auto-tuner's compile wall
+        // clock (the stage-once replay fast path).
         let mut table2_backends = standard_backends.clone();
         table2_backends.push(POWERMOVE_AUTO.to_string());
         let single_aod = |instance: BenchmarkInstance| ShardCell::new(instance, 1);
 
         let table2 = table2_suite(seed);
         let table2_names: Vec<&str> = table2.iter().map(|i| i.name.as_str()).collect();
-        let (large, small) = split_table2(&table2, baseline);
 
         let fig6_cells: Vec<ShardCell> = fig6_sweeps()
             .into_iter()
@@ -889,14 +854,9 @@ impl ShardRegistry {
         ShardRegistry {
             shards: vec![
                 SuiteShard::new(
-                    "table2/small",
-                    table2_backends.clone(),
-                    small.into_iter().map(single_aod).collect(),
-                ),
-                SuiteShard::new(
-                    "table2/large",
+                    "table2",
                     table2_backends,
-                    large.into_iter().map(single_aod).collect(),
+                    table2.into_iter().map(single_aod).collect(),
                 ),
                 SuiteShard::new("fig6/sweep", standard_backends, fig6_cells),
                 SuiteShard::new("fig7/multi-aod", fig7_backends, fig7_cells),
@@ -905,62 +865,18 @@ impl ShardRegistry {
         }
     }
 
-    /// Creates a registry from an explicit shard list (custom pipelines and
-    /// tests; the CI gate uses [`ShardRegistry::standard`]). Shard order is
-    /// canonical order.
-    #[must_use]
-    pub fn from_shards(shards: Vec<SuiteShard>) -> Self {
-        ShardRegistry { shards }
-    }
-
-    /// Looks up a shard by name.
+    /// Looks up a group by label.
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&SuiteShard> {
         self.shards.iter().find(|s| s.name == name)
     }
 
-    /// Iterates over the shards in canonical order.
+    /// Iterates over the groups in run order.
     pub fn iter(&self) -> impl Iterator<Item = &SuiteShard> {
         self.shards.iter()
     }
 
-    /// The shard names, in canonical order.
-    #[must_use]
-    pub fn names(&self) -> Vec<&str> {
-        self.shards.iter().map(|s| s.name.as_str()).collect()
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the registry holds no shards.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// The canonical position of a `(compiler, benchmark)` cell across all
-    /// shards (shard order, then cell order within the shard), or `None` for
-    /// cells no shard gates. Used to keep baseline files and merged reports
-    /// in one deterministic order.
-    #[must_use]
-    pub fn cell_rank(&self, compiler: &str, benchmark: &str) -> Option<usize> {
-        let mut rank = 0;
-        for shard in &self.shards {
-            for (cell_compiler, cell_benchmark) in shard.cell_ids() {
-                if cell_compiler == compiler && cell_benchmark == benchmark {
-                    return Some(rank);
-                }
-                rank += 1;
-            }
-        }
-        None
-    }
-
-    /// The shard gating a `(compiler, benchmark)` cell, if any.
+    /// The group gating a `(compiler, benchmark)` cell, if any.
     #[must_use]
     pub fn shard_of_cell(&self, compiler: &str, benchmark: &str) -> Option<&SuiteShard> {
         self.shards
@@ -969,103 +885,30 @@ impl ShardRegistry {
     }
 }
 
-/// Splits the Table 2 suite into its `(large, small)` shard halves.
-///
-/// Instances with recorded baseline entries are costed by the sum of their
-/// standard backends' median compile wall clocks and distributed by greedy
-/// longest-first balancing (the heavier bin is `large`); instances without
-/// any entry use the [`LARGE_SHARD_QUBITS`] qubit heuristic. Each half
-/// preserves the suite order, keeping shard cell lists deterministic.
-fn split_table2(
-    table2: &[BenchmarkInstance],
-    baseline: Option<&Baseline>,
-) -> (Vec<BenchmarkInstance>, Vec<BenchmarkInstance>) {
-    let cost_of = |name: &str| -> Option<f64> {
-        let baseline = baseline?;
-        let mut total = 0.0;
-        let mut found = false;
-        for backend in [ENOLA, POWERMOVE_NON_STORAGE, POWERMOVE_STORAGE] {
-            if let Some(entry) = baseline.entry(backend, name) {
-                total += entry.compile_time.median();
-                found = true;
-            }
-        }
-        found.then_some(total)
-    };
-
-    let mut large_indices: Vec<usize> = Vec::new();
-    let mut small_indices: Vec<usize> = Vec::new();
-    let mut costed: Vec<(f64, usize)> = Vec::new();
-    for (index, instance) in table2.iter().enumerate() {
-        match cost_of(&instance.name) {
-            Some(cost) => costed.push((cost, index)),
-            None if instance.num_qubits >= LARGE_SHARD_QUBITS => large_indices.push(index),
-            None => small_indices.push(index),
-        }
-    }
-    // Longest first; ties keep suite order so the split is deterministic.
-    costed.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-    });
-    let (mut large_cost, mut small_cost) = (0.0_f64, 0.0_f64);
-    for (cost, index) in costed {
-        if large_cost <= small_cost {
-            large_indices.push(index);
-            large_cost += cost;
-        } else {
-            small_indices.push(index);
-            small_cost += cost;
-        }
-    }
-    let in_suite_order = |mut indices: Vec<usize>| -> Vec<BenchmarkInstance> {
-        indices.sort_unstable();
-        indices.into_iter().map(|i| table2[i].clone()).collect()
-    };
-    (in_suite_order(large_indices), in_suite_order(small_indices))
-}
-
-/// Runs one shard's cell × backend matrix with `repeats` compile-time
-/// samples per cell, fanned out over the `POWERMOVE_THREADS` pool.
-///
-/// `observer` fires once per **completed** cell — from worker threads, as
-/// cells finish, in completion order — with the cell's run-order index; the
-/// returned vector is still in deterministic run order. Streaming report
-/// writers hook in here so a crashed run keeps every finished cell.
+/// Runs one group's cell × backend matrix with `repeats` compile-time
+/// samples per cell, fanned out over the `POWERMOVE_THREADS` pool. The
+/// results are in run order (instance-major, then backend order).
 ///
 /// # Panics
 ///
-/// Panics if a shard backend id is not registered, or if compilation or
+/// Panics if a group backend id is not registered, or if compilation or
 /// validation fails (see [`run_instance`]).
 #[must_use]
-pub fn run_shard<F>(
-    shard: &SuiteShard,
-    registry: &BackendRegistry,
-    repeats: usize,
-    observer: F,
-) -> Vec<RunResult>
-where
-    F: Fn(usize, &RunResult) + Sync,
-{
-    let jobs: Vec<(usize, &ShardCell, &RegisteredBackend)> = shard
+pub fn run_shard(shard: &SuiteShard, registry: &BackendRegistry, repeats: usize) -> Vec<RunResult> {
+    let jobs: Vec<(&ShardCell, &RegisteredBackend)> = shard
         .cells()
         .iter()
         .flat_map(|cell| {
             shard.backends().iter().map(move |id| {
                 let entry = registry.entry(id).unwrap_or_else(|| {
-                    panic!("shard {} gates unregistered backend {id}", shard.name())
+                    panic!("group {} gates unregistered backend {id}", shard.name())
                 });
                 (cell, entry)
             })
         })
-        .enumerate()
-        .map(|(index, (cell, entry))| (index, cell, entry))
         .collect();
-    ThreadPool::from_env().par_map(jobs, |(index, cell, entry)| {
-        let result = run_on_architecture(&cell.instance, &cell.architecture(), entry, repeats);
-        observer(index, &result);
-        result
+    ThreadPool::from_env().par_map(jobs, |(cell, entry)| {
+        run_on_architecture(&cell.instance, &cell.architecture(), entry, repeats)
     })
 }
 

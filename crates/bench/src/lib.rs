@@ -25,24 +25,17 @@
 //! `powermove-exec` thread pool ([`run_matrix`], [`run_all`],
 //! [`table3_rows`]); set `POWERMOVE_THREADS` to pin the worker count.
 //!
-//! A seventh binary, `bench-gate`, runs the gated suite — **sharded** — and
-//! compares the results against the checked-in `bench/baseline.json` (see
-//! the [`gate`] module), exiting non-zero on regression; CI runs one matrix
-//! job per shard plus a final merge-and-gate job.
+//! A seventh binary, `bench-gate`, runs the whole gated suite in one run
+//! and compares the results against the checked-in `bench/baseline.json`
+//! (see the [`gate`] module), exiting non-zero on regression:
 //!
-//! Three layers make the gate sharded, statistical and crash-tolerant:
-//!
-//! * **sharding** ([`harness::ShardRegistry`]) — the gated suite is split
-//!   into named shards (`table2/small`, `table2/large`, `fig6/sweep`,
-//!   `fig7/multi-aod`) that form a disjoint exact cover, so CI fans one job
-//!   out per shard and `bench-gate --shard <name>` gates only that slice;
+//! * **groups** ([`harness::ShardRegistry`]) — the gated suite is a list of
+//!   labelled cell groups (`table2`, `fig6/sweep`, `fig7/multi-aod`,
+//!   `lint/corpus`), one per backend list; together they cover every gated
+//!   cell exactly once, and each baseline entry carries its group's label;
 //! * **statistics** ([`stats::SampleStats`]) — wall-clock metrics are
 //!   sampled over repeat runs (`--repeats`, default 3) and gated on a
-//!   median-vs-confidence-interval comparison instead of a 4× slack;
-//! * **streaming** ([`report::ReportWriter`]) — every completed matrix cell
-//!   is appended to a JSONL report as it finishes, so a crashed shard still
-//!   leaves a mergeable partial report, and `bench-gate merge` reassembles
-//!   the shard part-files into the full-matrix report and verdict table.
+//!   median-vs-confidence-interval comparison instead of a 4× slack.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -50,7 +43,6 @@
 pub mod gate;
 pub mod harness;
 pub mod lint;
-pub mod report;
 pub mod stats;
 
 pub use gate::{
@@ -62,15 +54,12 @@ pub use harness::{
     run_matrix, run_shard, score_program_sampled, service_smoke_cells, table3_rows,
     table3_rows_sampled, take_f64_flag, take_flag, take_json_path, take_switch, take_usize_flag,
     write_json, ArchVariant, BackendRegistry, RegisteredBackend, RunResult, ShardCell,
-    ShardRegistry, SuiteShard, Table3Row, DEFAULT_SEED, ENOLA, LARGE_SHARD_QUBITS, POWERMOVE_AUTO,
-    POWERMOVE_LOOKAHEAD, POWERMOVE_MULTI_AOD, POWERMOVE_NON_STORAGE, POWERMOVE_STORAGE,
+    ShardRegistry, SuiteShard, Table3Row, DEFAULT_SEED, ENOLA, POWERMOVE_AUTO, POWERMOVE_LOOKAHEAD,
+    POWERMOVE_MULTI_AOD, POWERMOVE_NON_STORAGE, POWERMOVE_STORAGE,
 };
 pub use lint::{
     lint_circuit, lint_service_log, replay_reproducer, run_campaign, CampaignConfig,
     CampaignFailure, CampaignSummary, CorpusInstance, CorpusOp, JsonlReport, LintRule,
     LintViolation, ReproducerConfig,
-};
-pub use report::{
-    merge_cells, parse_cells, read_cells, read_cells_lossy, CellRecord, ParsedCell, ReportWriter,
 };
 pub use stats::{SampleStats, DEFAULT_REPEATS};

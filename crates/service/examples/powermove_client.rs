@@ -13,7 +13,8 @@
 //!   a direct [`powermove::compile`] — so a hit, a coalesced request and a
 //!   cold compile all serve the program the request asked for;
 //! * the cache recorded hits and the daemon compiled each distinct cell at
-//!   most a handful of times (coalescing keeps redundant compiles down);
+//!   most once: the 16-entry cache holds every cell, and coalescing serves
+//!   concurrent duplicates of a compile in flight;
 //! * the daemon acknowledged `shutdown` as its final frame and exited
 //!   cleanly.
 //!
@@ -207,6 +208,12 @@ fn main() -> ExitCode {
             "expected {} distinct content keys, saw {}",
             cells.len(),
             digest_by_key.len()
+        ));
+    }
+    if compiles > cells.len() as u64 {
+        return fail(&format!(
+            "{compiles} compiles for {} distinct cells: a cell compiled twice",
+            cells.len()
         ));
     }
     if hits == 0 {

@@ -26,7 +26,8 @@
 //! architecture is derived from the circuit width (plus optional `aods`,
 //! default 1), and `config` fields override [`CompilerConfig`] defaults one
 //! by one; `threads` defaults to 1 inside the daemon because request-level
-//! parallelism already saturates the pool. `routing` names one of
+//! parallelism already saturates the pool, and may be at most
+//! [`MAX_FRAME_THREADS`]. `routing` names one of
 //! `greedy`, `lookahead` (window from `lookahead`, default 2), `multi-aod`
 //! or `auto`.
 //!
@@ -75,6 +76,15 @@ pub const MAX_BENCHMARK_QUBITS: u32 = 1024;
 /// about 296 qubits up. It is checked once the circuit is materialized,
 /// before the request is hashed or compiled.
 pub const MAX_FRAME_GATES: usize = 1 << 17;
+
+/// Largest `config.threads` a compile frame may ask for.
+///
+/// A compile's pool starts one OS thread per parallel work item up to this
+/// count, so an unbounded value lets one frame start arbitrarily many
+/// threads. The bound admits every count the suite sends (the benchmark's
+/// service frames send 1) and a pinned pool on up to 64 cores; `0` (one
+/// worker per core) stays allowed.
+pub const MAX_FRAME_THREADS: usize = 64;
 
 /// A parsed request frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -353,6 +363,12 @@ fn parse_config(id: i64, value: Option<&Value>) -> Result<CompilerConfig, FrameE
             .ok_or_else(|| {
                 FrameError::new(Some(id), "`config.threads` must be a non-negative integer")
             })?;
+        if config.threads > MAX_FRAME_THREADS {
+            return Err(FrameError::new(
+                Some(id),
+                format!("`config.threads` may be at most {MAX_FRAME_THREADS}"),
+            ));
+        }
     }
     let routing = match value.get("routing") {
         None => None,
@@ -660,6 +676,28 @@ mod tests {
             assert!(err.message.contains(message), "{frame}: {}", err.message);
             let reply = serde_json::to_string(&err.reply()).unwrap();
             assert!(reply.contains("\"ok\": false") || reply.contains("\"ok\":false"));
+        }
+    }
+
+    #[test]
+    fn thread_counts_past_the_bound_are_frame_errors_at_parse_time() {
+        // Parse only: nothing here compiles, so no pool is ever started.
+        let frame = |threads: usize| {
+            format!(
+                r#"{{"id": 5, "benchmark": {{"family": "BV", "qubits": 8}},
+                    "config": {{"threads": {threads}}}}}"#
+            )
+        };
+        for threads in [0, 1, MAX_FRAME_THREADS] {
+            let Request::Compile(req) = Request::parse(&frame(threads)).unwrap() else {
+                panic!("expected compile");
+            };
+            assert_eq!(req.config.threads, threads);
+        }
+        for threads in [MAX_FRAME_THREADS + 1, 100_000] {
+            let err = Request::parse(&frame(threads)).unwrap_err();
+            assert_eq!(err.id, Some(5));
+            assert!(err.message.contains("at most 64"), "{}", err.message);
         }
     }
 

@@ -1,58 +1,26 @@
-//! Workspace-level contract of the sharded, statistically-gated benchmark
-//! pipeline:
+//! Workspace-level contract of the gated benchmark suite:
 //!
-//! * the standard shard partition is a **disjoint exact cover** of the full
-//!   gated suite — every cell is gated exactly once, so per-shard CI jobs
-//!   plus a merge reproduce the monolithic gate;
-//! * `bench-gate merge` of per-shard JSONL part-files is **byte-identical**
-//!   to the report a monolithic run of the same cells writes, regardless of
-//!   part-file order or the completion order of streamed lines;
-//! * a stream truncated at a line boundary (what a killed run leaves, since
-//!   the writer flushes per cell) still parses, and gating the merged
-//!   partial matrix reports the unfinished cells as missing;
+//! * the standard groups are a **disjoint exact cover** of the full gated
+//!   suite — every cell is gated exactly once, in one `bench-gate` run;
+//! * the checked-in `bench/baseline.json` records exactly those cells, each
+//!   labelled with the group that gates it;
 //! * repeat-run sampling collects one wall-clock sample per repeat while
 //!   deterministic metrics stay single-run.
 
 use powermove_bench::{
-    compare, merge_cells, parse_cells, read_cells, run_instance, run_instance_sampled, run_shard,
-    BackendRegistry, Baseline, BaselineEntry, GateTolerance, ReportWriter, RunResult, ShardCell,
-    ShardRegistry, SuiteShard, DEFAULT_SEED, ENOLA, LARGE_SHARD_QUBITS, POWERMOVE_AUTO,
-    POWERMOVE_MULTI_AOD, POWERMOVE_NON_STORAGE, POWERMOVE_STORAGE,
+    run_instance, run_instance_sampled, BackendRegistry, Baseline, ShardRegistry, SuiteShard,
+    DEFAULT_SEED, ENOLA, POWERMOVE_AUTO, POWERMOVE_MULTI_AOD, POWERMOVE_NON_STORAGE,
+    POWERMOVE_STORAGE,
 };
 use powermove_suite::benchmarks::{generate, table2_suite, BenchmarkFamily};
-use serde_json::Value;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "powermove-shard-pipeline-{tag}-{}.jsonl",
-        std::process::id()
-    ))
-}
-
-/// A small two-shard registry that is cheap to run in debug mode.
-fn tiny_shards() -> ShardRegistry {
-    let cell = |family, n| ShardCell::new(generate(family, n, DEFAULT_SEED), 1);
-    ShardRegistry::from_shards(vec![
-        SuiteShard::new(
-            "tiny/a",
-            vec![ENOLA.to_string(), POWERMOVE_STORAGE.to_string()],
-            vec![cell(BenchmarkFamily::Bv, 8), cell(BenchmarkFamily::Qft, 6)],
-        ),
-        SuiteShard::new(
-            "tiny/b",
-            vec![POWERMOVE_STORAGE.to_string()],
-            vec![cell(BenchmarkFamily::QaoaRegular3, 10)],
-        ),
-    ])
-}
+use std::path::Path;
 
 #[test]
 fn standard_shards_are_a_disjoint_exact_cover_of_the_gated_suite() {
     let shards = ShardRegistry::standard(DEFAULT_SEED);
 
-    // Disjoint: no (compiler, benchmark) cell appears in two shards.
+    // Disjoint: no (compiler, benchmark) cell appears in two groups.
     let mut seen: BTreeSet<(String, String)> = BTreeSet::new();
     for shard in shards.iter() {
         for cell in shard.cell_ids() {
@@ -65,7 +33,7 @@ fn standard_shards_are_a_disjoint_exact_cover_of_the_gated_suite() {
 
     // Exact cover: the union is precisely Table 2 under the three standard
     // backends plus the portfolio auto-tuner (whose stage-once replay
-    // compile clock the table2 shards gate), plus the Fig. 6 sweep extras
+    // compile clock the table2 group gates), plus the Fig. 6 sweep extras
     // under the three standard backends, plus the Fig. 7 multi-AOD grid
     // under the greedy with-storage, multi-AOD scheduler and portfolio
     // auto-tuner backends.
@@ -111,126 +79,58 @@ fn standard_shards_are_a_disjoint_exact_cover_of_the_gated_suite() {
         }
     }
     assert_eq!(seen, expected, "shard union drifted from the gated suite");
-
-    // Every cell has a canonical rank and the ranks are a permutation.
-    let ranks: BTreeSet<usize> = seen
-        .iter()
-        .map(|(c, b)| shards.cell_rank(c, b).expect("every gated cell has a rank"))
-        .collect();
-    assert_eq!(ranks.len(), seen.len());
-    assert_eq!(*ranks.iter().max().unwrap(), seen.len() - 1);
-    assert!(shards.cell_rank("enola", "not-a-benchmark").is_none());
 }
 
 #[test]
-fn baseline_wall_clocks_drive_the_table2_split_and_preserve_the_cover() {
-    // Build a synthetic baseline in which exactly one *small* benchmark
-    // (BV-14) carries almost the entire recorded compile cost: the balanced
-    // split must put it in one shard and essentially everything else in the
-    // other, regardless of qubit counts.
-    let fallback = ShardRegistry::standard(DEFAULT_SEED);
-    let entry = |compiler: &str, benchmark: &str, seconds: f64| BaselineEntry {
-        compiler: compiler.to_string(),
-        benchmark: benchmark.to_string(),
-        shard: String::new(),
-        fidelity: 0.9,
-        execution_time_us: 1000.0,
-        compile_time: powermove_bench::SampleStats::single(seconds),
-        stages: 1,
-        transfers: 2,
-        cz_gates: 3,
-    };
-    let mut entries = Vec::new();
-    for instance in table2_suite(DEFAULT_SEED) {
-        let cost = if instance.name == "BV-14" {
-            1000.0
-        } else {
-            0.001
-        };
-        for backend in [ENOLA, POWERMOVE_NON_STORAGE, POWERMOVE_STORAGE] {
-            entries.push(entry(backend, &instance.name, cost));
-        }
-    }
-    let baseline = Baseline { entries };
-    let balanced = ShardRegistry::standard_with_baseline(DEFAULT_SEED, Some(&baseline));
-
-    // The heaviest cell lands in `table2/large` (longest-first seeding) and
-    // nearly everything else balances into `table2/small`.
-    let large = balanced.get("table2/large").unwrap();
-    let small = balanced.get("table2/small").unwrap();
-    assert!(large.cells().iter().any(|c| c.instance.name == "BV-14"));
-    assert!(small.cells().len() > large.cells().len());
-
-    // The union of gated cells is identical to the fallback registry's —
-    // the split never changes coverage, only membership.
-    let union = |registry: &ShardRegistry| -> BTreeSet<(String, String)> {
-        registry.iter().flat_map(SuiteShard::cell_ids).collect()
-    };
-    assert_eq!(union(&balanced), union(&fallback));
-
-    // Every cell still has a unique canonical rank.
-    let cells = union(&balanced);
-    let ranks: BTreeSet<usize> = cells
-        .iter()
-        .map(|(c, b)| balanced.cell_rank(c, b).expect("rank"))
-        .collect();
-    assert_eq!(ranks.len(), cells.len());
-}
-
-#[test]
-fn cells_without_baseline_entries_fall_back_to_the_qubit_heuristic() {
-    // A baseline covering only one large benchmark: every other instance is
-    // split by the qubit threshold, and with only one costed cell the
-    // balancer puts it in the (empty-cost) large shard.
-    let mut entries = Vec::new();
-    for backend in [ENOLA, POWERMOVE_NON_STORAGE, POWERMOVE_STORAGE] {
-        entries.push(BaselineEntry {
-            compiler: backend.to_string(),
-            benchmark: "QFT-18".to_string(),
-            shard: String::new(),
-            fidelity: 0.9,
-            execution_time_us: 1000.0,
-            compile_time: powermove_bench::SampleStats::single(5.0),
-            stages: 1,
-            transfers: 2,
-            cz_gates: 3,
-        });
-    }
-    let baseline = Baseline { entries };
-    let registry = ShardRegistry::standard_with_baseline(DEFAULT_SEED, Some(&baseline));
-    let small = registry.get("table2/small").unwrap();
-    let large = registry.get("table2/large").unwrap();
-    for cell in small.cells() {
-        assert!(
-            cell.instance.num_qubits < LARGE_SHARD_QUBITS,
-            "{} fell back to the heuristic",
-            cell.instance.name
+fn the_checked_in_baseline_labels_each_cell_with_the_group_that_gates_it() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench/baseline.json");
+    let baseline = Baseline::load(&path).expect("bench/baseline.json parses");
+    let groups = ShardRegistry::standard(DEFAULT_SEED);
+    for entry in &baseline.entries {
+        let group = groups
+            .shard_of_cell(&entry.compiler, &entry.benchmark)
+            .unwrap_or_else(|| {
+                panic!(
+                    "baseline cell {} {} is gated by no group",
+                    entry.compiler, entry.benchmark
+                )
+            });
+        assert_eq!(
+            entry.shard,
+            group.name(),
+            "{} {} carries a stale group label",
+            entry.compiler,
+            entry.benchmark
         );
     }
-    for cell in large.cells() {
-        assert!(cell.instance.name == "QFT-18" || cell.instance.num_qubits >= LARGE_SHARD_QUBITS);
-    }
-    assert!(large.cells().iter().any(|c| c.instance.name == "QFT-18"));
+    let recorded: BTreeSet<(String, String)> = baseline
+        .entries
+        .iter()
+        .map(|e| (e.compiler.clone(), e.benchmark.clone()))
+        .collect();
+    assert_eq!(recorded.len(), baseline.entries.len(), "duplicate cells");
+    let gated: BTreeSet<(String, String)> = groups.iter().flat_map(SuiteShard::cell_ids).collect();
+    assert_eq!(
+        recorded, gated,
+        "baseline cells drifted from the gated suite"
+    );
 }
 
 #[test]
-fn table2_shards_split_by_the_documented_qubit_threshold() {
-    // Without a baseline, `standard` falls back to the qubit heuristic.
+fn group_cells_run_in_suite_order_and_carry_their_key_suffixes() {
     let shards = ShardRegistry::standard(DEFAULT_SEED);
-    let small = shards.get("table2/small").unwrap();
-    let large = shards.get("table2/large").unwrap();
-    assert!(small
+    let table2: Vec<String> = shards
+        .get("table2")
+        .unwrap()
         .cells()
         .iter()
-        .all(|c| c.instance.num_qubits < LARGE_SHARD_QUBITS));
-    assert!(large
-        .cells()
-        .iter()
-        .all(|c| c.instance.num_qubits >= LARGE_SHARD_QUBITS));
-    assert_eq!(
-        small.cells().len() + large.cells().len(),
-        table2_suite(DEFAULT_SEED).len()
-    );
+        .map(|c| c.instance.name.clone())
+        .collect();
+    let suite: Vec<String> = table2_suite(DEFAULT_SEED)
+        .into_iter()
+        .map(|i| i.name)
+        .collect();
+    assert_eq!(table2, suite, "Table 2 runs as one group, in suite order");
     // Multi-AOD cells are keyed uniquely via the @aods suffix.
     let fig7 = shards.get("fig7/multi-aod").unwrap();
     assert!(fig7
@@ -251,112 +151,6 @@ fn table2_shards_split_by_the_documented_qubit_threshold() {
             .check_capacity(c.instance.num_qubits)
             .expect("lint/corpus variants keep both zones large enough");
     }
-}
-
-#[test]
-fn merge_of_shard_jsonl_part_files_is_byte_identical_to_the_monolithic_report() {
-    let shards = tiny_shards();
-    let registry = BackendRegistry::standard();
-
-    // "Monolithic" run: all shards in canonical order, one streamed file.
-    let mono_path = temp_path("mono");
-    let mut part_paths = Vec::new();
-    let mut all_results: Vec<RunResult> = Vec::new();
-    {
-        let mono_writer = ReportWriter::create(&mono_path);
-        for shard in shards.iter() {
-            let part_path = temp_path(&shard.name().replace('/', "-"));
-            let part_writer = ReportWriter::create(&part_path);
-            let results = run_shard(shard, &registry, 1, |index, result| {
-                mono_writer.append(shard.name(), index, result);
-                part_writer.append(shard.name(), index, result);
-            });
-            part_paths.push(part_path);
-            all_results.extend(results);
-        }
-    }
-    let monolithic_report = serde_json::to_string_pretty(&all_results).expect("results serialize");
-
-    // Merge the part-files in scrambled order, with one file's lines
-    // reversed (streamed lines arrive in completion order, not run order).
-    let scrambled = std::fs::read_to_string(&part_paths[0]).unwrap();
-    let reversed: String = scrambled
-        .lines()
-        .rev()
-        .flat_map(|l| [l, "\n"])
-        .collect::<String>();
-    std::fs::write(&part_paths[0], reversed).unwrap();
-    let files: Vec<_> = part_paths
-        .iter()
-        .rev()
-        .map(|p| read_cells(p).expect("part-file parses"))
-        .collect();
-    let merged = merge_cells(files, &shards).expect("no duplicates");
-    let values: Vec<&Value> = merged.iter().map(|c| &c.result).collect();
-    let merged_report = serde_json::to_string_pretty(&values).expect("values serialize");
-    assert_eq!(
-        merged_report, monolithic_report,
-        "merged shard reports must be byte-identical to the monolithic report"
-    );
-
-    // The merged cells also gate identically to the monolithic results.
-    let runs: Vec<(String, Vec<RunResult>)> = {
-        let mut runs = Vec::new();
-        let mut rest = all_results.clone();
-        for shard in shards.iter() {
-            let take = shard.cells().len() * shard.backends().len();
-            let tail = rest.split_off(take);
-            runs.push((shard.name().to_string(), rest));
-            rest = tail;
-        }
-        runs
-    };
-    let baseline = Baseline::from_shard_runs(&runs);
-    let merged_entries: Vec<BaselineEntry> = merged
-        .iter()
-        .map(|c| BaselineEntry::from_result_value(&c.result, &c.shard).expect("cell parses"))
-        .collect();
-    let report = compare(&baseline, &merged_entries, &GateTolerance::default());
-    assert!(report.passed(), "self-comparison must pass");
-    assert_eq!(report.checks.len(), merged_entries.len() * 6);
-
-    for path in part_paths.iter().chain([&mono_path]) {
-        std::fs::remove_file(path).ok();
-    }
-}
-
-#[test]
-fn truncated_stream_parses_and_gates_as_missing_cells() {
-    let shards = tiny_shards();
-    let registry = BackendRegistry::standard();
-    let shard = shards.get("tiny/a").unwrap();
-    let path = temp_path("truncated");
-    {
-        let writer = ReportWriter::create(&path);
-        let _ = run_shard(shard, &registry, 1, |index, result| {
-            writer.append(shard.name(), index, result);
-        });
-    }
-    // Keep only the first streamed line — the prefix a killed run leaves at
-    // a flush boundary.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let first_line_len = text.find('\n').unwrap() + 1;
-    let cells = parse_cells(&text[..first_line_len]).expect("partial stream parses");
-    std::fs::remove_file(&path).ok();
-    assert_eq!(cells.len(), 1);
-
-    // Gating the partial matrix against a full baseline reports the
-    // unfinished cells as missing (and therefore fails) instead of crashing
-    // or silently passing.
-    let full = run_shard(shard, &registry, 1, |_, _| {});
-    let baseline = Baseline::from_shard_runs(&[(shard.name().to_string(), full)]);
-    let partial_entries: Vec<BaselineEntry> = cells
-        .iter()
-        .map(|c| BaselineEntry::from_result_value(&c.result, &c.shard).unwrap())
-        .collect();
-    let report = compare(&baseline, &partial_entries, &GateTolerance::default());
-    assert!(!report.passed());
-    assert_eq!(report.missing_in_current.len(), 3);
 }
 
 #[test]
