@@ -10,7 +10,6 @@ use powermove_circuit::{BlockProgram, Circuit};
 use powermove_exec::{Parallelism, ThreadPool};
 use powermove_hardware::Architecture;
 use powermove_schedule::{CompiledProgram, Instruction, MovementClock, PassCounter, PassTiming};
-use std::fmt;
 use std::sync::Arc;
 
 /// Compiles a circuit for an architecture under a configuration — the pure
@@ -78,12 +77,6 @@ pub struct StagedIr {
 }
 
 impl StagedIr {
-    /// The staged program.
-    #[must_use]
-    pub fn staged(&self) -> &StagedProgram {
-        &self.staged
-    }
-
     /// Program width in qubits.
     #[must_use]
     pub fn num_qubits(&self) -> u32 {
@@ -101,13 +94,12 @@ impl StagedIr {
 /// staged program.
 ///
 /// A session borrows the shared front-end output and replays **only the
-/// back end** — `RoutePass → MovePass` — once per
+/// back end** — a route step, then a lower step — once per
 /// [`RoutingSession::replay`] call, each time with a different strategy
 /// and/or architecture. Every compile lowers through it: a fixed-strategy
-/// compile is one replay, portfolio auto-tuning is one replay per
-/// candidate over the same staged program. Replays are independent, so
-/// callers fan them out across a thread pool freely (the session is
-/// `Send + Sync`).
+/// compile is one route and one lowering, portfolio auto-tuning two routes
+/// and three lowerings. Replays are independent, so callers fan them out
+/// across a thread pool freely (the session is `Send + Sync`).
 ///
 /// Obtain one from [`PowerMoveCompiler::session`] (which fixes the
 /// storage/grouping knobs from the compiler configuration) or construct it
@@ -157,19 +149,13 @@ impl<'a> RoutingSession<'a> {
         }
     }
 
-    /// The shared staged program every replay starts from.
-    #[must_use]
-    pub fn staged(&self) -> &'a StagedProgram {
-        self.staged
-    }
-
-    /// Replays the back end — routing plus move scheduling — for one
-    /// strategy on one architecture, scheduling moves on `pool`.
+    /// Replays the back end for one strategy on one architecture: the route
+    /// step, then the lower step, scheduling moves on `pool`.
     ///
-    /// Each replay records into its own scratch pass context, so its output
-    /// is deterministic and independent of any other replay and of the
-    /// pool's worker count; the movement wall clock is folded incrementally
-    /// while instructions stream out of move scheduling (bit-identical to
+    /// A replay's output is deterministic and independent of any other
+    /// replay and of the pool's worker count; the movement wall clock is
+    /// folded incrementally while instructions stream out of move
+    /// scheduling (bit-identical to
     /// [`movement_wall_clock`](crate::movement_wall_clock) over the final
     /// stream).
     ///
@@ -184,50 +170,63 @@ impl<'a> RoutingSession<'a> {
         pool: &ThreadPool,
     ) -> Result<Replay, CompileError> {
         let mut scratch = CompileContext::scratch();
-        let routed = RoutePass::new(self.use_storage)
-            .with_strategy(strategy.clone())
-            .run(self.staged, arch, &mut scratch)?;
+        let routed = self.route(arch, strategy.clone(), &mut scratch)?;
+        let (instructions, movement, transfers) =
+            self.lower(&routed, arch, strategy, pool, &mut scratch);
+        Ok(Replay {
+            instructions,
+            movement,
+            transfers,
+        })
+    }
+
+    /// The route step of a replay: plans every stage transition with
+    /// `strategy`'s [`RoutingStrategy::route_stage`], recording into `ctx`.
+    pub(crate) fn route(
+        &self,
+        arch: &Architecture,
+        strategy: Arc<dyn RoutingStrategy>,
+        ctx: &mut CompileContext,
+    ) -> Result<RoutedProgram, CompileError> {
+        RoutePass::new(self.use_storage)
+            .with_strategy(strategy)
+            .run(self.staged, arch, ctx)
+    }
+
+    /// The lower step of a replay: schedules the routed program's moves with
+    /// `strategy`'s [`RoutingStrategy::schedule_moves`], recording into
+    /// `ctx`; returns the instructions, movement wall clock and transfers.
+    pub(crate) fn lower(
+        &self,
+        routed: &RoutedProgram,
+        arch: &Architecture,
+        strategy: Arc<dyn RoutingStrategy>,
+        pool: &ThreadPool,
+        ctx: &mut CompileContext,
+    ) -> (Vec<Instruction>, f64, usize) {
         let instructions = MovePass::new(self.use_grouping)
             .with_strategy(strategy)
-            .run(&routed, arch, pool, &mut scratch);
+            .run(routed, arch, pool, ctx);
         let mut clock = MovementClock::new();
         let mut transfers = 0_usize;
         for instruction in &instructions {
             clock.observe(instruction, arch);
             transfers += instruction.transfer_count();
         }
-        let (timings, counters) = scratch.into_parts();
-        Ok(Replay {
-            routed,
-            instructions,
-            movement: clock.total(),
-            transfers,
-            timings,
-            counters,
-        })
+        (instructions, clock.total(), transfers)
     }
 }
 
-/// The outcome of one [`RoutingSession::replay`]: the routed program, its
-/// instruction stream, the replay's scoring metrics and the back-end pass
-/// records.
+/// The outcome of one [`RoutingSession::replay`]: the instruction stream
+/// and the replay's scoring metrics.
 #[derive(Debug, Clone)]
 pub struct Replay {
-    pub(crate) routed: RoutedProgram,
-    pub(crate) instructions: Vec<Instruction>,
-    pub(crate) movement: f64,
-    pub(crate) transfers: usize,
-    pub(crate) timings: Vec<PassTiming>,
-    pub(crate) counters: Vec<PassCounter>,
+    instructions: Vec<Instruction>,
+    movement: f64,
+    transfers: usize,
 }
 
 impl Replay {
-    /// The routed program.
-    #[must_use]
-    pub fn routed(&self) -> &RoutedProgram {
-        &self.routed
-    }
-
     /// The emitted instruction stream.
     #[must_use]
     pub fn instructions(&self) -> &[Instruction] {
@@ -247,13 +246,6 @@ impl Replay {
     #[must_use]
     pub fn transfer_count(&self) -> usize {
         self.transfers
-    }
-
-    /// Folds the replay's pass records into `ctx` and hands back the routed
-    /// program with its instruction stream.
-    pub(crate) fn merge_into(self, ctx: &mut CompileContext) -> (RoutedProgram, Vec<Instruction>) {
-        ctx.merge(CompileContext::from_parts(self.timings, self.counters));
-        (self.routed, self.instructions)
     }
 }
 
@@ -303,82 +295,22 @@ impl Replay {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PowerMoveCompiler {
     config: CompilerConfig,
-    strategy: Option<Arc<dyn RoutingStrategy>>,
-}
-
-impl fmt::Debug for PowerMoveCompiler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PowerMoveCompiler")
-            .field("config", &self.config)
-            .field("strategy", &self.strategy_name())
-            .finish()
-    }
 }
 
 impl PowerMoveCompiler {
     /// Creates a compiler with the given configuration.
     #[must_use]
     pub fn new(config: CompilerConfig) -> Self {
-        PowerMoveCompiler {
-            config,
-            strategy: None,
-        }
+        PowerMoveCompiler { config }
     }
 
     /// The compiler configuration.
     #[must_use]
     pub fn config(&self) -> &CompilerConfig {
         &self.config
-    }
-
-    /// Registers a custom routing strategy, overriding
-    /// [`CompilerConfig::routing`](crate::CompilerConfig).
-    ///
-    /// This is the open end of the routing subsystem: any
-    /// [`RoutingStrategy`] implementation drives [`RoutePass`] and
-    /// [`MovePass`] exactly like the built-ins.
-    ///
-    /// ```
-    /// use powermove::{
-    ///     CompilerConfig, LookaheadRouter, PowerMoveCompiler,
-    /// };
-    /// use std::sync::Arc;
-    ///
-    /// let compiler = PowerMoveCompiler::new(CompilerConfig::default())
-    ///     .with_strategy(Arc::new(LookaheadRouter::new(3)));
-    /// assert!(format!("{compiler:?}").contains(r#"strategy: "lookahead""#));
-    /// ```
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: Arc<dyn RoutingStrategy>) -> Self {
-        self.strategy = Some(strategy);
-        self
-    }
-
-    /// The active routing strategy: the registered override, or the one
-    /// built from [`CompilerConfig::routing`](crate::CompilerConfig). For an
-    /// auto-tuning configuration this is the portfolio's greedy baseline
-    /// (see [`RoutingConfig::build`](crate::RoutingConfig::build)) — the
-    /// actual per-instance selection happens inside
-    /// [`PowerMoveCompiler::compile`] through [`AutoRouter`].
-    #[must_use]
-    fn routing_strategy(&self) -> Arc<dyn RoutingStrategy> {
-        self.strategy
-            .clone()
-            .unwrap_or_else(|| self.config.routing.build())
-    }
-
-    /// The display name of the active routing configuration: the registered
-    /// override's name, or the configured strategy kind (`"auto"` for the
-    /// auto-tuning configuration).
-    #[must_use]
-    fn strategy_name(&self) -> &str {
-        match &self.strategy {
-            Some(strategy) => strategy.name(),
-            None => self.config.routing.strategy.name(),
-        }
     }
 
     /// Compiles a circuit for the given architecture: the front end
@@ -459,8 +391,8 @@ impl PowerMoveCompiler {
     /// counters carried by the IR, so it reports the same deterministic
     /// counters as an all-in-one [`PowerMoveCompiler::compile`] of the
     /// original circuit. To emit one staged IR under several strategies,
-    /// pin each with [`PowerMoveCompiler::with_strategy`]:
-    /// `compiler.with_strategy(s).emit(&ir, &arch)`.
+    /// emit it from one compiler per [`RoutingConfig`](crate::RoutingConfig),
+    /// or replay it through a [`RoutingSession`].
     ///
     /// # Errors
     ///
@@ -490,9 +422,8 @@ impl PowerMoveCompiler {
 
     /// The back end every entry point shares: folds the IR's front-end
     /// records into `ctx`, routes and schedules the staged program — through
-    /// [`AutoRouter`] for an auto-tuning configuration without a custom
-    /// override, else as one [`RoutingSession::replay`] of the active
-    /// strategy — and emits the program.
+    /// [`AutoRouter`] for an auto-tuning configuration, else as one route and
+    /// one lowering of the configured strategy — and emits the program.
     fn lower(
         &self,
         ir: &StagedIr,
@@ -507,21 +438,22 @@ impl PowerMoveCompiler {
         // pass drains, and `threads == 1` (or `POWERMOVE_THREADS=1`) runs
         // the passes inline with byte-identical output.
         let pool = ThreadPool::new(Parallelism::from_setting(self.config.threads));
-        let (routed, instructions) =
-            if self.strategy.is_none() && self.config.routing.strategy.is_auto() {
-                AutoRouter::from_config(&self.config.routing).run(
-                    &ir.staged,
-                    arch,
-                    self.config.use_storage,
-                    self.config.use_grouping,
-                    &pool,
-                    &mut ctx,
-                )?
-            } else {
-                self.session(ir)
-                    .replay(arch, self.routing_strategy(), &pool)?
-                    .merge_into(&mut ctx)
-            };
+        let (routed, instructions) = if self.config.routing.strategy.is_auto() {
+            AutoRouter::from_config(&self.config.routing).run(
+                &ir.staged,
+                arch,
+                self.config.use_storage,
+                self.config.use_grouping,
+                &pool,
+                &mut ctx,
+            )?
+        } else {
+            let session = self.session(ir);
+            let strategy = self.config.routing.build();
+            let routed = session.route(arch, strategy.clone(), &mut ctx)?;
+            let (instructions, _, _) = session.lower(&routed, arch, strategy, &pool, &mut ctx);
+            (routed, instructions)
+        };
         let metadata = ctx.finish(
             "powermove",
             self.config.use_storage,
@@ -549,7 +481,7 @@ impl CompilerBackend for PowerMoveCompiler {
             self.config.use_storage,
             self.config.alpha,
             self.config.use_grouping,
-            self.strategy_name()
+            self.config.routing.strategy.name()
         )
     }
 
@@ -576,6 +508,7 @@ impl CompilerBackend for PowerMoveCompiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::ring_circuit;
     use powermove_circuit::Qubit;
     use powermove_fidelity::evaluate_program;
     use powermove_schedule::validate;
@@ -594,17 +527,6 @@ mod tests {
         PowerMoveCompiler::new(config)
             .compile(circuit, &arch)
             .unwrap()
-    }
-
-    fn ring_circuit(n: u32) -> Circuit {
-        let mut c = Circuit::new(n);
-        for i in 0..n {
-            c.h(q(i)).unwrap();
-        }
-        for i in 0..n {
-            c.cz(q(i), q((i + 1) % n)).unwrap();
-        }
-        c
     }
 
     #[test]
@@ -679,36 +601,15 @@ mod tests {
     }
 
     #[test]
-    fn custom_strategy_overrides_the_config() {
-        use crate::LookaheadRouter;
-        use std::sync::Arc;
-        let compiler = PowerMoveCompiler::new(CompilerConfig::default())
-            .with_strategy(Arc::new(LookaheadRouter::new(1)));
-        assert_eq!(compiler.routing_strategy().name(), "lookahead");
-        let program = compiler
-            .compile(&ring_circuit(8), &Architecture::for_qubits(8))
-            .unwrap();
-        assert!(validate(&program).is_ok());
-        let debug = format!("{compiler:?}");
-        assert!(debug.contains("lookahead"));
-    }
-
-    #[test]
     fn auto_routing_selects_per_instance_and_names_itself() {
         use crate::RoutingConfig;
         let compiler =
             PowerMoveCompiler::new(CompilerConfig::default().with_routing(RoutingConfig::auto()));
-        assert_eq!(compiler.strategy_name(), "auto");
         assert!(compiler.config_description().contains("routing=auto"));
         let arch = Architecture::for_qubits(12).with_num_aods(3);
         let program = compiler.compile(&ring_circuit(12), &arch).unwrap();
         assert!(validate(&program).is_ok());
         assert!(program.metadata().selected_strategy.is_some());
-        // A custom override beats the auto configuration.
-        let pinned = compiler.with_strategy(std::sync::Arc::new(crate::GreedyRouter));
-        assert_eq!(pinned.strategy_name(), "greedy");
-        let program = pinned.compile(&ring_circuit(12), &arch).unwrap();
-        assert!(program.metadata().selected_strategy.is_none());
     }
 
     #[test]

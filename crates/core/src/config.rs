@@ -6,8 +6,8 @@ use serde::Serialize;
 ///
 /// The strategy is instantiated per compilation through
 /// [`RoutingConfig::build`](crate::routing::RoutingStrategy); custom
-/// implementations bypass the enum entirely via
-/// [`PowerMoveCompiler::with_strategy`](crate::PowerMoveCompiler::with_strategy).
+/// implementations drive [`RoutePass`](crate::RoutePass) and
+/// [`MovePass`](crate::MovePass) directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum RoutingStrategyKind {
     /// The paper's continuous router with dwell-ordered chunked packing
@@ -22,8 +22,8 @@ pub enum RoutingStrategyKind {
     /// ([`MultiAodScheduler`](crate::MultiAodScheduler)).
     MultiAod,
     /// Per-instance strategy selection ([`AutoRouter`](crate::AutoRouter)):
-    /// the compiler replays the whole candidate portfolio and keeps the
-    /// schedule with the lower movement wall clock.
+    /// the compiler lowers two routes three ways and keeps the schedule with
+    /// the lower movement wall clock.
     Auto,
 }
 
@@ -104,10 +104,10 @@ impl RoutingConfig {
 
     /// The auto-tuning configuration: every candidate strategy (greedy,
     /// lookahead with this config's window, multi-AOD with this config's
-    /// assignment) replays the back end over the one staged program, and
-    /// the schedule with the lower movement wall clock wins (tie → fewer
-    /// transfers → greedy). Exact by construction, at the cost of one
-    /// route replay per candidate.
+    /// assignment) lowers a route of the one staged program, and the
+    /// schedule with the lower movement wall clock wins (tie → fewer
+    /// transfers → greedy). Exact by construction, at the cost of two
+    /// routes (greedy and multi-AOD share one) and three lowerings.
     #[must_use]
     pub fn auto() -> Self {
         RoutingConfig {

@@ -742,7 +742,7 @@ impl MovePass {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{CompilerConfig, PowerMoveCompiler};
     use powermove_exec::Parallelism;
@@ -755,7 +755,8 @@ mod tests {
         ThreadPool::new(Parallelism::fixed(2))
     }
 
-    fn ring_circuit(n: u32) -> Circuit {
+    /// An `n`-qubit ring: a Hadamard on every qubit, then a CZ per edge.
+    pub(crate) fn ring_circuit(n: u32) -> Circuit {
         let mut c = Circuit::new(n);
         for i in 0..n {
             c.h(q(i)).unwrap();

@@ -4,28 +4,30 @@
 //! [`AutoRouter`] is a **program-level** selector, not a per-stage
 //! [`RoutingStrategy`]: the compiler hands it the staged program and it
 //! returns the routed program plus instruction stream of the winning
-//! candidate. Every candidate **replays only the back end** from the one
-//! shared frozen staged program through a [`RoutingSession`] (fanned out
-//! over the `powermove-exec` thread pool, one scratch pass context per
-//! replay, merged back in candidate order so the result is byte-identical
-//! at any worker count) and the schedule with the lower movement wall
-//! clock wins; ties break to fewer SLM↔AOD transfers, then to the earlier
-//! candidate — greedy first. The winner can therefore never be worse than
+//! candidate. The portfolio is **two routes, three lowerings** of the one
+//! frozen staged program, through a [`RoutingSession`]: the greedy route is
+//! planned once and lowered by both the greedy and the multi-AOD move
+//! scheduler, the lookahead route once for its own lowering. The routes fan
+//! out over the `powermove-exec` thread pool, each lowering on its own
+//! scratch pass context, merged back in candidate order so the result is
+//! byte-identical at any worker count. The schedule with the lower movement
+//! wall clock wins; ties break to fewer SLM↔AOD transfers, then to the
+//! earlier candidate — greedy first. The winner can therefore never be worse than
 //! any portfolio member on movement wall clock.
 //!
 //! The winning strategy's name lands in
-//! [`CompileMetadata::selected_strategy`], the number of back-end replays
-//! in the [`AutoRouter::PORTFOLIO_COUNTER`] pass counter and the single
-//! shared front-end pass in [`AutoRouter::STAGE_COUNTER`], so bench reports
-//! and diagnostics can attribute both the decision and its cost shape (one
-//! stage + N route replays, not N full compiles).
+//! [`CompileMetadata::selected_strategy`], the number of candidates in the
+//! [`AutoRouter::PORTFOLIO_COUNTER`] pass counter and the single shared
+//! front-end pass in [`AutoRouter::STAGE_COUNTER`], so bench reports and
+//! diagnostics can attribute both the decision and its cost shape (one
+//! stage, two routes and three lowerings, not three full compiles).
 //!
 //! [`CompileMetadata::selected_strategy`]: powermove_schedule::CompileMetadata
 
 use crate::compiler::RoutingSession;
 use crate::config::{RoutingConfig, RoutingStrategyKind};
 use crate::pipeline::{CompileContext, RoutedProgram, StagedProgram};
-use crate::routing::{GreedyRouter, LookaheadRouter, MultiAodScheduler, RoutingStrategy};
+use crate::routing::RoutingStrategy;
 use crate::CompileError;
 use powermove_exec::{Parallelism, ThreadPool};
 use powermove_hardware::Architecture;
@@ -35,14 +37,17 @@ use std::sync::Arc;
 /// The per-instance routing auto-tuner (see the module docs).
 pub struct AutoRouter {
     candidates: Vec<(RoutingStrategyKind, Arc<dyn RoutingStrategy>)>,
+    /// Candidate indices grouped by the route they lower, in ascending
+    /// order: the first candidate of a group plans the route and every
+    /// candidate of the group lowers it.
+    routes: Vec<Vec<usize>>,
 }
 
 impl AutoRouter {
-    /// Name of the pass counter recording how many back-end replays the
-    /// auto-tuner performed for one program (the portfolio size). Every
-    /// replay shares the single front-end pass recorded by
-    /// [`AutoRouter::STAGE_COUNTER`] — candidates are route-only replays,
-    /// not full compiles.
+    /// Name of the pass counter recording how many candidates the auto-tuner
+    /// lowered for one program (the portfolio size). Every candidate shares
+    /// the single front-end pass recorded by [`AutoRouter::STAGE_COUNTER`]
+    /// — candidates are back-end replays, not full compiles.
     pub const PORTFOLIO_COUNTER: &'static str = "portfolio_compiles";
 
     /// Name of the pass counter recording how many front-end (stage) passes
@@ -54,21 +59,21 @@ impl AutoRouter {
     /// portfolio is the greedy router, the lookahead router with
     /// `config.lookahead`, and the multi-AOD scheduler with
     /// `config.aod_assignment` — in that order, which is also the
-    /// tie-breaking preference.
+    /// tie-breaking preference. Multi-AOD keeps the default greedy
+    /// [`RoutingStrategy::route_stage`], so it lowers the greedy route.
     #[must_use]
     pub fn from_config(config: &RoutingConfig) -> Self {
+        use RoutingStrategyKind::{Greedy, Lookahead, MultiAod};
+        let candidates = [Greedy, Lookahead, MultiAod].map(|strategy| {
+            let routing = RoutingConfig {
+                strategy,
+                ..*config
+            };
+            (strategy, routing.build())
+        });
         AutoRouter {
-            candidates: vec![
-                (RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
-                (
-                    RoutingStrategyKind::Lookahead,
-                    Arc::new(LookaheadRouter::new(config.lookahead)),
-                ),
-                (
-                    RoutingStrategyKind::MultiAod,
-                    Arc::new(MultiAodScheduler::new(config.aod_assignment)),
-                ),
-            ],
+            candidates: candidates.to_vec(),
+            routes: vec![vec![0, 2], vec![1]],
         }
     }
 
@@ -82,13 +87,13 @@ impl AutoRouter {
     /// Routes and schedules `staged` with the winning candidate, recording
     /// the selection in `ctx` (see the module docs).
     ///
-    /// Candidate replays run concurrently on `pool` through one shared
-    /// [`RoutingSession`], each on its own scratch context and a
-    /// single-worker move-scheduling pool; replay records merge back in
+    /// The routes run concurrently on `pool`, each followed by its lowerings
+    /// on a single-worker move-scheduling pool; records merge back in
     /// candidate order, so timing and counter layout — like the emitted
     /// program — is identical for every worker count. Merged counters
-    /// report **total work across candidates** (three route passes),
-    /// mirroring how parallel passes report total work time.
+    /// report **total work across candidates** (a shared route's counters
+    /// once per candidate that lowers it), while the `route` timing counts
+    /// each route once, as it ran.
     ///
     /// # Errors
     ///
@@ -105,54 +110,66 @@ impl AutoRouter {
         ctx: &mut CompileContext,
     ) -> Result<(RoutedProgram, Vec<Instruction>), CompileError> {
         ctx.count(Self::STAGE_COUNTER, 1);
-        // Each replay runs its own sequential back end inside one pool job,
-        // so the per-candidate output is deterministic and the
-        // cross-candidate fan-out is where the parallelism lives.
+        // Each route and its lowerings run sequentially inside one pool
+        // job, so the per-candidate output is deterministic and the
+        // cross-route fan-out is where the parallelism lives.
         let session = RoutingSession::new(staged, use_storage, use_grouping);
-        let jobs: Vec<Arc<dyn RoutingStrategy>> = self
-            .candidates
-            .iter()
-            .map(|(_, strategy)| strategy.clone())
-            .collect();
-        let replays = pool.par_map(jobs, |strategy| {
-            session.replay(arch, strategy, &ThreadPool::new(Parallelism::fixed(1)))
+        let mut routes = pool.par_map(self.routes.iter().collect(), |group: &Vec<usize>| {
+            let inline = ThreadPool::new(Parallelism::fixed(1));
+            let mut route_records = CompileContext::scratch();
+            let planner = self.candidates[group[0]].1.clone();
+            let routed = session.route(arch, planner, &mut route_records)?;
+            // Every lowering records the route's counters, as if it had
+            // planned the route itself; only the first records its timing.
+            let counters = route_records.counters().to_vec();
+            let mut first = Some(route_records);
+            let lowerings: Vec<_> = group
+                .iter()
+                .map(|&index| {
+                    let mut records = first.take().unwrap_or_else(|| {
+                        CompileContext::from_parts(Vec::new(), counters.clone())
+                    });
+                    let strategy = self.candidates[index].1.clone();
+                    let lowered = session.lower(&routed, arch, strategy, &inline, &mut records);
+                    (index, lowered, records)
+                })
+                .collect();
+            Ok::<_, CompileError>((routed, lowerings))
         });
 
-        let mut best: Option<(usize, RoutedProgram, Vec<Instruction>, f64, usize)> = None;
+        // Routes are listed by their first candidate and lowered in
+        // candidate order, so this walk meets the first surviving
+        // candidate, the first error and every new counter name in
+        // candidate order; ties break to the earlier candidate explicitly.
+        let mut best: Option<(usize, usize, Vec<Instruction>, f64, usize)> = None;
         let mut first_error = None;
-        for (index, result) in replays.into_iter().enumerate() {
+        for (route, outcome) in routes.iter_mut().enumerate() {
             // A candidate that fails to route is dropped from the
             // selection, not fatal: the auto configuration compiles
             // whenever any portfolio member does, so it can never be worse
             // than a weaker fixed configuration that would have survived.
-            let replay = match result {
-                Ok(replay) => replay,
+            let lowerings = match outcome {
+                Ok((_, lowerings)) => std::mem::take(lowerings),
                 Err(error) => {
-                    first_error.get_or_insert(error);
+                    first_error.get_or_insert_with(|| error.clone());
                     continue;
                 }
             };
-            // The replay already folded its movement wall clock
-            // incrementally, so selection is pure comparison. Merging in
-            // candidate order keeps timing/counter layout identical for
-            // every worker count.
-            let (movement, transfers) = (replay.movement_wall_clock(), replay.transfer_count());
-            let (routed, instructions) = replay.merge_into(ctx);
-            let better = match &best {
-                None => true,
-                Some((_, _, _, best_movement, best_transfers)) => {
-                    movement < *best_movement
-                        || (movement == *best_movement && transfers < *best_transfers)
+            for (index, (instructions, movement, transfers), records) in lowerings {
+                ctx.merge(records);
+                let better = best.as_ref().map_or(true, |(best_index, _, _, m, t)| {
+                    (movement, transfers, index) < (*m, *t, *best_index)
+                });
+                if better {
+                    best = Some((index, route, instructions, movement, transfers));
                 }
-            };
-            if better {
-                best = Some((index, routed, instructions, movement, transfers));
             }
         }
         ctx.count(Self::PORTFOLIO_COUNTER, self.candidates.len() as u64);
         match best {
-            Some((index, routed, instructions, _, _)) => {
+            Some((index, route, instructions, _, _)) => {
                 ctx.select_strategy(self.candidates[index].1.name());
+                let (routed, _) = routes.swap_remove(route).expect("the winner routed");
                 Ok((routed, instructions))
             }
             None => Err(first_error.expect("the portfolio is never empty")),
@@ -178,26 +195,12 @@ impl std::fmt::Debug for AutoRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::tests::ring_circuit;
     use crate::pipeline::{StagePass, SynthesisPass};
     use crate::{CompilerConfig, PowerMoveCompiler, RoutingConfig};
-    use powermove_circuit::{Circuit, Qubit};
+    use powermove_circuit::Circuit;
     use powermove_fidelity::evaluate_program;
     use powermove_schedule::{movement_wall_clock, validate, CompiledProgram};
-
-    fn q(i: u32) -> Qubit {
-        Qubit::new(i)
-    }
-
-    fn ring_circuit(n: u32) -> Circuit {
-        let mut c = Circuit::new(n);
-        for i in 0..n {
-            c.h(q(i)).unwrap();
-        }
-        for i in 0..n {
-            c.cz(q(i), q((i + 1) % n)).unwrap();
-        }
-        c
-    }
 
     fn compile(routing: RoutingConfig, n: u32, aods: usize) -> CompiledProgram {
         let arch = Architecture::for_qubits(n).with_num_aods(aods);
@@ -295,7 +298,7 @@ mod tests {
 
     #[test]
     fn portfolio_falls_back_to_surviving_candidates() {
-        use crate::routing::{RoutingState, StageRouting};
+        use crate::routing::{GreedyRouter, RoutingState, StageRouting};
         use crate::Stage;
 
         // A candidate that can never route: the portfolio must drop it and
@@ -324,6 +327,7 @@ mod tests {
                 (RoutingStrategyKind::Lookahead, Arc::new(AlwaysFails)),
                 (RoutingStrategyKind::Greedy, Arc::new(GreedyRouter)),
             ],
+            routes: vec![vec![0], vec![1]],
         };
         let arch = Architecture::for_qubits(8);
         let mut ctx = CompileContext::new();
@@ -339,6 +343,7 @@ mod tests {
         // Every candidate failing surfaces the first error in order.
         let all_broken = AutoRouter {
             candidates: vec![(RoutingStrategyKind::Greedy, Arc::new(AlwaysFails))],
+            routes: vec![vec![0]],
         };
         let result = all_broken.run(
             &staged,
@@ -349,6 +354,71 @@ mod tests {
             &mut CompileContext::new(),
         );
         assert!(matches!(result, Err(CompileError::NoFreeSite { .. })));
+    }
+
+    #[test]
+    fn an_auto_compile_plans_the_greedy_route_once_per_stage() {
+        use crate::routing::{RoutingState, StageRouting};
+        use crate::Stage;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        // Counts the stage plans of the strategy it wraps.
+        struct Counting(Arc<dyn RoutingStrategy>, Arc<AtomicUsize>);
+        impl RoutingStrategy for Counting {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn route_stage(
+                &self,
+                state: &mut RoutingState,
+                stage: &Stage,
+                upcoming: &[Stage],
+            ) -> Result<StageRouting, CompileError> {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.route_stage(state, stage, upcoming)
+            }
+            fn schedule_moves(
+                &self,
+                routing: &StageRouting,
+                arch: &Architecture,
+                use_grouping: bool,
+            ) -> Vec<Instruction> {
+                self.0.schedule_moves(routing, arch, use_grouping)
+            }
+        }
+
+        let arch = Architecture::for_qubits(12).with_num_aods(3);
+        let pool = ThreadPool::new(Parallelism::fixed(2));
+        let run = |auto: &AutoRouter| {
+            let mut ctx = CompileContext::new();
+            let blocks = SynthesisPass.run(&ring_circuit(12), &mut ctx);
+            let staged = StagePass::new(0.5).run(&blocks, &pool, &mut ctx);
+            let (_, instructions) = auto
+                .run(&staged, &arch, true, true, &pool, &mut ctx)
+                .unwrap();
+            let stages = staged.num_stages();
+            (
+                instructions,
+                ctx.finish("powermove", true, stages, 3),
+                stages,
+            )
+        };
+        // The greedy and the multi-AOD planner count into one counter.
+        let plans = Arc::new(AtomicUsize::new(0));
+        let mut counted = AutoRouter::from_config(&RoutingConfig::auto());
+        for index in [0, 2] {
+            let inner = counted.candidates[index].1.clone();
+            counted.candidates[index].1 = Arc::new(Counting(inner, plans.clone()));
+        }
+        let (instructions, metadata, stages) = run(&counted);
+        assert!(stages >= 2);
+        assert_eq!(plans.load(Ordering::Relaxed), stages, "one greedy route");
+
+        let (expected, reference, _) = run(&AutoRouter::from_config(&RoutingConfig::auto()));
+        assert_eq!(instructions, expected);
+        assert_eq!(metadata.selected_strategy, reference.selected_strategy);
+        assert_eq!(metadata.counter(AutoRouter::PORTFOLIO_COUNTER), Some(3));
+        assert_eq!(metadata.counters, reference.counters);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The greedy routing strategy: the paper's continuous router, unchanged.
 
-use crate::routing::{RoutingState, RoutingStrategy, StageRouting, ZeroBias};
-use crate::{CompileError, Stage};
+use crate::routing::RoutingStrategy;
 
 /// The baseline routing strategy: the continuous router of Sec. 5 with the
 /// dwell-time-ordered, chunked multi-AOD packing of Sec. 6.
 ///
-/// This is the pre-refactor router verbatim — it plans each stage greedily
-/// (nearest free site, no lookahead) and schedules moves with the default
+/// This is the pre-refactor router verbatim — both [`RoutingStrategy`]
+/// defaults: greedy stage planning (nearest free site, no lookahead) and
 /// [`greedy_move_schedule`](crate::greedy_move_schedule) — so its output is
 /// byte-identical to what the compiler emitted before routing became
 /// pluggable (asserted by `tests/routing_strategies.rs` and the benchmark
@@ -19,20 +18,13 @@ impl RoutingStrategy for GreedyRouter {
     fn name(&self) -> &str {
         "greedy"
     }
-
-    fn route_stage(
-        &self,
-        state: &mut RoutingState,
-        stage: &Stage,
-        _upcoming: &[Stage],
-    ) -> Result<StageRouting, CompileError> {
-        state.route_stage_with(stage, &ZeroBias)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{RoutingState, ZeroBias};
+    use crate::Stage;
     use powermove_circuit::CzGate;
     use powermove_hardware::{Architecture, Zone};
     use powermove_schedule::Layout;

@@ -32,14 +32,14 @@
 //!
 //! On top of the per-stage strategies sits the **auto-tuning layer**
 //! ([`auto`]): [`RoutingStrategyKind::Auto`] makes the compiler select the
-//! winning strategy *per instance* by replaying the whole portfolio and
-//! keeping the fastest-moving schedule ([`AutoRouter`]).
+//! winning strategy *per instance* from **two routes, three lowerings** and
+//! keep the fastest-moving schedule ([`AutoRouter`]).
 //!
-//! Custom strategies drop in through
-//! [`PowerMoveCompiler::with_strategy`](crate::PowerMoveCompiler::with_strategy);
-//! everything downstream — timeline validation, the fidelity model's
-//! per-AOD attribution, the benchmark gate — consumes the strategy's output
-//! through the same instruction stream.
+//! A compile picks its strategy from [`RoutingConfig`] alone; custom
+//! strategies drive [`RoutePass`] and [`MovePass`] directly. Everything
+//! downstream — schedule validation, the fidelity model, the benchmark
+//! gate — consumes the strategy's output through the same instruction
+//! stream.
 //!
 //! [`CompilerBackend`]: crate::CompilerBackend
 //! [`RoutePass`]: crate::RoutePass
@@ -77,9 +77,9 @@ use std::sync::Arc;
 /// Strategies are stateless trait objects (`&self` methods, `Send + Sync`):
 /// all mutable routing state lives in the [`RoutingState`] the pipeline
 /// threads through the stage sequence, so one strategy instance can serve
-/// concurrent compilations. The default [`RoutingStrategy::schedule_moves`]
-/// is the greedy dwell-time packing — strategies that only change stage
-/// planning (like [`LookaheadRouter`]) implement nothing else.
+/// concurrent compilations. Both steps default to greedy, so a strategy
+/// that only changes stage planning ([`LookaheadRouter`]) or only move
+/// scheduling ([`MultiAodScheduler`]) implements just that.
 pub trait RoutingStrategy: Send + Sync {
     /// Short identifier of the strategy, e.g. `"greedy"`.
     fn name(&self) -> &str;
@@ -95,7 +95,7 @@ pub trait RoutingStrategy: Send + Sync {
     /// shared routing state (layout) accordingly. `upcoming` holds the next
     /// [`RoutingStrategy::lookahead`] stages of the same commuting CZ
     /// block, for strategies that place qubits with future pairings in
-    /// mind.
+    /// mind. The default is the greedy router of Sec. 5.
     ///
     /// # Errors
     ///
@@ -105,8 +105,10 @@ pub trait RoutingStrategy: Send + Sync {
         &self,
         state: &mut RoutingState,
         stage: &Stage,
-        upcoming: &[Stage],
-    ) -> Result<StageRouting, CompileError>;
+        _upcoming: &[Stage],
+    ) -> Result<StageRouting, CompileError> {
+        state.route_stage_with(stage, &ZeroBias)
+    }
 
     /// Lowers one stage's movement plan into move-group instructions:
     /// conflict-free collective moves assigned to distinct AOD arrays, at

@@ -3,20 +3,18 @@
 //! architecture provides.
 
 use crate::config::AodAssignment;
-use crate::routing::{
-    greedy_move_schedule, group_stage_moves, RoutingState, RoutingStrategy, StageRouting, ZeroBias,
-};
-use crate::{pack_move_groups_balanced, CompileError, Stage};
+use crate::pack_move_groups_balanced;
+use crate::routing::{greedy_move_schedule, group_stage_moves, RoutingStrategy, StageRouting};
 use powermove_hardware::Architecture;
 use powermove_schedule::Instruction;
 
 /// A routing strategy that schedules each stage's moves across
 /// `Architecture::num_aods()` independent AOD arrays.
 ///
-/// Stage transitions are planned exactly like
+/// Stage transitions use the default greedy
+/// [`RoutingStrategy::route_stage`], like
 /// [`GreedyRouter`](crate::GreedyRouter), so the *where* of every qubit is
-/// unchanged; the
-/// strategy differs in *when* moves fly. The stage's single-qubit moves are
+/// unchanged; the strategy differs in *when* moves fly. The stage's single-qubit moves are
 /// first partitioned into conflict-free collective moves
 /// ([`group_moves`](crate::group_moves), which splits on
 /// [`TrapMove::conflicts_with`] violations), then packed into parallel
@@ -66,15 +64,6 @@ impl RoutingStrategy for MultiAodScheduler {
         "multi-aod"
     }
 
-    fn route_stage(
-        &self,
-        state: &mut RoutingState,
-        stage: &Stage,
-        _upcoming: &[Stage],
-    ) -> Result<StageRouting, CompileError> {
-        state.route_stage_with(stage, &ZeroBias)
-    }
-
     fn schedule_moves(
         &self,
         routing: &StageRouting,
@@ -105,6 +94,8 @@ impl RoutingStrategy for MultiAodScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routing::{RoutingState, ZeroBias};
+    use crate::Stage;
     use powermove_circuit::{CzGate, Qubit};
     use powermove_hardware::{Architecture, Zone};
     use powermove_schedule::Layout;
@@ -124,22 +115,6 @@ mod tests {
 
     fn movement_time(instructions: &[Instruction], arch: &Architecture) -> f64 {
         powermove_schedule::movement_wall_clock(instructions, arch)
-    }
-
-    #[test]
-    fn routes_exactly_like_the_greedy_router() {
-        let arch = Architecture::for_qubits(8).with_num_aods(3);
-        let layout = Layout::row_major(&arch, 8, Zone::Storage).unwrap();
-        let stages = [stage(&[(0, 1), (2, 3), (4, 5)]), stage(&[(1, 2), (3, 4)])];
-
-        let scheduler = MultiAodScheduler::default();
-        let mut a = RoutingState::new(arch.clone(), layout.clone(), true);
-        let mut b = RoutingState::new(arch, layout, true);
-        for st in &stages {
-            let plan_a = scheduler.route_stage(&mut a, st, &[]).unwrap();
-            let plan_b = b.route_stage_with(st, &ZeroBias).unwrap();
-            assert_eq!(plan_a, plan_b, "multi-AOD must not change stage plans");
-        }
     }
 
     #[test]

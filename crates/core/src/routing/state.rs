@@ -494,11 +494,10 @@ impl OccupancyArena {
 ///
 /// The state owns the full greedy transition planner
 /// ([`RoutingState::route_stage_with`]); strategies either run it under the
-/// [`ZeroBias`] policy (greedy, multi-AOD — which differs only in move
-/// scheduling) or bias its site decisions with their own [`SitePolicy`]
-/// (the lookahead router). Custom strategies registered through
-/// [`PowerMoveCompiler::with_strategy`](crate::PowerMoveCompiler::with_strategy)
-/// get the same entry point.
+/// [`ZeroBias`] policy (the default
+/// [`RoutingStrategy::route_stage`](crate::RoutingStrategy::route_stage))
+/// or bias its site decisions with their own [`SitePolicy`] (the lookahead
+/// router). Custom strategies get the same entry point.
 ///
 /// The initial layout must target `arch`'s grid (every placed site within
 /// the grid, at most two qubits per site), as

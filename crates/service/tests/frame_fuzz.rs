@@ -4,9 +4,11 @@
 //! truncated, non-UTF-8 and type-confused ones, drives them through
 //! `Daemon::serve`, and checks that the daemon answers every frame exactly
 //! once, keeps serving, acknowledges shutdown last, and that every valid
-//! reply carries the key and digest of a direct compile.
+//! reply carries the key and digest of a direct compile — and that the
+//! schedule linter lints every valid frame of the stream cleanly.
 
 use powermove::{content_hash, CompilerConfig, RoutingConfig};
+use powermove_bench::lint::lint_service_log;
 use powermove_benchmarks::{generate, BenchmarkFamily};
 use powermove_exec::Parallelism;
 use powermove_hardware::Architecture;
@@ -177,6 +179,19 @@ fn every_frame_gets_one_reply_and_valid_ones_match_a_direct_compile() {
         expected.insert(id + 1, Expect::Ok(spec));
         input.extend(format!("\n{{\"id\": {}, \"op\": \"stats\"}}\n", id + 2).bytes());
         input.extend(format!("{{\"id\": {}, \"op\": \"shutdown\"}}\n", id + 3).bytes());
+
+        // The schedule linter lints every valid compile frame, cleanly.
+        let lint = lint_service_log(&String::from_utf8_lossy(&input));
+        assert!(
+            lint.violations.is_empty(),
+            "seed {seed}: {:?}",
+            lint.violations
+        );
+        let valid = expected
+            .values()
+            .filter(|e| matches!(e, Expect::Ok(_)))
+            .count();
+        assert!(lint.linted >= valid, "seed {seed}: linted {}", lint.linted);
 
         let service = CompileService::new(4);
         let daemon = Daemon::new(&service).with_parallelism(Parallelism::fixed(2));

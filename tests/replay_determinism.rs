@@ -1,17 +1,20 @@
 //! Determinism guarantees of the route-only replay hot path.
 //!
-//! The routing-session redesign splits portfolio tuning along the
-//! compiler's front/back-end seam: the circuit is staged **once** into a
-//! frozen `StagedIr` and every candidate strategy replays only the
-//! route/emit back end from it. These tests pin the contract that makes
-//! that safe:
+//! The compiler splits along its front/back-end seam: the circuit is
+//! staged **once** into a frozen `StagedIr` and the back end — a route step,
+//! then a lower step — replays from it. The auto-tuner runs two routes and
+//! three lowerings: the greedy route is lowered by both the greedy and the
+//! multi-AOD scheduler, the lookahead route by its own. These tests pin the
+//! contract that makes that safe:
 //!
-//! * the full compile, `emit` of a shared staged IR, and `emit` under an
-//!   explicitly pinned strategy (`with_strategy(s).emit`) are byte-identical
+//! * the full compile and `emit` of a shared staged IR are byte-identical
 //!   — across every suite family, every fixed strategy plus the auto-tuner,
-//!   and at 1, 2 and 4 worker threads;
-//! * the portfolio auto-tuner's emitted program equals the best replay's
-//!   instruction stream under its own (movement, transfers) selection rule;
+//!   and at 1, 2 and 4 worker threads — and the auto-tuner emits exactly
+//!   the instructions of its winner's own fixed configuration;
+//! * the shared-route auto compile equals three full `RoutingSession::replay`
+//!   calls under its (movement, transfers) selection rule — instructions,
+//!   selected strategy and every metadata counter — at 1, 2 and 4 AODs,
+//!   with storage on and off and with grouping off;
 //! * a property test replays random stage chains through the arena-backed
 //!   router and through a verbatim port of the pre-arena `BTreeMap`
 //!   planner, asserting identical move plans and layouts after every stage
@@ -21,34 +24,28 @@
 //!   routed stages, not just isolated queries.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use powermove_suite::benchmarks::{generate, BenchmarkFamily};
-use powermove_suite::circuit::{CzGate, Qubit};
+use powermove_suite::circuit::{Circuit, CzGate, Qubit};
 use powermove_suite::exec::{Parallelism, ThreadPool};
 use powermove_suite::hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
 use powermove_suite::powermove::{
-    movement_wall_clock, BiasFn, CompilerConfig, GreedyRouter, LookaheadRouter, MultiAodScheduler,
-    PowerMoveCompiler, RoutingConfig, RoutingState, RoutingStrategy, SitePolicy, Stage, ZeroBias,
+    movement_wall_clock, AutoRouter, BiasFn, CompileContext, CompilerConfig, MovePass,
+    PowerMoveCompiler, Replay, RoutePass, RoutingConfig, RoutingState, SitePolicy, Stage,
+    StagePass, SynthesisPass, ZeroBias,
 };
-use powermove_suite::schedule::{canonical_program_bytes, Layout, SiteMove};
+use powermove_suite::schedule::{canonical_program_bytes, Layout, PassCounter, SiteMove};
 
-/// The portfolio members, in the auto-tuner's candidate (and tie-break)
-/// order, paired with the fixed routing configuration that selects each.
-fn candidates() -> [(RoutingConfig, Arc<dyn RoutingStrategy>); 3] {
+/// The fixed configurations of the portfolio members, in the auto-tuner's
+/// candidate (and tie-break) order.
+fn candidates() -> [RoutingConfig; 3] {
     [
-        (RoutingConfig::greedy(), Arc::new(GreedyRouter)),
-        (
-            RoutingConfig::lookahead(2),
-            Arc::new(LookaheadRouter::new(2)),
-        ),
-        (
-            RoutingConfig::multi_aod(),
-            Arc::new(MultiAodScheduler::default()),
-        ),
+        RoutingConfig::greedy(),
+        RoutingConfig::lookahead(2),
+        RoutingConfig::multi_aod(),
     ]
 }
 
@@ -57,39 +54,18 @@ fn replay_emission_matches_the_full_compile_for_every_family_and_thread_count() 
     for family in BenchmarkFamily::ALL {
         let instance = generate(family, 12, 20250);
         let arch = Architecture::for_qubits(instance.num_qubits).with_num_aods(2);
-        // Every fixed configuration with the strategy it selects, plus the
-        // auto-tuner (whose pinned strategy is the one it selected).
-        let mut configs: Vec<(RoutingConfig, Option<Arc<dyn RoutingStrategy>>)> = candidates()
-            .into_iter()
-            .map(|(routing, strategy)| (routing, Some(strategy)))
-            .collect();
-        configs.push((RoutingConfig::auto(), None));
-        for (routing, strategy) in &configs {
+        for routing in candidates().into_iter().chain([RoutingConfig::auto()]) {
             for threads in [1_usize, 2, 4] {
                 let config = CompilerConfig::default()
-                    .with_routing(*routing)
+                    .with_routing(routing)
                     .with_threads(threads);
                 let compiler = PowerMoveCompiler::new(config);
                 let full = compiler
                     .compile(&instance.circuit, &arch)
                     .expect("suite instances compile");
-                // Stage once, then emit through the configured strategy and
-                // through an explicitly pinned one.
+                // Stage once, then emit.
                 let ir = compiler.stage(&instance.circuit);
                 let emitted = compiler.emit(&ir, &arch).expect("emission succeeds");
-                let pin = strategy.clone().unwrap_or_else(|| {
-                    let selected = full.metadata().selected_strategy.clone();
-                    candidates()
-                        .into_iter()
-                        .map(|(_, s)| s)
-                        .find(|s| Some(s.name()) == selected.as_deref())
-                        .expect("auto selects a portfolio member")
-                });
-                let pinned = compiler
-                    .clone()
-                    .with_strategy(pin)
-                    .emit(&ir, &arch)
-                    .expect("pinned emission succeeds");
                 let label = format!("{family} / {} / threads={threads}", routing.strategy.name());
                 assert_eq!(
                     canonical_program_bytes(&full),
@@ -101,27 +77,24 @@ fn replay_emission_matches_the_full_compile_for_every_family_and_thread_count() 
                     emitted.metadata().selected_strategy,
                     "{label}: selected strategy diverged"
                 );
-                if strategy.is_some() {
-                    assert_eq!(
-                        canonical_program_bytes(&full),
-                        canonical_program_bytes(&pinned),
-                        "{label}: full compile vs pinned emit diverged"
-                    );
-                    assert_eq!(
-                        full.metadata().selected_strategy,
-                        pinned.metadata().selected_strategy,
-                        "{label}: selected strategy diverged"
-                    );
-                } else {
-                    // Pinning bypasses auto-tuning: the replay of the
-                    // winner emits the winner's instructions, without the
-                    // auto-tuner's selection record and portfolio counters.
+                if routing.strategy.is_auto() {
+                    // The winner's own fixed configuration emits the
+                    // winner's instructions, without the auto-tuner's
+                    // selection record and portfolio counters.
+                    let selected = full.metadata().selected_strategy.clone();
+                    let winner = candidates()
+                        .into_iter()
+                        .find(|r| Some(r.strategy.name()) == selected.as_deref())
+                        .expect("auto selects a portfolio member");
+                    let fixed = PowerMoveCompiler::new(config.with_routing(winner))
+                        .emit(&ir, &arch)
+                        .expect("the winner's configuration compiles");
                     assert_eq!(
                         full.instructions(),
-                        pinned.instructions(),
-                        "{label}: auto vs pinned winner diverged"
+                        fixed.instructions(),
+                        "{label}: auto vs its winner's configuration diverged"
                     );
-                    assert_eq!(pinned.metadata().selected_strategy, None);
+                    assert_eq!(fixed.metadata().selected_strategy, None);
                 }
             }
         }
@@ -130,54 +103,112 @@ fn replay_emission_matches_the_full_compile_for_every_family_and_thread_count() 
 
 #[test]
 fn portfolio_output_equals_the_best_replay() {
+    let inline = ThreadPool::new(Parallelism::fixed(1));
+    let mut settings: Vec<(usize, bool, bool)> = [1_usize, 2, 4]
+        .into_iter()
+        .flat_map(|aods| [(aods, true, true), (aods, false, true)])
+        .collect();
+    settings.push((2, true, false));
     for family in [
         BenchmarkFamily::QaoaRegular3,
         BenchmarkFamily::Qft,
         BenchmarkFamily::Bv,
     ] {
         let instance = generate(family, 14, 20250);
-        let arch = Architecture::for_qubits(instance.num_qubits).with_num_aods(2);
-        let auto = PowerMoveCompiler::new(
-            CompilerConfig::default()
-                .with_routing(RoutingConfig::auto())
-                .with_threads(1),
-        );
-        let program = auto
-            .compile(&instance.circuit, &arch)
-            .expect("suite instances compile");
-
-        // Rebuild the portfolio by hand: one stage pass, one replay per
-        // candidate, then the auto-tuner's selection rule (movement first,
-        // trap transfers as tie-break, earlier candidate wins).
-        let ir = auto.stage(&instance.circuit);
-        let session = auto.session(&ir);
-        let mut best: Option<powermove_suite::powermove::Replay> = None;
-        for (_, strategy) in candidates() {
-            let replay = session
-                .replay(&arch, strategy, &ThreadPool::new(Parallelism::fixed(1)))
-                .expect("replay succeeds");
-            let better = best.as_ref().map_or(true, |b| {
-                replay.movement_wall_clock() < b.movement_wall_clock()
-                    || (replay.movement_wall_clock() == b.movement_wall_clock()
-                        && replay.transfer_count() < b.transfer_count())
-            });
-            if better {
-                best = Some(replay);
+        for &(aods, use_storage, use_grouping) in &settings {
+            let label =
+                format!("{family} @ {aods} aods, storage={use_storage}, grouping={use_grouping}");
+            let arch = Architecture::for_qubits(instance.num_qubits).with_num_aods(aods);
+            let config = CompilerConfig {
+                use_storage,
+                use_grouping,
+                ..CompilerConfig::default()
             }
+            .with_routing(RoutingConfig::auto())
+            .with_threads(1);
+            let auto = PowerMoveCompiler::new(config);
+            let program = auto
+                .compile(&instance.circuit, &arch)
+                .expect("suite instances compile");
+
+            // Rebuild the portfolio by hand: one stage pass, one full replay
+            // per candidate, then the auto-tuner's selection rule (movement
+            // first, trap transfers as tie-break, earlier candidate wins).
+            let ir = auto.stage(&instance.circuit);
+            let session = auto.session(&ir);
+            let mut best: Option<(&str, Replay)> = None;
+            for routing in candidates() {
+                let replay = session
+                    .replay(&arch, routing.build(), &inline)
+                    .expect("replay succeeds");
+                let better = best.as_ref().map_or(true, |(_, b)| {
+                    replay.movement_wall_clock() < b.movement_wall_clock()
+                        || (replay.movement_wall_clock() == b.movement_wall_clock()
+                            && replay.transfer_count() < b.transfer_count())
+                });
+                if better {
+                    best = Some((routing.strategy.name(), replay));
+                }
+            }
+            let (winner, best) = best.expect("portfolio is non-empty");
+            assert_eq!(
+                program.instructions(),
+                best.instructions(),
+                "{label}: auto-tuned program is not the best replay"
+            );
+            assert_eq!(
+                program.metadata().selected_strategy.as_deref(),
+                Some(winner),
+                "{label}: selected strategy diverged"
+            );
+            let emitted = movement_wall_clock(program.instructions(), program.architecture());
+            assert_eq!(
+                emitted.to_bits(),
+                best.movement_wall_clock().to_bits(),
+                "{label}: replay's incremental clock diverged from the emitted stream"
+            );
+            assert_eq!(
+                program.metadata().counters,
+                three_replay_counters(&config, &instance.circuit, &arch),
+                "{label}: counters diverged from three full replays"
+            );
         }
-        let best = best.expect("portfolio is non-empty");
-        assert_eq!(
-            program.instructions(),
-            best.instructions(),
-            "{family}: auto-tuned program is not the best replay"
-        );
-        let emitted = movement_wall_clock(program.instructions(), program.architecture());
-        assert_eq!(
-            emitted.to_bits(),
-            best.movement_wall_clock().to_bits(),
-            "{family}: replay's incremental clock diverged from the emitted stream"
-        );
     }
+}
+
+/// The metadata counters of three full back-end replays — a `RoutePass`
+/// and a `MovePass` per candidate on its own scratch context, merged in
+/// candidate order — after one front-end pass, with the portfolio counters
+/// where the auto-tuner records them.
+fn three_replay_counters(
+    config: &CompilerConfig,
+    circuit: &Circuit,
+    arch: &Architecture,
+) -> Vec<PassCounter> {
+    let inline = ThreadPool::new(Parallelism::fixed(1));
+    let mut ctx = CompileContext::new();
+    let blocks = SynthesisPass.run(circuit, &mut ctx);
+    let staged = StagePass::new(config.alpha).run(&blocks, &inline, &mut ctx);
+    ctx.count(AutoRouter::STAGE_COUNTER, 1);
+    for strategy in candidates().map(|routing| routing.build()) {
+        let mut scratch = CompileContext::scratch();
+        let routed = RoutePass::new(config.use_storage)
+            .with_strategy(strategy.clone())
+            .run(&staged, arch, &mut scratch)
+            .expect("every candidate routes");
+        let _ = MovePass::new(config.use_grouping)
+            .with_strategy(strategy)
+            .run(&routed, arch, &inline, &mut scratch);
+        ctx.merge(scratch);
+    }
+    ctx.count(AutoRouter::PORTFOLIO_COUNTER, 3);
+    ctx.finish(
+        "powermove",
+        config.use_storage,
+        staged.num_stages(),
+        arch.num_aods(),
+    )
+    .counters
 }
 
 // ---------------------------------------------------------------------------
