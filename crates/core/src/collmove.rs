@@ -1,8 +1,187 @@
 //! The coll-move scheduler (Sec. 6): execution ordering of collective moves
 //! and multi-AOD packing.
+//!
+//! Both packings run on a [`MoveScratch`]: the groups stay chains over one
+//! flat member list and an ordering is a permutation of group indices, so
+//! the only allocations are the collective moves and move groups emitted.
+//! The `Vec`-of-groups functions below load their input into a fresh
+//! scratch and run the same code.
 
+use crate::grouping::MoveScratch;
+use crate::routing::StageRouting;
 use powermove_hardware::{AodId, Architecture, Zone};
 use powermove_schedule::{CollMove, Instruction, SiteMove};
+use std::cmp::{Ordering, Reverse};
+
+impl MoveScratch {
+    /// The default lowering of one stage (Sec. 6): groups each move class,
+    /// orders both for maximum storage dwell time — storage-bound groups
+    /// strictly before interaction groups — and chunks the order onto
+    /// `arch.num_aods()` AOD arrays, appending the move groups to `out`.
+    pub(crate) fn lower_greedy(
+        &mut self,
+        routing: &StageRouting,
+        arch: &Architecture,
+        use_grouping: bool,
+        out: &mut Vec<Instruction>,
+    ) {
+        let split = self.load(routing, arch, use_grouping);
+        self.order_dwell(split, arch);
+        self.emit(&self.order, arch.num_aods(), out);
+    }
+
+    /// The duration-balanced lowering of one stage
+    /// ([`pack_move_groups_balanced`] on the stage's grouped classes),
+    /// appending the move groups to `out`.
+    pub(crate) fn lower_balanced(
+        &mut self,
+        routing: &StageRouting,
+        arch: &Architecture,
+        use_grouping: bool,
+        out: &mut Vec<Instruction>,
+    ) {
+        let split = self.load(routing, arch, use_grouping);
+        self.pack_balanced(split, arch, out);
+    }
+
+    /// Groups both move classes of `routing`; returns the number of
+    /// storage-class groups, which come first.
+    fn load(&mut self, routing: &StageRouting, arch: &Architecture, use_grouping: bool) -> usize {
+        self.clear();
+        self.push_class(&routing.storage_moves, arch, use_grouping);
+        let split = self.groups.len();
+        self.push_class(&routing.interaction_moves, arch, use_grouping);
+        split
+    }
+
+    /// Fills `order` with the dwell-time order: the first `split` groups
+    /// (the storage class), then the rest, each class by descending
+    /// `n_in − n_out` and creation order on ties (see [`order_coll_moves`]).
+    fn order_dwell(&mut self, split: usize, arch: &Architecture) {
+        let grid = arch.grid();
+        let in_storage = |site| i64::from(grid.zone_of(site) == Zone::Storage);
+        for g in 0..self.groups.len() {
+            let score = self
+                .moves_of(g)
+                .map(|m| in_storage(m.to) - in_storage(m.from))
+                .sum();
+            self.groups[g].score = score;
+        }
+        self.order.clear();
+        self.order.extend(0..self.groups.len());
+        let groups = &self.groups;
+        let (storage, interaction) = self.order.split_at_mut(split);
+        for class in [storage, interaction] {
+            class.sort_unstable_by_key(|&g| (Reverse(groups[g].score), g));
+        }
+    }
+
+    /// Chunks `order` into windows of `width` groups, one
+    /// [`Instruction::MoveGroup`] per window with AOD ids in window order.
+    fn emit(&self, order: &[usize], width: usize, out: &mut Vec<Instruction>) {
+        for window in order.chunks(width.max(1)) {
+            let coll_moves = window
+                .iter()
+                .enumerate()
+                .map(|(aod, &g)| CollMove::new(AodId::new(aod), self.collect_group(g)))
+                .collect();
+            out.push(Instruction::move_group(coll_moves));
+        }
+    }
+
+    /// The packing of [`pack_move_groups_balanced`] over the loaded groups,
+    /// the first `split` of which are the storage class.
+    fn pack_balanced(&mut self, split: usize, arch: &Architecture, out: &mut Vec<Instruction>) {
+        let width = arch.num_aods().max(1);
+        self.order_dwell(split, arch);
+        if width == 1 || self.has_cross_group_vacate_dependency(split) {
+            return self.emit(&self.order, width, out);
+        }
+        for g in 0..self.groups.len() {
+            let longest = self
+                .moves_of(g)
+                .map(|m| m.distance(arch))
+                .fold(0.0, f64::max);
+            self.groups[g].longest = longest;
+        }
+        for (dwell, &g) in self.order.iter().enumerate() {
+            self.groups[g].dwell = dwell;
+        }
+        // Longest first within each class, starting from the dwell-time
+        // order so equal-length groups keep their storage-priority ranking.
+        self.alt_order.clear();
+        self.alt_order.extend_from_slice(&self.order);
+        let groups = &self.groups;
+        let (storage, interaction) = self.alt_order.split_at_mut(split);
+        for class in [storage, interaction] {
+            class.sort_unstable_by(|&a, &b| {
+                groups[b]
+                    .longest
+                    .partial_cmp(&groups[a].longest)
+                    .unwrap_or(Ordering::Equal)
+                    .then(groups[a].dwell.cmp(&groups[b].dwell))
+            });
+        }
+        let balanced = self.packed_duration(&self.alt_order, width, arch);
+        if balanced < self.packed_duration(&self.order, width, arch) {
+            self.emit(&self.alt_order, width, out);
+        } else {
+            self.emit(&self.order, width, out);
+        }
+    }
+
+    /// The movement wall clock `order` packs to at `width` AODs: per window
+    /// the transfers plus its slowest translation, summed in window order —
+    /// the same `f64` operations as
+    /// [`movement_wall_clock`](powermove_schedule::movement_wall_clock) over
+    /// the emitted groups, without emitting them.
+    fn packed_duration(&self, order: &[usize], width: usize, arch: &Architecture) -> f64 {
+        let params = arch.params();
+        order
+            .chunks(width)
+            .map(|window| {
+                let slowest = window
+                    .iter()
+                    .map(|&g| {
+                        powermove_hardware::move_duration(
+                            self.groups[g].longest,
+                            params.max_acceleration,
+                        )
+                    })
+                    .fold(0.0, f64::max);
+                2.0 * params.transfer_duration + slowest
+            })
+            .sum()
+    }
+
+    /// Returns `true` if any interaction group (index `split` and above)
+    /// arrives at a site that a *different* interaction group departs from.
+    /// Same-group pairs are fine — the hardware applies a window's moves
+    /// simultaneously — but cross-group pairs pin the departure to a
+    /// same-or-earlier window, which only the original dwell-time order
+    /// guarantees.
+    ///
+    /// The departures are sorted by `(site, group)` once, so each arrival
+    /// is two binary searches: a site's departing groups differ from the
+    /// arrival's exactly when the first or last of its run does.
+    fn has_cross_group_vacate_dependency(&mut self, split: usize) -> bool {
+        let mut departures = std::mem::take(&mut self.departures);
+        departures.clear();
+        for g in split..self.groups.len() {
+            departures.extend(self.moves_of(g).map(|m| (m.from, g)));
+        }
+        departures.sort_unstable();
+        let dependent = (split..self.groups.len()).any(|g| {
+            self.moves_of(g).any(|arrival| {
+                let lo = departures.partition_point(|&(site, _)| site < arrival.to);
+                let hi = departures.partition_point(|&(site, _)| site <= arrival.to);
+                lo < hi && (departures[lo].1 != g || departures[hi - 1].1 != g)
+            })
+        });
+        self.departures = departures;
+        dependent
+    }
+}
 
 /// Orders collective-move groups so that moves *into* the storage zone
 /// execute as early as possible and moves *out of* it as late as possible
@@ -19,22 +198,14 @@ use powermove_schedule::{CollMove, Instruction, SiteMove};
 /// transfer time without moving anything.
 #[must_use]
 pub fn order_coll_moves(groups: Vec<Vec<SiteMove>>, arch: &Architecture) -> Vec<Vec<SiteMove>> {
-    let grid = arch.grid();
-    let score = |group: &[SiteMove]| -> i64 {
-        let n_in = group
-            .iter()
-            .filter(|m| grid.zone_of(m.to) == Zone::Storage)
-            .count() as i64;
-        let n_out = group
-            .iter()
-            .filter(|m| grid.zone_of(m.from) == Zone::Storage)
-            .count() as i64;
-        n_in - n_out
-    };
-    let mut ordered = groups;
-    ordered.retain(|g| !g.is_empty());
-    ordered.sort_by_key(|g| std::cmp::Reverse(score(g)));
-    ordered
+    let mut scratch = MoveScratch::new();
+    scratch.push_groups(groups);
+    scratch.order_dwell(scratch.groups.len(), arch);
+    scratch
+        .order
+        .iter()
+        .map(|&g| scratch.collect_group(g))
+        .collect()
 }
 
 /// Packs ordered collective-move groups onto `num_aods` AOD arrays
@@ -50,19 +221,12 @@ pub fn order_coll_moves(groups: Vec<Vec<SiteMove>>, arch: &Architecture) -> Vec<
 /// with empty per-AOD batches.
 #[must_use]
 pub fn pack_move_groups(ordered: Vec<Vec<SiteMove>>, num_aods: usize) -> Vec<Instruction> {
-    let width = num_aods.max(1);
-    let ordered: Vec<Vec<SiteMove>> = ordered.into_iter().filter(|g| !g.is_empty()).collect();
-    ordered
-        .chunks(width)
-        .map(|chunk| {
-            let coll_moves = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, moves)| CollMove::new(AodId::new(i), moves.clone()))
-                .collect();
-            Instruction::move_group(coll_moves)
-        })
-        .collect()
+    let mut scratch = MoveScratch::new();
+    scratch.push_groups(ordered);
+    let order: Vec<usize> = (0..scratch.groups.len()).collect();
+    let mut out = Vec::new();
+    scratch.emit(&order, num_aods, &mut out);
+    out
 }
 
 /// Packs the two move classes of one stage transition into duration-balanced
@@ -109,71 +273,20 @@ pub fn pack_move_groups_balanced(
     interaction_groups: Vec<Vec<SiteMove>>,
     arch: &Architecture,
 ) -> Vec<Instruction> {
-    let storage_groups: Vec<Vec<SiteMove>> = storage_groups
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .collect();
-    let interaction_groups: Vec<Vec<SiteMove>> = interaction_groups
-        .into_iter()
-        .filter(|g| !g.is_empty())
-        .collect();
-    let num_aods = arch.num_aods().max(1);
-    let chunked = {
-        let mut ordered = order_coll_moves(storage_groups.clone(), arch);
-        ordered.extend(order_coll_moves(interaction_groups.clone(), arch));
-        pack_move_groups(ordered, num_aods)
-    };
-    if num_aods == 1 || has_cross_group_vacate_dependency(&interaction_groups) {
-        return chunked;
-    }
-    let longest_first = |groups: Vec<Vec<SiteMove>>| {
-        // Start from the dwell-time order so equal-length groups keep their
-        // storage-priority ranking, then sort by the translation length that
-        // decides each window's duration.
-        let mut sorted = order_coll_moves(groups, arch);
-        sorted.sort_by(|a, b| {
-            let len = |g: &[SiteMove]| g.iter().map(|m| m.distance(arch)).fold(0.0, f64::max);
-            len(b)
-                .partial_cmp(&len(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        sorted
-    };
-    let mut all = longest_first(storage_groups);
-    all.extend(longest_first(interaction_groups));
-    let balanced = pack_move_groups(all, num_aods);
-    if movement_duration(&balanced, arch) < movement_duration(&chunked, arch) {
-        balanced
-    } else {
-        chunked
-    }
-}
-
-/// Returns `true` if any interaction group arrives at a site that a
-/// *different* interaction group departs from. Same-group pairs are fine —
-/// the hardware applies a window's moves simultaneously — but cross-group
-/// pairs pin the departure to a same-or-earlier window, which only the
-/// original dwell-time order guarantees.
-fn has_cross_group_vacate_dependency(groups: &[Vec<SiteMove>]) -> bool {
-    groups.iter().enumerate().any(|(i, group)| {
-        group.iter().any(|arrival| {
-            groups
-                .iter()
-                .enumerate()
-                .any(|(j, other)| i != j && other.iter().any(|m| m.from == arrival.to))
-        })
-    })
-}
-
-/// Total wall clock of a packed instruction sequence's move groups.
-fn movement_duration(instructions: &[Instruction], arch: &Architecture) -> f64 {
-    powermove_schedule::movement_wall_clock(instructions, arch)
+    let mut scratch = MoveScratch::new();
+    scratch.push_groups(storage_groups);
+    let split = scratch.groups.len();
+    scratch.push_groups(interaction_groups);
+    let mut out = Vec::new();
+    scratch.pack_balanced(split, arch, &mut out);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use powermove_circuit::Qubit;
+    use powermove_hardware::SiteId;
     use powermove_schedule::check::check_storage_before_interaction;
     use powermove_schedule::{CompiledProgram, Layout, SiteMove};
 
@@ -201,6 +314,70 @@ mod tests {
             g.site(Zone::Storage, qi % 3, 1).unwrap(),
             g.site(Zone::Compute, qi % 3, 0).unwrap(),
         )
+    }
+
+    fn movement_duration(instructions: &[Instruction], arch: &Architecture) -> f64 {
+        powermove_schedule::movement_wall_clock(instructions, arch)
+    }
+
+    fn has_cross_group_vacate_dependency(groups: &[Vec<SiteMove>]) -> bool {
+        let mut scratch = MoveScratch::new();
+        scratch.push_groups(groups.to_vec());
+        scratch.has_cross_group_vacate_dependency(0)
+    }
+
+    /// The all-pairs vacate-dependency test the sorted-departures one must
+    /// match: for every arrival, every move of every other group.
+    fn reference_vacate_dependency(groups: &[Vec<SiteMove>]) -> bool {
+        groups.iter().enumerate().any(|(i, group)| {
+            group.iter().any(|arrival| {
+                groups
+                    .iter()
+                    .enumerate()
+                    .any(|(j, other)| i != j && other.iter().any(|m| m.from == arrival.to))
+            })
+        })
+    }
+
+    #[test]
+    fn vacate_dependency_matches_the_all_pairs_reference() {
+        // Seeded groups over few sites, so departures and arrivals collide
+        // within and across groups, with empty groups mixed in.
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let mut dependent = 0;
+        for case in 0..400 {
+            let sites = 2 + case % 24;
+            let groups: Vec<Vec<SiteMove>> = (0..next(6))
+                .map(|_| {
+                    (0..next(5))
+                        .map(|i| {
+                            SiteMove::new(
+                                q(i as u32),
+                                SiteId::new(next(sites) as usize),
+                                SiteId::new(next(sites) as usize),
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            let expected = reference_vacate_dependency(&groups);
+            assert_eq!(
+                has_cross_group_vacate_dependency(&groups),
+                expected,
+                "case {case}: {groups:?}"
+            );
+            dependent += usize::from(expected);
+        }
+        assert!(
+            (50..350).contains(&dependent),
+            "{dependent} of 400 dependent"
+        );
     }
 
     fn lateral_move(a: &Architecture, qi: u32) -> SiteMove {

@@ -154,10 +154,8 @@ impl<'a> RoutingSession<'a> {
     ///
     /// A replay's output is deterministic and independent of any other
     /// replay and of the pool's worker count; the movement wall clock is
-    /// folded incrementally while instructions stream out of move
-    /// scheduling (bit-identical to
-    /// [`movement_wall_clock`](crate::movement_wall_clock) over the final
-    /// stream).
+    /// folded over the stream in instruction order (bit-identical to
+    /// [`movement_wall_clock`](crate::movement_wall_clock)).
     ///
     /// # Errors
     ///
@@ -171,13 +169,8 @@ impl<'a> RoutingSession<'a> {
     ) -> Result<Replay, CompileError> {
         let mut scratch = CompileContext::scratch();
         let routed = self.route(arch, strategy.clone(), &mut scratch)?;
-        let (instructions, movement, transfers) =
-            self.lower(&routed, arch, strategy, pool, &mut scratch);
-        Ok(Replay {
-            instructions,
-            movement,
-            transfers,
-        })
+        let instructions = self.lower(&routed, arch, strategy, pool, &mut scratch);
+        Ok(Replay::score(instructions, arch))
     }
 
     /// The route step of a replay: plans every stage transition with
@@ -187,7 +180,7 @@ impl<'a> RoutingSession<'a> {
         arch: &Architecture,
         strategy: Arc<dyn RoutingStrategy>,
         ctx: &mut CompileContext,
-    ) -> Result<RoutedProgram, CompileError> {
+    ) -> Result<RoutedProgram<'a>, CompileError> {
         RoutePass::new(self.use_storage)
             .with_strategy(strategy)
             .run(self.staged, arch, ctx)
@@ -195,25 +188,18 @@ impl<'a> RoutingSession<'a> {
 
     /// The lower step of a replay: schedules the routed program's moves with
     /// `strategy`'s [`RoutingStrategy::schedule_moves`], recording into
-    /// `ctx`; returns the instructions, movement wall clock and transfers.
+    /// `ctx`.
     pub(crate) fn lower(
         &self,
-        routed: &RoutedProgram,
+        routed: &RoutedProgram<'_>,
         arch: &Architecture,
         strategy: Arc<dyn RoutingStrategy>,
         pool: &ThreadPool,
         ctx: &mut CompileContext,
-    ) -> (Vec<Instruction>, f64, usize) {
-        let instructions = MovePass::new(self.use_grouping)
+    ) -> Vec<Instruction> {
+        MovePass::new(self.use_grouping)
             .with_strategy(strategy)
-            .run(routed, arch, pool, ctx);
-        let mut clock = MovementClock::new();
-        let mut transfers = 0_usize;
-        for instruction in &instructions {
-            clock.observe(instruction, arch);
-            transfers += instruction.transfer_count();
-        }
-        (instructions, clock.total(), transfers)
+            .run(routed, arch, pool, ctx)
     }
 }
 
@@ -221,12 +207,29 @@ impl<'a> RoutingSession<'a> {
 /// and the replay's scoring metrics.
 #[derive(Debug, Clone)]
 pub struct Replay {
-    instructions: Vec<Instruction>,
+    pub(crate) instructions: Vec<Instruction>,
     movement: f64,
     transfers: usize,
 }
 
 impl Replay {
+    /// Scores a lowered instruction stream: its movement wall clock,
+    /// folded in stream order, and its transfer count. Only the selection
+    /// metrics need this; a fixed-strategy compile skips it.
+    pub(crate) fn score(instructions: Vec<Instruction>, arch: &Architecture) -> Self {
+        let mut clock = MovementClock::new();
+        let mut transfers = 0_usize;
+        for instruction in &instructions {
+            clock.observe(instruction, arch);
+            transfers += instruction.transfer_count();
+        }
+        Replay {
+            instructions,
+            movement: clock.total(),
+            transfers,
+        }
+    }
+
     /// The emitted instruction stream.
     #[must_use]
     pub fn instructions(&self) -> &[Instruction] {
@@ -234,8 +237,7 @@ impl Replay {
     }
 
     /// Total movement wall clock of the instruction stream, in seconds —
-    /// the auto-tuner's primary selection metric, folded incrementally
-    /// during the replay.
+    /// the auto-tuner's primary selection metric.
     #[must_use]
     pub fn movement_wall_clock(&self) -> f64 {
         self.movement
@@ -451,7 +453,7 @@ impl PowerMoveCompiler {
             let session = self.session(ir);
             let strategy = self.config.routing.build();
             let routed = session.route(arch, strategy.clone(), &mut ctx)?;
-            let (instructions, _, _) = session.lower(&routed, arch, strategy, &pool, &mut ctx);
+            let instructions = session.lower(&routed, arch, strategy, &pool, &mut ctx);
             (routed, instructions)
         };
         let metadata = ctx.finish(

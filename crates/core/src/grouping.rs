@@ -1,8 +1,209 @@
 //! Distance-aware grouping of single-qubit moves into collective moves
-//! (Sec. 5.3 of the paper).
+//! (Sec. 5.3 of the paper), and the scratch the move pass lowers every
+//! stage through.
 
-use powermove_hardware::{Architecture, TrapMove};
+use powermove_hardware::{Architecture, SiteId, TrapMove};
 use powermove_schedule::SiteMove;
+use std::cmp::Ordering;
+
+/// Reusable buffers for lowering one stage's moves into move-group
+/// instructions: flat members, chain heads and an execution-order
+/// permutation.
+///
+/// A stage's moves are grouped into collective moves, ordered and packed
+/// onto AOD windows ([`RoutingStrategy::schedule_moves`]) through these
+/// buffers, so the only allocations a lowering makes are the ones the
+/// program keeps: one `Vec` per [`CollMove`] and one per move group. The
+/// move pass owns one scratch per worker chunk for the length of one
+/// compile; every lowering clears it first, so a scratch carries no state
+/// from one stage to the next.
+///
+/// [`RoutingStrategy::schedule_moves`]: crate::RoutingStrategy::schedule_moves
+/// [`CollMove`]: powermove_schedule::CollMove
+#[derive(Debug, Clone, Default)]
+pub struct MoveScratch {
+    /// The stage's moves; each group is a chain through `Member::next`.
+    members: Vec<Member>,
+    /// The groups, in creation order: the storage class, then the
+    /// interaction class.
+    pub(crate) groups: Vec<Group>,
+    /// Group indices in execution order.
+    pub(crate) order: Vec<usize>,
+    /// A second execution order, for packings that cost two candidates.
+    pub(crate) alt_order: Vec<usize>,
+    /// `(departure site, group)` pairs, for the vacate-dependency test.
+    pub(crate) departures: Vec<(SiteId, usize)>,
+    /// The class being grouped, sorted by distance.
+    sorted: Vec<Keyed>,
+}
+
+/// Marks the last member of a group chain.
+const END: usize = usize::MAX;
+
+/// One move of the stage and the next member of its group.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    site_move: SiteMove,
+    next: usize,
+}
+
+/// One collective-move group: its chain ends and length, plus the keys the
+/// coll-move scheduler fills in when it orders the group.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Group {
+    head: usize,
+    tail: usize,
+    len: usize,
+    /// `n_in − n_out` of the dwell-time order (Sec. 6.1).
+    pub(crate) score: i64,
+    /// Position in the dwell-time order.
+    pub(crate) dwell: usize,
+    /// The longest translation among the members, in meters.
+    pub(crate) longest: f64,
+}
+
+/// One move being grouped: its sort key, input position and positions.
+#[derive(Debug, Clone, Copy)]
+struct Keyed {
+    distance: f64,
+    input: usize,
+    site_move: SiteMove,
+    trap: TrapMove,
+}
+
+impl MoveScratch {
+    /// An empty scratch; buffers grow on first use.
+    #[must_use]
+    pub fn new() -> Self {
+        MoveScratch::default()
+    }
+
+    /// Forgets the previous lowering, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.members.clear();
+        self.groups.clear();
+    }
+
+    /// The moves of group `g`, in chain order.
+    pub(crate) fn moves_of(&self, g: usize) -> impl Iterator<Item = SiteMove> + '_ {
+        let mut j = self.groups[g].head;
+        std::iter::from_fn(move || {
+            let member = self.members.get(j)?;
+            j = member.next;
+            Some(member.site_move)
+        })
+    }
+
+    /// Group `g`'s moves in a `Vec` of exactly its length.
+    pub(crate) fn collect_group(&self, g: usize) -> Vec<SiteMove> {
+        let mut moves = Vec::with_capacity(self.groups[g].len);
+        moves.extend(self.moves_of(g));
+        moves
+    }
+
+    fn push_member(&mut self, site_move: SiteMove) -> usize {
+        self.members.push(Member {
+            site_move,
+            next: END,
+        });
+        self.members.len() - 1
+    }
+
+    fn open_group(&mut self, member: usize) {
+        self.groups.push(Group {
+            head: member,
+            tail: member,
+            len: 1,
+            score: 0,
+            dwell: 0,
+            longest: 0.0,
+        });
+    }
+
+    fn extend_group(&mut self, g: usize, member: usize) {
+        let group = &mut self.groups[g];
+        self.members[group.tail].next = member;
+        group.tail = member;
+        group.len += 1;
+    }
+
+    /// Appends already-formed groups, dropping empty ones.
+    pub(crate) fn push_groups(&mut self, groups: Vec<Vec<SiteMove>>) {
+        for group in groups {
+            let mut moves = group.into_iter();
+            let Some(first) = moves.next() else { continue };
+            let head = self.push_member(first);
+            self.open_group(head);
+            let g = self.groups.len() - 1;
+            for site_move in moves {
+                let member = self.push_member(site_move);
+                self.extend_group(g, member);
+            }
+        }
+    }
+
+    /// Appends one move class's collective-move groups: conflict-aware
+    /// grouping as in [`group_moves`], or one singleton group per move in
+    /// input order when `use_grouping` is off (the grouping ablation).
+    pub(crate) fn push_class(
+        &mut self,
+        moves: &[SiteMove],
+        arch: &Architecture,
+        use_grouping: bool,
+    ) {
+        if !use_grouping {
+            for &site_move in moves {
+                let member = self.push_member(site_move);
+                self.open_group(member);
+            }
+            return;
+        }
+        // Each move's positions are computed once, into its sort key and
+        // the trap move the conflict test reads. The input position breaks
+        // ties, so the unstable sort orders exactly like a stable one.
+        self.sorted.clear();
+        self.sorted
+            .extend(moves.iter().enumerate().map(|(input, &site_move)| {
+                let trap = site_move.to_trap_move(arch);
+                Keyed {
+                    distance: trap.distance(),
+                    input,
+                    site_move,
+                    trap,
+                }
+            }));
+        self.sorted.sort_unstable_by(|a, b| {
+            a.distance
+                .partial_cmp(&b.distance)
+                .unwrap_or(Ordering::Equal)
+                .then(a.site_move.qubit.cmp(&b.site_move.qubit))
+                .then(a.input.cmp(&b.input))
+        });
+        // Member `base + i` is `sorted[i]`; a move joins the first group of
+        // this class it conflicts with no member of, else opens a new one.
+        let base = self.members.len();
+        let first_group = self.groups.len();
+        for i in 0..self.sorted.len() {
+            let trap = self.sorted[i].trap;
+            let fits = |group: &Group| {
+                let mut j = group.head;
+                while j != END {
+                    if trap.conflicts_with(&self.sorted[j - base].trap) {
+                        return false;
+                    }
+                    j = self.members[j].next;
+                }
+                true
+            };
+            let target = self.groups[first_group..].iter().position(fits);
+            let member = self.push_member(self.sorted[i].site_move);
+            match target {
+                Some(g) => self.extend_group(first_group + g, member),
+                None => self.open_group(member),
+            }
+        }
+    }
+}
 
 /// Groups single-qubit moves into collective moves executable by one AOD.
 ///
@@ -15,78 +216,14 @@ use powermove_schedule::SiteMove;
 ///
 /// The relative order of groups reflects creation order; the coll-move
 /// scheduler ([`crate::order_coll_moves`]) decides the execution order.
+/// The move pass groups through a reused [`MoveScratch`] instead.
 #[must_use]
 pub fn group_moves(moves: &[SiteMove], arch: &Architecture) -> Vec<Vec<SiteMove>> {
-    // Each move's positions are computed once, into its sort key and the
-    // trap move the conflict test reads. A group is a chain through
-    // `Member::next`, in insertion order, so the test needs no per-group
-    // buffer besides the returned one.
-    let mut sorted: Vec<Member> = moves
-        .iter()
-        .map(|&site_move| {
-            let trap = site_move.to_trap_move(arch);
-            Member {
-                distance: trap.distance(),
-                site_move,
-                trap,
-                next: END,
-            }
-        })
-        .collect();
-    sorted.sort_by(|a, b| {
-        a.distance
-            .partial_cmp(&b.distance)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.site_move.qubit.cmp(&b.site_move.qubit))
-    });
-
-    // Per group: its first and last member, as indices into `sorted`.
-    let mut chains: Vec<(usize, usize)> = Vec::new();
-    for i in 0..sorted.len() {
-        let trap = sorted[i].trap;
-        let fits = |&(first, _): &(usize, usize)| {
-            let mut j = first;
-            while j != END {
-                if trap.conflicts_with(&sorted[j].trap) {
-                    return false;
-                }
-                j = sorted[j].next;
-            }
-            true
-        };
-        match chains.iter().position(fits) {
-            Some(group) => {
-                let last = chains[group].1;
-                sorted[last].next = i;
-                chains[group].1 = i;
-            }
-            None => chains.push((i, i)),
-        }
-    }
-    chains
-        .iter()
-        .map(|&(first, _)| {
-            let mut group = Vec::new();
-            let mut j = first;
-            while j != END {
-                group.push(sorted[j].site_move);
-                j = sorted[j].next;
-            }
-            group
-        })
+    let mut scratch = MoveScratch::new();
+    scratch.push_class(moves, arch, true);
+    (0..scratch.groups.len())
+        .map(|g| scratch.collect_group(g))
         .collect()
-}
-
-/// Marks the last member of a group chain.
-const END: usize = usize::MAX;
-
-/// One move being grouped: its sort key, the move, its positions and the
-/// next member of its group.
-struct Member {
-    distance: f64,
-    site_move: SiteMove,
-    trap: TrapMove,
-    next: usize,
 }
 
 #[cfg(test)]

@@ -85,15 +85,15 @@ pub use compiler::{compile, PowerMoveCompiler, Replay, RoutingSession, StagedIr}
 pub use config::{AodAssignment, CompilerConfig, RoutingConfig, RoutingStrategyKind};
 pub use content::{content_hash, stage_hash, ContentHash};
 pub use error::CompileError;
-pub use grouping::group_moves;
+pub use grouping::{group_moves, MoveScratch};
 pub use pipeline::{
     CompileContext, CompilerBackend, MovePass, RoutePass, RoutedProgram, RoutedSegment,
     RoutedStage, StagePass, StagedProgram, StagedSegment, SynthesisPass,
 };
 pub use routing::{
-    greedy_move_schedule, group_stage_moves, movement_wall_clock, Attractors, AutoRouter, BiasFn,
-    FreeSiteHarness, GreedyRouter, LookaheadRouter, MultiAodScheduler, RoutingState,
-    RoutingStrategy, SitePolicy, StageRouting, ZeroBias, SITES_PRUNED, SITE_SCANS,
+    greedy_move_schedule, movement_wall_clock, Attractors, AutoRouter, BiasFn, FreeSiteHarness,
+    GreedyRouter, LookaheadRouter, MultiAodScheduler, RoutingState, RoutingStrategy, SitePolicy,
+    StageRouting, ZeroBias, SITES_PRUNED, SITE_SCANS,
 };
 pub use stage_partition::{partition_stages, Stage};
 pub use stage_schedule::schedule_stages;

@@ -33,7 +33,7 @@
 //! no harness changes required.
 
 use crate::routing::{GreedyRouter, RoutingState, RoutingStrategy, StageRouting};
-use crate::{partition_stages, schedule_stages, CompileError, Stage};
+use crate::{partition_stages, schedule_stages, CompileError, MoveScratch, Stage};
 use powermove_circuit::{BlockProgram, Circuit, OneQubitGate, Qubit, Segment};
 use powermove_exec::ThreadPool;
 use powermove_hardware::{Architecture, Zone};
@@ -416,23 +416,22 @@ impl StagePass {
         ctx: &mut CompileContext,
     ) -> StagedProgram {
         let alpha = self.alpha;
-        let segments = par_map_merging(
-            pool,
-            ctx,
-            Self::NAME,
-            blocks.segments(),
-            |segment, worker| match segment {
-                Segment::OneQubit(layer) => StagedSegment::OneQubit(layer.gates().to_vec()),
-                Segment::Cz(block) => {
-                    let stages = schedule_stages(partition_stages(block), alpha);
-                    worker.count("stages", stages.len() as u64);
-                    StagedSegment::Stages(stages)
-                }
-            },
-        );
+        let chunks = par_map_merging(pool, ctx, Self::NAME, blocks.segments(), |chunk, worker| {
+            chunk
+                .iter()
+                .map(|segment| match segment {
+                    Segment::OneQubit(layer) => StagedSegment::OneQubit(layer.gates().to_vec()),
+                    Segment::Cz(block) => {
+                        let stages = schedule_stages(partition_stages(block), alpha);
+                        worker.count("stages", stages.len() as u64);
+                        StagedSegment::Stages(stages)
+                    }
+                })
+                .collect()
+        });
         StagedProgram {
             num_qubits: blocks.num_qubits(),
-            segments,
+            segments: concat(chunks),
         }
     }
 }
@@ -440,21 +439,22 @@ impl StagePass {
 /// Shared fan-out scaffolding of the parallel passes: registers `pass` in
 /// `ctx` (so it appears even for empty programs), maps `items` over `pool`
 /// one contiguous chunk at a time ([`ThreadPool::par_map_chunks`]), and
-/// merges the chunk contexts back into `ctx` in input order.
+/// merges the chunk contexts back into `ctx` in input order. Returns one
+/// result per chunk, in input order.
 ///
 /// Each chunk gets one [`CompileContext::scratch`] context, which `f` sees
-/// for every item of the chunk, and is timed once under `pass`. Block- and
+/// with the whole chunk, and is timed once under `pass`. Block- and
 /// stage-level fan-outs scale with program size (QFT-256 lowers 65k
 /// segments), so per-item contexts would allocate a pass name and counter
-/// names per item. Counter values are sums and chunks merge in input order,
-/// so the counters and their first-recorded order are the same for every
-/// worker count.
+/// names per item, and per-item results a buffer per item. Counter values
+/// are sums and chunks merge in input order, so the counters and their
+/// first-recorded order are the same for every worker count.
 fn par_map_merging<T, R>(
     pool: &ThreadPool,
     ctx: &mut CompileContext,
     pass: &str,
     items: &[T],
-    f: impl Fn(&T, &mut CompileContext) -> R + Sync,
+    f: impl Fn(&[T], &mut CompileContext) -> R + Sync,
 ) -> Vec<R>
 where
     T: Sync,
@@ -463,48 +463,62 @@ where
     ctx.time(pass, |_| ());
     let chunks = pool.par_map_chunks(items, |chunk| {
         let mut worker = CompileContext::scratch();
-        let out: Vec<R> = worker.time(pass, |worker| {
-            chunk.iter().map(|item| f(item, worker)).collect()
-        });
+        let out = worker.time(pass, |worker| f(chunk, worker));
         (out, worker)
     });
-    let mut results = Vec::with_capacity(items.len());
-    for (out, worker) in chunks {
-        ctx.merge(worker);
-        results.extend(out);
-    }
-    results
+    chunks
+        .into_iter()
+        .map(|(out, worker)| {
+            ctx.merge(worker);
+            out
+        })
+        .collect()
 }
 
-/// One segment of a [`RoutedProgram`].
+/// Concatenates per-chunk results in order; a single chunk is returned as
+/// is.
+fn concat<T>(mut chunks: Vec<Vec<T>>) -> Vec<T> {
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk");
+    }
+    let mut all = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
+    for chunk in chunks {
+        all.extend(chunk);
+    }
+    all
+}
+
+/// One segment of a [`RoutedProgram`], borrowing its gates from the
+/// [`StagedProgram`] it was routed from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum RoutedSegment {
+pub enum RoutedSegment<'a> {
     /// A layer of single-qubit gates, passed through unchanged.
-    OneQubit(Vec<(Qubit, OneQubitGate)>),
+    OneQubit(&'a [(Qubit, OneQubitGate)]),
     /// One Rydberg stage together with its layout-transition plan.
-    Stage(RoutedStage),
+    Stage(RoutedStage<'a>),
 }
 
 /// A stage paired with the movement plan that realizes its layout.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RoutedStage {
+pub struct RoutedStage<'a> {
     /// The Rydberg stage.
-    pub stage: Stage,
+    pub stage: &'a Stage,
     /// The continuous router's movement plan for the stage transition.
     pub routing: StageRouting,
 }
 
 /// The output of [`RoutePass`]: the staged program plus, per stage, the
-/// direct layout-transition plan computed by the continuous router.
+/// direct layout-transition plan computed by the continuous router. The
+/// gates stay in the staged program; segments borrow them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RoutedProgram {
+pub struct RoutedProgram<'a> {
     num_qubits: u32,
     initial_layout: Layout,
     uses_storage: bool,
-    segments: Vec<RoutedSegment>,
+    segments: Vec<RoutedSegment<'a>>,
 }
 
-impl RoutedProgram {
+impl<'a> RoutedProgram<'a> {
     /// Program width in qubits.
     #[must_use]
     pub const fn num_qubits(&self) -> u32 {
@@ -525,7 +539,7 @@ impl RoutedProgram {
 
     /// The routed segments in program order.
     #[must_use]
-    pub fn segments(&self) -> &[RoutedSegment] {
+    pub fn segments(&self) -> &[RoutedSegment<'a>] {
         &self.segments
     }
 }
@@ -583,12 +597,12 @@ impl RoutePass {
     /// Returns [`CompileError::Hardware`] if the machine cannot host the
     /// program, or [`CompileError::NoFreeSite`] if the router runs out of
     /// free sites.
-    pub fn run(
+    pub fn run<'a>(
         &self,
-        staged: &StagedProgram,
+        staged: &'a StagedProgram,
         arch: &Architecture,
         ctx: &mut CompileContext,
-    ) -> Result<RoutedProgram, CompileError> {
+    ) -> Result<RoutedProgram<'a>, CompileError> {
         ctx.time(Self::NAME, |ctx| {
             let num_qubits = staged.num_qubits();
             // Initial layout: entirely in storage for the with-storage mode
@@ -615,7 +629,7 @@ impl RoutePass {
             for segment in staged.segments() {
                 match segment {
                     StagedSegment::OneQubit(gates) => {
-                        segments.push(RoutedSegment::OneQubit(gates.clone()));
+                        segments.push(RoutedSegment::OneQubit(gates));
                     }
                     StagedSegment::Stages(stages) => {
                         for (i, stage) in stages.iter().enumerate() {
@@ -624,10 +638,7 @@ impl RoutePass {
                             let routing = self.strategy.route_stage(&mut state, stage, upcoming)?;
                             ctx.count("storage_moves", routing.storage_moves.len() as u64);
                             ctx.count("interaction_moves", routing.interaction_moves.len() as u64);
-                            segments.push(RoutedSegment::Stage(RoutedStage {
-                                stage: stage.clone(),
-                                routing,
-                            }));
+                            segments.push(RoutedSegment::Stage(RoutedStage { stage, routing }));
                         }
                     }
                 }
@@ -655,8 +666,10 @@ impl RoutePass {
 ///
 /// The scheduling of one stage depends only on that stage's routing plan,
 /// so the pass fans the routed segments out over the given [`ThreadPool`]
-/// and concatenates the per-segment instruction runs in program order —
-/// identical output for every worker count.
+/// and concatenates the per-chunk instruction runs in program order —
+/// identical output for every worker count. Each chunk lowers through one
+/// [`MoveScratch`] into one instruction buffer, so a stage allocates only
+/// the collective moves, move groups and gate list the program keeps.
 #[derive(Clone)]
 pub struct MovePass {
     use_grouping: bool,
@@ -705,39 +718,46 @@ impl MovePass {
         pool: &ThreadPool,
         ctx: &mut CompileContext,
     ) -> Vec<Instruction> {
-        let runs = par_map_merging(
-            pool,
-            ctx,
-            Self::NAME,
-            routed.segments(),
-            |segment, worker| match segment {
-                RoutedSegment::OneQubit(gates) => {
-                    vec![Instruction::one_qubit_layer(gates.clone())]
+        // One lowering scratch and one instruction buffer per chunk, so a
+        // stage allocates only what the program keeps.
+        let runs = par_map_merging(pool, ctx, Self::NAME, routed.segments(), |chunk, worker| {
+            let mut scratch = MoveScratch::new();
+            let mut out = Vec::new();
+            for segment in chunk {
+                match segment {
+                    RoutedSegment::OneQubit(gates) => {
+                        out.push(Instruction::one_qubit_layer(gates.to_vec()));
+                    }
+                    RoutedSegment::Stage(RoutedStage { stage, routing }) => {
+                        // The strategy decides grouping, ordering and AOD
+                        // packing; the greedy default realizes the
+                        // move-in-first policy of Sec. 6.1 (storage-bound
+                        // moves strictly before interactions, so a vacated
+                        // site is free before an interaction arrives).
+                        let start = out.len();
+                        self.strategy.schedule_moves(
+                            routing,
+                            arch,
+                            self.use_grouping,
+                            &mut scratch,
+                            &mut out,
+                        );
+                        let coll_moves: usize = out[start..]
+                            .iter()
+                            .map(|i| match i {
+                                Instruction::MoveGroup { coll_moves } => coll_moves.len(),
+                                _ => 0,
+                            })
+                            .sum();
+                        worker.count("coll_moves", coll_moves as u64);
+                        worker.count("move_groups", (out.len() - start) as u64);
+                        out.push(Instruction::rydberg(stage.gates().to_vec()));
+                    }
                 }
-                RoutedSegment::Stage(RoutedStage { stage, routing }) => {
-                    // The strategy decides grouping, ordering and AOD
-                    // packing; the greedy default realizes the move-in-first
-                    // policy of Sec. 6.1 (storage-bound moves strictly
-                    // before interactions, so a vacated site is free before
-                    // an interaction arrives).
-                    let mut packed = self
-                        .strategy
-                        .schedule_moves(routing, arch, self.use_grouping);
-                    let coll_moves: usize = packed
-                        .iter()
-                        .map(|i| match i {
-                            Instruction::MoveGroup { coll_moves } => coll_moves.len(),
-                            _ => 0,
-                        })
-                        .sum();
-                    worker.count("coll_moves", coll_moves as u64);
-                    worker.count("move_groups", packed.len() as u64);
-                    packed.push(Instruction::rydberg(stage.gates().to_vec()));
-                    packed
-                }
-            },
-        );
-        runs.into_iter().flatten().collect()
+            }
+            out
+        });
+        concat(runs)
     }
 }
 

@@ -24,7 +24,7 @@
 //!
 //! [`CompileMetadata::selected_strategy`]: powermove_schedule::CompileMetadata
 
-use crate::compiler::RoutingSession;
+use crate::compiler::{Replay, RoutingSession};
 use crate::config::{RoutingConfig, RoutingStrategyKind};
 use crate::pipeline::{CompileContext, RoutedProgram, StagedProgram};
 use crate::routing::RoutingStrategy;
@@ -100,15 +100,15 @@ impl AutoRouter {
     /// A candidate that fails to route is dropped from the selection — the
     /// error (first in candidate order) surfaces only when **every**
     /// candidate fails, so auto compiles whenever any portfolio member does.
-    pub fn run(
+    pub fn run<'a>(
         &self,
-        staged: &StagedProgram,
+        staged: &'a StagedProgram,
         arch: &Architecture,
         use_storage: bool,
         use_grouping: bool,
         pool: &ThreadPool,
         ctx: &mut CompileContext,
-    ) -> Result<(RoutedProgram, Vec<Instruction>), CompileError> {
+    ) -> Result<(RoutedProgram<'a>, Vec<Instruction>), CompileError> {
         ctx.count(Self::STAGE_COUNTER, 1);
         // Each route and its lowerings run sequentially inside one pool
         // job, so the per-candidate output is deterministic and the
@@ -131,7 +131,7 @@ impl AutoRouter {
                     });
                     let strategy = self.candidates[index].1.clone();
                     let lowered = session.lower(&routed, arch, strategy, &inline, &mut records);
-                    (index, lowered, records)
+                    (index, Replay::score(lowered, arch), records)
                 })
                 .collect();
             Ok::<_, CompileError>((routed, lowerings))
@@ -141,7 +141,7 @@ impl AutoRouter {
         // candidate order, so this walk meets the first surviving
         // candidate, the first error and every new counter name in
         // candidate order; ties break to the earlier candidate explicitly.
-        let mut best: Option<(usize, usize, Vec<Instruction>, f64, usize)> = None;
+        let mut best: Option<(usize, usize, Replay)> = None;
         let mut first_error = None;
         for (route, outcome) in routes.iter_mut().enumerate() {
             // A candidate that fails to route is dropped from the
@@ -155,22 +155,25 @@ impl AutoRouter {
                     continue;
                 }
             };
-            for (index, (instructions, movement, transfers), records) in lowerings {
+            for (index, replay, records) in lowerings {
                 ctx.merge(records);
-                let better = best.as_ref().map_or(true, |(best_index, _, _, m, t)| {
-                    (movement, transfers, index) < (*m, *t, *best_index)
+                let key = |index: usize, replay: &Replay| {
+                    (replay.movement_wall_clock(), replay.transfer_count(), index)
+                };
+                let better = best.as_ref().map_or(true, |(best_index, _, best)| {
+                    key(index, &replay) < key(*best_index, best)
                 });
                 if better {
-                    best = Some((index, route, instructions, movement, transfers));
+                    best = Some((index, route, replay));
                 }
             }
         }
         ctx.count(Self::PORTFOLIO_COUNTER, self.candidates.len() as u64);
         match best {
-            Some((index, route, instructions, _, _)) => {
+            Some((index, route, replay)) => {
                 ctx.select_strategy(self.candidates[index].1.name());
                 let (routed, _) = routes.swap_remove(route).expect("the winner routed");
-                Ok((routed, instructions))
+                Ok((routed, replay.instructions))
             }
             None => Err(first_error.expect("the portfolio is never empty")),
         }
@@ -359,7 +362,7 @@ mod tests {
     #[test]
     fn an_auto_compile_plans_the_greedy_route_once_per_stage() {
         use crate::routing::{RoutingState, StageRouting};
-        use crate::Stage;
+        use crate::{MoveScratch, Stage};
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         // Counts the stage plans of the strategy it wraps.
@@ -382,8 +385,11 @@ mod tests {
                 routing: &StageRouting,
                 arch: &Architecture,
                 use_grouping: bool,
-            ) -> Vec<Instruction> {
-                self.0.schedule_moves(routing, arch, use_grouping)
+                scratch: &mut MoveScratch,
+                out: &mut Vec<Instruction>,
+            ) {
+                self.0
+                    .schedule_moves(routing, arch, use_grouping, scratch, out);
             }
         }
 

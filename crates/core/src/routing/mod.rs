@@ -67,9 +67,9 @@ pub use state::{
 };
 
 use crate::config::{RoutingConfig, RoutingStrategyKind};
-use crate::{group_moves, order_coll_moves, pack_move_groups, CompileError, Stage};
+use crate::{CompileError, MoveScratch, Stage};
 use powermove_hardware::Architecture;
-use powermove_schedule::{Instruction, SiteMove};
+use powermove_schedule::Instruction;
 use std::sync::Arc;
 
 /// An interchangeable routing algorithm.
@@ -110,17 +110,22 @@ pub trait RoutingStrategy: Send + Sync {
         state.route_stage_with(stage, &ZeroBias)
     }
 
-    /// Lowers one stage's movement plan into move-group instructions:
-    /// conflict-free collective moves assigned to distinct AOD arrays, at
-    /// most `arch.num_aods()` per parallel window. `use_grouping == false`
-    /// is the grouping-ablation configuration (every move flies alone).
+    /// Lowers one stage's movement plan into move-group instructions,
+    /// appended to `out`: conflict-free collective moves assigned to
+    /// distinct AOD arrays, at most `arch.num_aods()` per parallel window.
+    /// `use_grouping == false` is the grouping-ablation configuration
+    /// (every move flies alone). `scratch` is the caller's reusable
+    /// grouping, ordering and packing buffer ([`MoveScratch`]); the
+    /// default is the greedy schedule ([`greedy_move_schedule`]).
     fn schedule_moves(
         &self,
         routing: &StageRouting,
         arch: &Architecture,
         use_grouping: bool,
-    ) -> Vec<Instruction> {
-        greedy_move_schedule(routing, arch, use_grouping)
+        scratch: &mut MoveScratch,
+        out: &mut Vec<Instruction>,
+    ) {
+        scratch.lower_greedy(routing, arch, use_grouping, out);
     }
 }
 
@@ -128,38 +133,20 @@ pub trait RoutingStrategy: Send + Sync {
 /// AOD-compatible collective moves, order them for maximum storage dwell
 /// time — storage-bound groups strictly before interaction groups, so a
 /// vacated site is free before an interaction arrives — and chunk the
-/// ordered sequence onto the available AOD arrays.
+/// ordered sequence onto the available AOD arrays. `use_grouping == false`
+/// makes every move its own collective move.
+///
+/// This is [`RoutingStrategy::schedule_moves`]'s default on a fresh
+/// [`MoveScratch`]; the move pass reuses one scratch per worker instead.
 #[must_use]
 pub fn greedy_move_schedule(
     routing: &StageRouting,
     arch: &Architecture,
     use_grouping: bool,
 ) -> Vec<Instruction> {
-    let mut ordered = order_coll_moves(
-        group_stage_moves(&routing.storage_moves, arch, use_grouping),
-        arch,
-    );
-    ordered.extend(order_coll_moves(
-        group_stage_moves(&routing.interaction_moves, arch, use_grouping),
-        arch,
-    ));
-    pack_move_groups(ordered, arch.num_aods())
-}
-
-/// Partitions one move class into collective-move groups: conflict-aware
-/// [`group_moves`] normally, one singleton group per move under the
-/// grouping-ablation configuration.
-#[must_use]
-pub fn group_stage_moves(
-    moves: &[SiteMove],
-    arch: &Architecture,
-    use_grouping: bool,
-) -> Vec<Vec<SiteMove>> {
-    if use_grouping {
-        group_moves(moves, arch)
-    } else {
-        moves.iter().map(|m| vec![*m]).collect()
-    }
+    let mut out = Vec::new();
+    MoveScratch::new().lower_greedy(routing, arch, use_grouping, &mut out);
+    out
 }
 
 impl RoutingConfig {

@@ -3,8 +3,8 @@
 //! architecture provides.
 
 use crate::config::AodAssignment;
-use crate::pack_move_groups_balanced;
-use crate::routing::{greedy_move_schedule, group_stage_moves, RoutingStrategy, StageRouting};
+use crate::routing::{RoutingStrategy, StageRouting};
+use crate::MoveScratch;
 use powermove_hardware::Architecture;
 use powermove_schedule::Instruction;
 
@@ -22,7 +22,7 @@ use powermove_schedule::Instruction;
 ///
 /// * [`AodAssignment::Balanced`] (the default) sorts each move class by
 ///   translation length before chunking
-///   ([`pack_move_groups_balanced`]), so similar-duration moves
+///   ([`pack_move_groups_balanced`](crate::pack_move_groups_balanced)), so similar-duration moves
 ///   share a window and no AOD idles behind one slow member — this is what
 ///   cuts the total movement wall clock at ≥ 2 AODs;
 /// * [`AodAssignment::Chunked`] keeps the greedy dwell-time chunking and
@@ -69,17 +69,16 @@ impl RoutingStrategy for MultiAodScheduler {
         routing: &StageRouting,
         arch: &Architecture,
         use_grouping: bool,
-    ) -> Vec<Instruction> {
-        let instructions = match self.assignment {
-            AodAssignment::Chunked => greedy_move_schedule(routing, arch, use_grouping),
-            AodAssignment::Balanced => pack_move_groups_balanced(
-                group_stage_moves(&routing.storage_moves, arch, use_grouping),
-                group_stage_moves(&routing.interaction_moves, arch, use_grouping),
-                arch,
-            ),
-        };
+        scratch: &mut MoveScratch,
+        out: &mut Vec<Instruction>,
+    ) {
+        let start = out.len();
+        match self.assignment {
+            AodAssignment::Chunked => scratch.lower_greedy(routing, arch, use_grouping, out),
+            AodAssignment::Balanced => scratch.lower_balanced(routing, arch, use_grouping, out),
+        }
         debug_assert!(
-            instructions.iter().all(|instr| match instr {
+            out[start..].iter().all(|instr| match instr {
                 Instruction::MoveGroup { coll_moves } => coll_moves.iter().all(|cm| {
                     powermove_hardware::validate_collective_move(&cm.trap_moves(arch)).is_ok()
                 }),
@@ -87,7 +86,6 @@ impl RoutingStrategy for MultiAodScheduler {
             }),
             "multi-AOD packing emitted a conflicting collective move"
         );
-        instructions
     }
 }
 
@@ -113,6 +111,23 @@ mod tests {
         )
     }
 
+    fn schedule(
+        scheduler: &MultiAodScheduler,
+        routing: &StageRouting,
+        arch: &Architecture,
+        use_grouping: bool,
+    ) -> Vec<Instruction> {
+        let mut out = Vec::new();
+        scheduler.schedule_moves(
+            routing,
+            arch,
+            use_grouping,
+            &mut MoveScratch::new(),
+            &mut out,
+        );
+        out
+    }
+
     fn movement_time(instructions: &[Instruction], arch: &Architecture) -> f64 {
         powermove_schedule::movement_wall_clock(instructions, arch)
     }
@@ -133,8 +148,8 @@ mod tests {
         let mut chunked_total = 0.0;
         for st in &stages {
             let routing = state.route_stage_with(st, &ZeroBias).unwrap();
-            let b = balanced.schedule_moves(&routing, &arch, true);
-            let c = chunked.schedule_moves(&routing, &arch, true);
+            let b = schedule(&balanced, &routing, &arch, true);
+            let c = schedule(&chunked, &routing, &arch, true);
             assert_eq!(b.len(), c.len(), "same number of parallel windows");
             balanced_total += movement_time(&b, &arch);
             chunked_total += movement_time(&c, &arch);
@@ -154,7 +169,7 @@ mod tests {
             .route_stage_with(&stage(&[(0, 1), (2, 3)]), &ZeroBias)
             .unwrap();
         let scheduler = MultiAodScheduler::default();
-        for instr in scheduler.schedule_moves(&routing, &arch, false) {
+        for instr in schedule(&scheduler, &routing, &arch, false) {
             if let Instruction::MoveGroup { coll_moves } = instr {
                 assert!(coll_moves.iter().all(|cm| cm.len() == 1));
             }

@@ -186,6 +186,206 @@ impl SiteIndex {
     }
 }
 
+/// Per-storage-column row bitsets: which rows of each column hold a
+/// plan-free site, and which a site vacant in the current layout — the
+/// parking oracle.
+///
+/// The arena keeps both sets at its existing update points: plan-free bits
+/// where it pushes and removes free-list entries, vacant bits where a
+/// site's occupant count leaves or returns to zero. A column spans
+/// `⌈storage_rows / 64⌉` words. Parking asks two questions of it:
+///
+/// * the same-column check — the shallowest row of one column that is
+///   plan-free and vacant — is a lowest-set-bit lookup;
+/// * the nearest storage site to a computation-zone anchor is the minimum
+///   `(distance, SiteId)` over each column's shallowest plan-free-and-vacant
+///   row (distance grows with the row below an anchor that faces the
+///   storage zone), scanning columns outward until `|dx|` alone exceeds the
+///   best distance. It reports what the best-first walk would have
+///   examined for the same answer: the plan-free sites within the winner's
+///   distance, or every plan-free site when none is vacant.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StorageColumns {
+    cols: u32,
+    rows: u32,
+    words: usize,
+    compute_sites: usize,
+    spacing: f64,
+    gap: f64,
+    plan_free: Vec<u64>,
+    vacant: Vec<u64>,
+}
+
+impl StorageColumns {
+    /// Every storage site vacant, none plan-free: the arena marks free
+    /// lists and arrivals from there.
+    pub(crate) fn new(grid: &ZonedGrid) -> Self {
+        let (cols, rows) = (grid.cols(), grid.storage_rows());
+        let words = (rows as usize).div_ceil(64);
+        let mut columns = StorageColumns {
+            cols,
+            rows,
+            words,
+            compute_sites: grid.num_compute_sites(),
+            spacing: grid.site_spacing(),
+            gap: grid.zone_gap(),
+            plan_free: vec![0; cols as usize * words],
+            vacant: vec![0; cols as usize * words],
+        };
+        for site in grid.sites_in(Zone::Storage) {
+            columns.set_vacant(site, true);
+        }
+        columns
+    }
+
+    /// Storage site `(col, row)` and its position, computed as
+    /// `ZonedGrid::site` and `ZonedGrid::position` compute them.
+    fn site(&self, col: u32, row: u32) -> (SiteId, Point) {
+        let site = SiteId::new(self.compute_sites + (row * self.cols + col) as usize);
+        let (x, y) = (f64::from(col), f64::from(row));
+        (
+            site,
+            Point::new(x * self.spacing, -self.gap - y * self.spacing),
+        )
+    }
+
+    /// The word index and bit of storage site `site`.
+    fn slot(&self, site: SiteId) -> (usize, u64) {
+        let local = site.index() - self.compute_sites;
+        let (col, row) = (local % self.cols as usize, local / self.cols as usize);
+        (col * self.words + row / 64, 1u64 << (row % 64))
+    }
+
+    fn set(bits: &mut [u64], (word, bit): (usize, u64), value: bool) {
+        if value {
+            bits[word] |= bit;
+        } else {
+            bits[word] &= !bit;
+        }
+    }
+
+    /// Marks storage site `site` plan-free or not.
+    pub(crate) fn set_plan_free(&mut self, site: SiteId, free: bool) {
+        let slot = self.slot(site);
+        Self::set(&mut self.plan_free, slot, free);
+    }
+
+    /// Marks storage site `site` vacant or not.
+    pub(crate) fn set_vacant(&mut self, site: SiteId, vacant: bool) {
+        let slot = self.slot(site);
+        Self::set(&mut self.vacant, slot, vacant);
+    }
+
+    /// The shallowest row of `col` that is plan-free, and vacant too when
+    /// `vacant` is set.
+    pub(crate) fn shallowest(&self, col: u32, vacant: bool) -> Option<u32> {
+        let base = col as usize * self.words;
+        (0..self.words).find_map(|w| {
+            let mut word = self.plan_free[base + w];
+            if vacant {
+                word &= self.vacant[base + w];
+            }
+            (word != 0).then(|| (w * 64) as u32 + word.trailing_zeros())
+        })
+    }
+
+    /// Whether the oracle's geometry holds for `anchor`: it lies on the
+    /// computation-zone side of storage row 0, so distance grows with the
+    /// row in every column.
+    pub(crate) fn faces(&self, anchor: Point) -> bool {
+        self.rows > 0 && anchor.y >= self.site(0, 0).1.y
+    }
+
+    /// The nearest plan-free storage site to `anchor`, preferring vacant
+    /// ones, under the `(distance, SiteId)` order, and the number of
+    /// plan-free sites the best-first walk examines to find it;
+    /// `free_len` is the number of plan-free storage sites. Requires
+    /// [`StorageColumns::faces`].
+    pub(crate) fn nearest(
+        &self,
+        grid: &ZonedGrid,
+        anchor: Point,
+        free_len: usize,
+    ) -> (Option<SiteId>, u64) {
+        match self.closest(grid, anchor, true) {
+            Some((reach, site)) => (Some(site), self.count_within(grid, anchor, reach)),
+            None => (
+                self.closest(grid, anchor, false).map(|(_, site)| site),
+                free_len as u64,
+            ),
+        }
+    }
+
+    /// Visits the columns whose `|dx|` to `anchor` is within the reach,
+    /// outward from the one nearest `anchor.x` on each side (`|dx|` only
+    /// grows outward). `visit` returns the reach from then on; it starts
+    /// unbounded. `|dx|` bounds a site's distance from below, so a column
+    /// past the reach holds no site within it.
+    fn for_columns_within(
+        &self,
+        grid: &ZonedGrid,
+        anchor: Point,
+        mut visit: impl FnMut(u32) -> f64,
+    ) {
+        let seed = grid.nearest_col(anchor.x);
+        let dx = |col: u32| (self.site(col, 0).1.x - anchor.x).abs();
+        let mut reach = f64::INFINITY;
+        for col in (0..=seed).rev() {
+            if dx(col) > reach {
+                break;
+            }
+            reach = visit(col);
+        }
+        for col in seed + 1..self.cols {
+            if dx(col) > reach {
+                break;
+            }
+            reach = visit(col);
+        }
+    }
+
+    /// The minimum `(distance, SiteId)` over each column's shallowest
+    /// plan-free (and vacant, if `vacant`) site.
+    fn closest(&self, grid: &ZonedGrid, anchor: Point, vacant: bool) -> Option<(f64, SiteId)> {
+        let mut best: Option<(f64, SiteId)> = None;
+        self.for_columns_within(grid, anchor, |col| {
+            if let Some(row) = self.shallowest(col, vacant) {
+                let (site, pos) = self.site(col, row);
+                let d = pos.distance(anchor);
+                let better = best.map_or(true, |(best_d, best_site)| {
+                    d < best_d || (d == best_d && site < best_site)
+                });
+                if better {
+                    best = Some((d, site));
+                }
+            }
+            best.map_or(f64::INFINITY, |(best_d, _)| best_d)
+        });
+        best
+    }
+
+    /// The number of plan-free storage sites at most `reach` from `anchor`.
+    fn count_within(&self, grid: &ZonedGrid, anchor: Point, reach: f64) -> u64 {
+        let mut count = 0;
+        self.for_columns_within(grid, anchor, |col| {
+            let base = col as usize * self.words;
+            'rows: for w in 0..self.words {
+                let mut word = self.plan_free[base + w];
+                while word != 0 {
+                    let row = (w * 64) as u32 + word.trailing_zeros();
+                    if self.site(col, row).1.distance(anchor) > reach {
+                        break 'rows;
+                    }
+                    count += 1;
+                    word &= word - 1;
+                }
+            }
+            reach
+        });
+        count
+    }
+}
+
 /// Reusable allocation for the best-first free-site walk: the frontier heap
 /// of row entries and per-row arm heads. Lives in the routing state so
 /// repeated queries allocate nothing.

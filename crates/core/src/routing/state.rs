@@ -47,9 +47,11 @@
 //! `sites_pruned` counters report the saved work.
 
 use crate::routing::lookahead::AttractorBuffers;
-use crate::routing::site_index::{FreeRing, ScanStats, SearchScratch, SiteIndex, Visit};
+use crate::routing::site_index::{
+    FreeRing, ScanStats, SearchScratch, SiteIndex, StorageColumns, Visit,
+};
 use crate::{CompileError, Stage};
-use powermove_circuit::Qubit;
+use powermove_circuit::{CzGate, Qubit};
 use powermove_hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
 use powermove_schedule::{Layout, SiteMove};
 use std::cmp::Ordering;
@@ -366,12 +368,18 @@ impl<T: DenseKey> DenseSet<T> {
 /// only where the layout does, through [`OccupancyArena::relocate`], so the
 /// planner reads vacancy, parking candidates and stale pairs without
 /// walking the layout's site map.
+///
+/// The storage-column index ([`StorageColumns`]) spans both views: per
+/// storage column, the plan-free rows (kept by `mark_free` /
+/// `unmark_free`) and the vacant rows (kept by `arrive` / `depart`).
+/// Parking reads it instead of walking free sites.
 #[derive(Debug, Clone)]
 struct OccupancyArena {
     planned: Vec<PlannedSite>,
     free: [DenseSet<SiteId>; 2],
     storage_mover: Vec<bool>,
     index: SiteIndex,
+    columns: StorageColumns,
     current: Vec<u8>,
     compute_residents: DenseSet<Qubit>,
     pairs: DenseSet<SiteId>,
@@ -393,6 +401,7 @@ impl OccupancyArena {
             free: [DenseSet::new(num_sites), DenseSet::new(num_sites)],
             storage_mover: vec![false; num_qubits],
             index: SiteIndex::new(grid),
+            columns: StorageColumns::new(grid),
             current: vec![0; num_sites],
             compute_residents: DenseSet::new(num_qubits),
             pairs: DenseSet::new(num_sites),
@@ -412,11 +421,17 @@ impl OccupancyArena {
     fn mark_free(&mut self, zone: Zone, site: SiteId) {
         self.free[zone_index(zone)].insert(site);
         self.index.set_free(zone, site);
+        if zone == Zone::Storage {
+            self.columns.set_plan_free(site, true);
+        }
     }
 
     fn unmark_free(&mut self, zone: Zone, site: SiteId) {
         self.free[zone_index(zone)].remove(site);
         self.index.clear_free(zone, site);
+        if zone == Zone::Storage {
+            self.columns.set_plan_free(site, false);
+        }
     }
 
     /// Plans `q` to occupy `site` after the transition.
@@ -467,22 +482,28 @@ impl OccupancyArena {
     fn arrive(&mut self, grid: &ZonedGrid, site: SiteId, q: Qubit) {
         let count = &mut self.current[site.index()];
         *count += 1;
-        if *count == 2 {
+        let count = *count;
+        if count == 2 {
             self.pairs.insert(site);
         }
-        if grid.zone_of(site) == Zone::Compute {
-            self.compute_residents.insert(q);
+        match grid.zone_of(site) {
+            Zone::Compute => self.compute_residents.insert(q),
+            Zone::Storage if count == 1 => self.columns.set_vacant(site, false),
+            Zone::Storage => {}
         }
     }
 
     fn depart(&mut self, grid: &ZonedGrid, site: SiteId, q: Qubit) {
         let count = &mut self.current[site.index()];
         *count -= 1;
-        if *count == 1 {
+        let count = *count;
+        if count == 1 {
             self.pairs.remove(site);
         }
-        if grid.zone_of(site) == Zone::Compute {
-            self.compute_residents.remove(q);
+        match grid.zone_of(site) {
+            Zone::Compute => self.compute_residents.remove(q),
+            Zone::Storage if count == 0 => self.columns.set_vacant(site, true),
+            Zone::Storage => {}
         }
     }
 }
@@ -510,6 +531,24 @@ pub struct RoutingState {
     arena: OccupancyArena,
     search: SearchState,
     lookahead_scratch: AttractorBuffers,
+    stage_scratch: StageScratch,
+}
+
+/// The per-stage transients of [`RoutingState::route_stage_with`], kept
+/// between stages so planning a stage allocates only the plan it returns.
+/// Each buffer is cleared where the planner fills it.
+#[derive(Debug, Clone, Default)]
+struct StageScratch {
+    /// The stage's qubits, sorted without repeats.
+    interacting: Vec<Qubit>,
+    /// Shared sites in ascending order (non-storage mode).
+    shared: Vec<SiteId>,
+    /// Stale co-located qubits to separate, with their site.
+    stale: Vec<(Qubit, SiteId)>,
+    /// Idle computation-zone qubits to park, with site and position.
+    to_park: Vec<(Qubit, SiteId, Point)>,
+    /// Undecided `(anchor, mobile)` pairs resolved in step 3.
+    pending: Vec<(Qubit, Qubit)>,
 }
 
 /// The per-state free-site search apparatus: the reusable best-first
@@ -533,6 +572,7 @@ impl RoutingState {
             arena,
             search: SearchState::default(),
             lookahead_scratch: AttractorBuffers::default(),
+            stage_scratch: StageScratch::default(),
         }
     }
 
@@ -615,9 +655,20 @@ impl RoutingState {
             arena,
             search,
             lookahead_scratch: _,
+            stage_scratch:
+                StageScratch {
+                    interacting,
+                    shared,
+                    stale,
+                    to_park,
+                    pending,
+                },
         } = self;
         let grid = arch.grid();
-        let interacting = stage.interacting_qubits();
+        interacting.clear();
+        interacting.extend(stage.gates().iter().flat_map(CzGate::qubits));
+        interacting.sort_unstable();
+        interacting.dedup();
         let idle = |q: &Qubit| interacting.binary_search(q).is_err();
 
         let mut routing = StageRouting::default();
@@ -629,14 +680,17 @@ impl RoutingState {
         // Candidates are the arena's shared sites, visited in ascending site
         // order with occupants in layout order.
         if !*use_storage {
-            let mut shared = arena.pairs.as_slice().to_vec();
+            shared.clear();
+            shared.extend_from_slice(arena.pairs.as_slice());
             shared.sort_unstable();
-            let stale: Vec<(Qubit, SiteId)> = shared
-                .into_iter()
-                .filter(|&site| layout.occupants(site).iter().all(idle))
-                .flat_map(|site| layout.occupants(site)[1..].iter().map(move |&q| (q, site)))
-                .collect();
-            for (q, from) in stale {
+            stale.clear();
+            stale.extend(
+                shared
+                    .iter()
+                    .filter(|&&site| layout.occupants(site).iter().all(idle))
+                    .flat_map(|&site| layout.occupants(site)[1..].iter().map(move |&q| (q, site))),
+            );
+            for &(q, from) in stale.iter() {
                 arena.remove(grid, from, q);
                 let from_pos = grid.position(from);
                 let target = SiteFinder::new(arena, layout, grid, search)
@@ -661,28 +715,38 @@ impl RoutingState {
         // candidates are the arena's computation-zone residents; the sort
         // key is total, so their set order does not matter.
         if *use_storage {
-            let mut to_park: Vec<(Qubit, SiteId, Point)> = arena
-                .compute_residents
-                .as_slice()
-                .iter()
-                .filter(|q| idle(q))
-                .map(|&q| {
-                    let site = layout.site_of(q).expect("resident qubit is placed");
-                    (q, site, grid.position(site))
-                })
-                .collect();
-            to_park.sort_by(|a, b| {
+            to_park.clear();
+            to_park.extend(
+                arena
+                    .compute_residents
+                    .as_slice()
+                    .iter()
+                    .filter(|q| idle(q))
+                    .map(|&q| {
+                        let site = layout.site_of(q).expect("resident qubit is placed");
+                        (q, site, grid.position(site))
+                    }),
+            );
+            to_park.sort_unstable_by(|a, b| {
                 b.2.y
                     .partial_cmp(&a.2.y)
                     .unwrap_or(Ordering::Equal)
                     .then(a.0.cmp(&b.0))
             });
-            for (q, from, from_pos) in to_park {
+            for &(q, from, from_pos) in to_park.iter() {
                 arena.remove(grid, from, q);
                 let (col, _) = grid.col_row(from);
-                let same_column = (0..grid.storage_rows())
-                    .filter_map(|row| grid.site(Zone::Storage, col, row))
-                    .find(|s| arena.planned_len(*s) == 0 && arena.is_vacant(*s));
+                let same_column = arena
+                    .columns
+                    .shallowest(col, true)
+                    .and_then(|row| grid.site(Zone::Storage, col, row));
+                debug_assert_eq!(
+                    same_column,
+                    (0..grid.storage_rows())
+                        .filter_map(|row| grid.site(Zone::Storage, col, row))
+                        .find(|s| arena.planned_len(*s) == 0 && arena.is_vacant(*s)),
+                    "storage-column index diverged from the arena"
+                );
                 let target = same_column
                     .or_else(|| {
                         SiteFinder::new(arena, layout, grid, search)
@@ -709,7 +773,7 @@ impl RoutingState {
         // Step 2: label interacting qubits and decide direct moves.
         // `pending` holds (anchor, mobile) pairs whose interaction site is
         // resolved in step 3.
-        let mut pending: Vec<(Qubit, Qubit)> = Vec::new();
+        pending.clear();
         for gate in stage.gates() {
             let a = gate.lo();
             let b = gate.hi();
@@ -772,7 +836,7 @@ impl RoutingState {
 
         // Step 3: resolve undecided qubits to the best free compute site —
         // nearest to the anchor, plus whatever bias the policy adds.
-        for (anchor, mobile) in pending {
+        for &(anchor, mobile) in pending.iter() {
             let anchor_from = layout.site_of(anchor).expect("interacting qubit is placed");
             let mobile_from = layout.site_of(mobile).expect("interacting qubit is placed");
             let anchor_pos = grid.position(anchor_from);
@@ -890,9 +954,43 @@ impl<'a> SiteFinder<'a> {
         }
     }
 
-    /// Finds the free site of `zone` nearest to `from`.
+    /// Finds the free site of `zone` nearest to `from`, preferring vacant
+    /// sites. A storage query over more than [`LINEAR_SCAN_THRESHOLD`]
+    /// free sites from an anchor facing the storage zone is answered by
+    /// the storage-column index ([`SiteFinder::nearest_storage`]); every
+    /// other query by [`SiteFinder::best`].
     fn nearest(&mut self, zone: Zone, from: Point) -> Option<SiteId> {
+        if zone == Zone::Storage
+            && self.arena.free[zone_index(zone)].len() > LINEAR_SCAN_THRESHOLD
+            && self.arena.columns.faces(from)
+        {
+            return self.nearest_storage(from);
+        }
         self.best(zone, from, 0.0, Attractors::default(), |_, _| 0.0)
+    }
+
+    /// The storage-column answer to [`SiteFinder::nearest`] in the storage
+    /// zone, for an anchor that faces the storage zone (the index's
+    /// precondition). It charges the counters what the best-first walk
+    /// examines for the same site, which debug builds check against the
+    /// walk on every query.
+    fn nearest_storage(&mut self, from: Point) -> Option<SiteId> {
+        let free_len = self.arena.free[zone_index(Zone::Storage)].len();
+        let (chosen, examined) = self.arena.columns.nearest(self.grid, from, free_len);
+        debug_assert_eq!(
+            (chosen, examined),
+            self.best_pruned(Zone::Storage, from, 0.0, Attractors::default(), &|_, _| 0.0),
+            "storage-column parking diverged from the free-site walk"
+        );
+        self.charge(free_len, examined);
+        chosen
+    }
+
+    /// Adds one pruned query's work to the counters: `examined` of the
+    /// zone's `free_len` free sites.
+    fn charge(&mut self, free_len: usize, examined: u64) {
+        self.search.stats.scans += examined;
+        self.search.stats.pruned += free_len as u64 - examined;
     }
 
     /// Finds the free site of `zone` minimizing
@@ -916,7 +1014,8 @@ impl<'a> SiteFinder<'a> {
             self.search.stats.scans += free_len as u64;
             return self.best_linear(zone, anchor, &bias);
         }
-        let chosen = self.best_pruned(zone, anchor, min_bias, attractors, &bias, free_len);
+        let (chosen, examined) = self.best_pruned(zone, anchor, min_bias, attractors, &bias);
+        self.charge(free_len, examined);
         debug_assert_eq!(
             chosen,
             self.best_linear(zone, anchor, &bias),
@@ -980,8 +1079,7 @@ impl<'a> SiteFinder<'a> {
         min_bias: f64,
         attractors: Attractors<'_>,
         bias: &impl Fn(SiteId, Point) -> f64,
-        free_len: usize,
-    ) -> Option<SiteId> {
+    ) -> (Option<SiteId>, u64) {
         let slack = if attractors.is_empty() {
             0.0
         } else {
@@ -1025,9 +1123,7 @@ impl<'a> SiteFinder<'a> {
                 best_vacant = Some((s, site));
             }
         }
-        self.search.stats.scans += examined;
-        self.search.stats.pruned += free_len as u64 - examined;
-        best_vacant.or(best_any).map(|(_, site)| site)
+        (best_vacant.or(best_any).map(|(_, site)| site), examined)
     }
 }
 
@@ -1139,20 +1235,40 @@ impl FreeSiteHarness {
         bias: &dyn Fn(SiteId, Point) -> f64,
     ) -> Option<SiteId> {
         let free_len = self.arena.free[zone_index(zone)].len();
+        let mut finder = SiteFinder::new(
+            &self.arena,
+            &self.layout,
+            self.arch.grid(),
+            &mut self.search,
+        );
+        let (chosen, examined) =
+            finder.best_pruned(zone, anchor, min_bias, attractors, &|s, p| bias(s, p));
+        finder.charge(free_len, examined);
+        chosen
+    }
+
+    /// The storage-column parking query, forced regardless of free-list
+    /// length: the nearest plan-free storage site to `anchor`, vacant ones
+    /// first, charging the counters what the walk
+    /// ([`FreeSiteHarness::best`] with no bias) would have examined. Debug
+    /// builds check the site and count against the walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `anchor` lies below storage row 0 (or the grid has no
+    /// storage), where distance need not grow with the row.
+    pub fn nearest_storage(&mut self, anchor: Point) -> Option<SiteId> {
+        assert!(
+            self.arena.columns.faces(anchor),
+            "the anchor must face the storage zone"
+        );
         SiteFinder::new(
             &self.arena,
             &self.layout,
             self.arch.grid(),
             &mut self.search,
         )
-        .best_pruned(
-            zone,
-            anchor,
-            min_bias,
-            attractors,
-            &|s, p| bias(s, p),
-            free_len,
-        )
+        .nearest_storage(anchor)
     }
 
     /// The linear reference scan over the zone's free list.
@@ -1579,6 +1695,92 @@ mod tests {
             }
         }
         assert!(shared_steps > 0, "churn never stacked two qubits on a site");
+    }
+
+    /// Seeded storage churn on `arch` — occupying, vacating, and planning
+    /// sites apart from the layout (plan-free but occupied, planned but
+    /// vacant) — with a parking query from a random computation-zone
+    /// anchor after every step: the storage-column index must return the
+    /// walk's site and charge the walk's `(site_scans, sites_pruned)`.
+    /// `prefill` rows of every column start occupied, which pushes the
+    /// winners deep. Returns how many queries found no vacant plan-free
+    /// site and how many chose a site at row 64 or deeper.
+    fn assert_parking_matches_the_walk(
+        arch: Architecture,
+        prefill: u32,
+        seed: u64,
+    ) -> (usize, usize) {
+        let zero = |_: SiteId, _: Point| 0.0;
+        let grid = arch.grid().clone();
+        let storage: Vec<SiteId> = grid.sites_in(Zone::Storage).collect();
+        let compute: Vec<SiteId> = grid.sites_in(Zone::Compute).collect();
+        let num_qubits = storage.len() as u32;
+        let mut h = FreeSiteHarness::new(arch, num_qubits);
+        let mut placed = 0;
+        for row in 0..prefill {
+            for col in 0..grid.cols() {
+                h.occupy(q(placed), grid.site(Zone::Storage, col, row).unwrap());
+                placed += 1;
+            }
+        }
+        let mut state = seed;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let (mut no_vacant, mut deep) = (0, 0);
+        for step in 0..400 {
+            let qubit = q(next(num_qubits as usize) as u32);
+            let site = storage[next(storage.len())];
+            match next(6) {
+                0 => h.vacate(qubit),
+                1 | 2 if h.planned_len(site) < 2 => h.occupy(qubit, site),
+                3 if h.planned_len(site) < 2 && h.layout.site_of(qubit).is_none() => {
+                    h.plan(qubit, site);
+                }
+                _ => {
+                    if let Some(at) = h.layout.site_of(qubit) {
+                        h.unplan(qubit, at);
+                    }
+                }
+            }
+            let anchor = grid.position(compute[next(compute.len())]);
+            let mut walk = h.clone();
+            let expected = walk.best(Zone::Storage, anchor, 0.0, Attractors::default(), &zero);
+            let chosen = h.nearest_storage(anchor);
+            assert_eq!(chosen, expected, "step {step}: site");
+            assert_eq!(h.counters(), walk.counters(), "step {step}: counters");
+            let open = |s: &SiteId| h.planned_len(*s) == 0 && h.layout.occupancy(*s) == 0;
+            no_vacant += usize::from(!storage.iter().any(open));
+            deep += usize::from(chosen.is_some_and(|s| grid.col_row(s).1 >= 64));
+        }
+        (no_vacant, deep)
+    }
+
+    #[test]
+    fn storage_columns_park_like_the_walk_on_tall_storage() {
+        // 1025 qubits: 33 columns of 66 storage rows, two words per column.
+        let arch = Architecture::for_qubits(1025);
+        assert_eq!(arch.grid().storage_rows(), 66);
+        let (_, deep) = assert_parking_matches_the_walk(arch, 64, 0x7A11);
+        assert!(deep > 0, "no query reached the second word of a column");
+    }
+
+    #[test]
+    fn storage_columns_park_like_the_walk_on_one_storage_row() {
+        let grid = ZonedGrid::with_dims(20, 3, 1).unwrap();
+        let arch = Architecture::for_qubits(20).with_grid(grid);
+        let (no_vacant, _) = assert_parking_matches_the_walk(arch, 0, 0x0DD5);
+        assert!(no_vacant > 0, "every query had a vacant plan-free site");
+    }
+
+    #[test]
+    fn storage_columns_park_like_the_walk_on_the_default_grid() {
+        for seed in 1..4 {
+            assert_parking_matches_the_walk(Architecture::for_qubits(64), 2, seed);
+        }
     }
 
     #[test]
