@@ -24,7 +24,7 @@
 //! | `intra-aod-overlap` | no AOD array is named by two non-empty collective moves of one move group | [`check_intra_aod_overlap`] |
 //! | `storage-before-interaction` | the multi-AOD scheduler never puts a storage-bound window after an interaction window within a stage transition | [`check_storage_before_interaction`] |
 //! | `fidelity-dominance` | the auto-tuner never moves slower than any portfolio member, and never scores below the worst member | [`check_fidelity_dominance`] |
-//! | `free-site-agreement` | the index-pruned free-site search returns the same site as the linear reference scan | [`check_free_site_agreement`] |
+//! | `free-site-agreement` | the index-pruned free-site search returns the same site as the linear reference scan, and the distance oracle the walk's site and examined count | [`check_free_site_agreement`] |
 //!
 //! The four program-level rules live in [`powermove_schedule::check`] and
 //! are re-exported here; the last two stay in this crate because they need
@@ -232,6 +232,50 @@ pub fn check_free_site_agreement_with(
     Ok(())
 }
 
+/// A distance-only free-site query: the harness, the zone and the anchor.
+pub type DistanceOracle = dyn Fn(&mut FreeSiteHarness, Zone, Point) -> Option<SiteId>;
+
+/// `free-site-agreement` for the distance oracle over an explicit harness:
+/// for every anchor, in both zones, `oracle` must return the site the walk
+/// and the linear scan return under the zero bias, and charge the
+/// `(site_scans, sites_pruned)` counters what the walk charges. The rule
+/// passes [`FreeSiteHarness::nearest`]; handing it a broken oracle is how
+/// its firing unit test drives a divergence.
+///
+/// # Errors
+///
+/// Returns the violation message.
+pub fn check_free_site_oracle_agreement_with(
+    harness: &mut FreeSiteHarness,
+    anchors: &[Point],
+    oracle: &DistanceOracle,
+) -> Result<(), String> {
+    let zero = |_: SiteId, _: Point| 0.0;
+    for zone in [Zone::Compute, Zone::Storage] {
+        for &anchor in anchors {
+            let mut walk = harness.clone();
+            let walked = walk.best(zone, anchor, 0.0, Attractors::default(), &zero);
+            let linear = harness.best_linear(zone, anchor, &zero);
+            let chosen = oracle(harness, zone, anchor);
+            let at = format!("{zone:?} zone, anchor ({}, {})", anchor.x, anchor.y);
+            if chosen != walked || chosen != linear {
+                return Err(format!(
+                    "distance oracle found {chosen:?} but the walk found {walked:?} \
+                     and the linear scan {linear:?} ({at})"
+                ));
+            }
+            if harness.counters() != walk.counters() {
+                return Err(format!(
+                    "distance oracle left the counters at {:?} but the walk at {:?} ({at})",
+                    harness.counters(),
+                    walk.counters()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// One attractor-form case of `free-site-agreement`: `(label, anchor
 /// attractors, mobile attractors)`.
 type AttractorCase = (&'static str, Vec<(f64, Point)>, Vec<(f64, Point)>);
@@ -313,7 +357,8 @@ pub fn check_free_site_attractor_agreement(
 /// `free-site-agreement` for a compiled program: seeds the harness from the
 /// program's initial layout and sweeps zone-corner/center anchors under the
 /// zero bias, an anchor-column distance bias (both admissible with a
-/// zero lower bound and no attractors) and the attractor cases.
+/// zero lower bound and no attractors) and the attractor cases, and
+/// checks the distance oracle against the walk from the same anchors.
 ///
 /// # Errors
 ///
@@ -334,6 +379,7 @@ pub fn check_free_site_agreement(program: &CompiledProgram) -> Result<(), String
     anchors.dedup_by(|a, b| a.x == b.x && a.y == b.y);
     let none = Attractors::default();
     check_free_site_agreement_with(&mut harness, &anchors, 0.0, none, &|_, _| 0.0)?;
+    check_free_site_oracle_agreement_with(&mut harness, &anchors, &FreeSiteHarness::nearest)?;
     check_free_site_attractor_agreement(&mut harness, &anchors)?;
     let column_bias = move |site: SiteId, anchor: Point| (grid.position(site).x - anchor.x).abs();
     check_free_site_agreement_with(&mut harness, &anchors, 0.0, none, &column_bias)
@@ -1194,6 +1240,91 @@ mod tests {
                 "n={n}"
             );
         }
+    }
+
+    /// Every third site occupied, every seventh planned but still vacant,
+    /// and every eleventh occupied but no longer planned: arms skip
+    /// occupied runs, and plan-free sites may or may not be vacant. The
+    /// anchors include the eleventh sites, where the nearest plan-free
+    /// site is occupied.
+    fn churned_harness(n: u32) -> (FreeSiteHarness, Vec<Point>) {
+        let a = Architecture::for_qubits(n);
+        let grid = a.grid().clone();
+        let mut harness = FreeSiteHarness::new(a, 2 * n + grid.num_sites() as u32);
+        let mut next = 0;
+        for site in grid.all_sites() {
+            if site.index() % 3 == 0 && next < n {
+                harness.occupy(Qubit::new(next), site);
+                next += 1;
+            } else if site.index() % 7 == 0 {
+                harness.plan(Qubit::new(n + site.index() as u32), site);
+            } else if site.index() % 11 == 0 && next < 2 * n {
+                harness.occupy(Qubit::new(next), site);
+                harness.unplan(Qubit::new(next), site);
+                next += 1;
+            }
+        }
+        let mut anchors: Vec<Point> = [Zone::Compute, Zone::Storage]
+            .into_iter()
+            .flat_map(|zone| grid.sites_in(zone).step_by(11))
+            .map(|site| grid.position(site))
+            .collect();
+        anchors.push(Point::new(-30e-6, 1e-3));
+        (harness, anchors)
+    }
+
+    #[test]
+    fn free_site_oracle_agreement_holds_on_churned_grids() {
+        for n in [64, 300, 1024] {
+            let (mut harness, anchors) = churned_harness(n);
+            assert_eq!(
+                check_free_site_oracle_agreement_with(
+                    &mut harness,
+                    &anchors,
+                    &FreeSiteHarness::nearest
+                ),
+                Ok(()),
+                "n={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn free_site_agreement_fires_under_a_broken_distance_oracle() {
+        // An oracle that forgets the vacant-site preference: the nearest
+        // plan-free site, occupied or not, charged like the real one.
+        let forgets_vacancy = |h: &mut FreeSiteHarness, zone: Zone, anchor: Point| {
+            h.nearest(zone, anchor);
+            let grid = h.grid().clone();
+            grid.sites_in(zone)
+                .filter(|&s| h.planned_len(s) == 0)
+                .map(|s| (grid.position(s).distance(anchor), s))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(_, s)| s)
+        };
+        let (mut harness, anchors) = churned_harness(64);
+        let err = check_free_site_oracle_agreement_with(&mut harness, &anchors, &forgets_vacancy)
+            .unwrap_err();
+        assert!(err.contains("distance oracle found"), "{err}");
+        // One that answers right but charges the query twice.
+        let charges_twice = |h: &mut FreeSiteHarness, zone: Zone, anchor: Point| {
+            h.nearest(zone, anchor);
+            h.nearest(zone, anchor)
+        };
+        let (mut harness, anchors) = churned_harness(64);
+        let err = check_free_site_oracle_agreement_with(&mut harness, &anchors, &charges_twice)
+            .unwrap_err();
+        assert!(err.contains("left the counters"), "{err}");
+        // Quiet under the harness's own oracle.
+        let (mut harness, anchors) = churned_harness(64);
+        assert_eq!(
+            check_free_site_oracle_agreement_with(
+                &mut harness,
+                &anchors,
+                &FreeSiteHarness::nearest
+            ),
+            Ok(())
+        );
     }
 
     #[test]

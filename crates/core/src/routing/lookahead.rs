@@ -1,6 +1,7 @@
 //! The lookahead routing strategy: undecided pairs are placed where the
 //! next few stages will want them.
 
+use crate::routing::state::{BiasForm, Seal};
 use crate::routing::{Attractors, RoutingState, RoutingStrategy, SitePolicy, StageRouting};
 use crate::{CompileError, Stage};
 use powermove_circuit::Qubit;
@@ -11,54 +12,74 @@ use powermove_schedule::Layout;
 /// ahead contributes `DISCOUNT^j` of its distance to the candidate site.
 const DISCOUNT: f64 = 0.5;
 
-/// Reusable per-qubit attractor storage in CSR layout: `offsets[q]..
-/// offsets[q+1]` indexes `entries` with qubit `q`'s `(weight, position)`
-/// attractors. Rebuilt in place each stage — no per-stage `BTreeMap`
-/// allocation churn, no per-entry `Vec` — and owned by the
-/// [`RoutingState`] because strategies are shared `&self` across
+/// Marks a qubit without attractors in [`AttractorBuffers`].
+const NO_SLOT: u32 = u32::MAX;
+
+/// Reusable attractor storage for the qubits the next few stages touch, in
+/// CSR layout: a qubit `q` with slot `s = slots[q]` has its `(weight,
+/// position)` attractors at `entries[offsets[s]..offsets[s + 1]]`, in
+/// stage-major order. Only qubits with an attractor get a slot, and the
+/// previous rebuild's slots are reset from its `touched` list, so a
+/// rebuild costs what the window's stages hold, not the qubit count. Owned
+/// by the [`RoutingState`] because strategies are shared `&self` across
 /// concurrent sessions.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AttractorBuffers {
+    /// Each qubit's slot, or [`NO_SLOT`].
+    slots: Vec<u32>,
+    /// The qubits holding a slot, in slot order.
+    touched: Vec<Qubit>,
     offsets: Vec<u32>,
     cursors: Vec<u32>,
     entries: Vec<(f64, Point)>,
 }
 
 impl AttractorBuffers {
-    /// Rebuilds the buffers for the next `depth` stages: two passes, one
-    /// counting entries per qubit, one filling in the same stage-major
-    /// traversal order the per-qubit vectors used to hold — the entry
-    /// order (and therefore the f64 summation order of the bias) is
-    /// unchanged.
+    /// Rebuilds the buffers for the next `depth` stages: two passes over
+    /// the window's gates, one giving each attracted qubit a slot and
+    /// counting its entries, one filling them in stage-major traversal
+    /// order — the entry order (and therefore the f64 summation order of
+    /// the bias) of a per-qubit list filled stage by stage.
     fn rebuild(&mut self, depth: usize, upcoming: &[Stage], layout: &Layout, grid: &ZonedGrid) {
-        let n = layout.num_qubits() as usize;
+        for q in self.touched.drain(..) {
+            self.slots[q.as_usize()] = NO_SLOT;
+        }
+        self.slots.resize(layout.num_qubits() as usize, NO_SLOT);
         self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        for future in upcoming.iter().take(depth) {
-            for gate in future.gates() {
-                for (q, partner) in [(gate.lo(), gate.hi()), (gate.hi(), gate.lo())] {
-                    if layout.site_of(partner).is_some() {
-                        self.offsets[q.as_usize() + 1] += 1;
+        self.offsets.push(0);
+        let window = &upcoming[..depth.min(upcoming.len())];
+        for gate in window.iter().flat_map(Stage::gates) {
+            for (q, partner) in [(gate.lo(), gate.hi()), (gate.hi(), gate.lo())] {
+                if layout.site_of(partner).is_some() {
+                    let slot = &mut self.slots[q.as_usize()];
+                    if *slot == NO_SLOT {
+                        *slot = self.touched.len() as u32;
+                        self.touched.push(q);
+                        self.offsets.push(0);
                     }
+                    self.offsets[*slot as usize + 1] += 1;
                 }
             }
         }
-        for i in 0..n {
-            self.offsets[i + 1] += self.offsets[i];
+        for i in 1..self.offsets.len() {
+            self.offsets[i] += self.offsets[i - 1];
         }
         self.cursors.clear();
-        self.cursors.extend_from_slice(&self.offsets[..n]);
+        self.cursors
+            .extend_from_slice(&self.offsets[..self.touched.len()]);
         self.entries.clear();
-        self.entries
-            .resize(self.offsets[n] as usize, (0.0, Point::new(0.0, 0.0)));
-        for (j, future) in upcoming.iter().take(depth).enumerate() {
+        self.entries.resize(
+            self.offsets[self.touched.len()] as usize,
+            (0.0, Point::new(0.0, 0.0)),
+        );
+        for (j, future) in window.iter().enumerate() {
             let weight = DISCOUNT.powi(j as i32 + 1);
             for gate in future.gates() {
                 for (q, partner) in [(gate.lo(), gate.hi()), (gate.hi(), gate.lo())] {
                     if let Some(site) = layout.site_of(partner) {
-                        let slot = self.cursors[q.as_usize()] as usize;
-                        self.cursors[q.as_usize()] += 1;
-                        self.entries[slot] = (weight, grid.position(site));
+                        let cursor = &mut self.cursors[self.slots[q.as_usize()] as usize];
+                        self.entries[*cursor as usize] = (weight, grid.position(site));
+                        *cursor += 1;
                     }
                 }
             }
@@ -67,16 +88,23 @@ impl AttractorBuffers {
 
     /// Qubit `q`'s attractors, in stage-major order.
     fn of(&self, q: Qubit) -> &[(f64, Point)] {
-        let i = q.as_usize();
-        &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        match self.slots.get(q.as_usize()) {
+            Some(&slot) if slot != NO_SLOT => {
+                let slot = slot as usize;
+                &self.entries[self.offsets[slot] as usize..self.offsets[slot + 1] as usize]
+            }
+            _ => &[],
+        }
     }
 }
 
 /// The lookahead [`SitePolicy`]: a candidate site is penalized by the
 /// discounted distances from the site to the current positions of both
 /// qubits' future partners — exactly the penalty of the pair's
-/// [`Attractors`], so the free-site walk visits sites in score order. Uses
-/// the planner-provided site position — no grid borrow, no per-stage grid
+/// [`Attractors`], so the free-site walk visits sites in score order, a
+/// walked site's score is its walk key, and a pair without attractors is
+/// scored by distance alone ([`BiasForm::Penalty`]). Uses the
+/// planner-provided site position — no grid borrow, no per-stage grid
 /// clone.
 struct LookaheadPolicy<'a> {
     attractors: &'a AttractorBuffers,
@@ -89,6 +117,10 @@ impl SitePolicy for LookaheadPolicy<'_> {
 
     fn attractors(&self, anchor: Qubit, mobile: Qubit) -> Attractors<'_> {
         Attractors::new(self.attractors.of(anchor), self.attractors.of(mobile))
+    }
+
+    fn form(&self, _: Seal) -> BiasForm {
+        BiasForm::Penalty
     }
 }
 
@@ -221,6 +253,92 @@ mod tests {
                     s.layout().site_of(gate.hi()),
                     "pair {gate} not co-located"
                 );
+            }
+        }
+    }
+
+    /// The per-stage CSR rebuild the slot-indexed one replaced: `n + 1`
+    /// offsets counted, prefix-summed and filled in stage-major order.
+    fn csr_reference(
+        depth: usize,
+        upcoming: &[Stage],
+        layout: &Layout,
+        grid: &ZonedGrid,
+    ) -> Vec<Vec<(f64, Point)>> {
+        let n = layout.num_qubits() as usize;
+        let mut offsets = vec![0u32; n + 1];
+        for future in upcoming.iter().take(depth) {
+            for gate in future.gates() {
+                for (q, partner) in [(gate.lo(), gate.hi()), (gate.hi(), gate.lo())] {
+                    if layout.site_of(partner).is_some() {
+                        offsets[q.as_usize() + 1] += 1;
+                    }
+                }
+            }
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursors = offsets[..n].to_vec();
+        let mut entries = vec![(0.0, Point::new(0.0, 0.0)); offsets[n] as usize];
+        for (j, future) in upcoming.iter().take(depth).enumerate() {
+            let weight = DISCOUNT.powi(j as i32 + 1);
+            for gate in future.gates() {
+                for (q, partner) in [(gate.lo(), gate.hi()), (gate.hi(), gate.lo())] {
+                    if let Some(site) = layout.site_of(partner) {
+                        let slot = cursors[q.as_usize()] as usize;
+                        cursors[q.as_usize()] += 1;
+                        entries[slot] = (weight, grid.position(site));
+                    }
+                }
+            }
+        }
+        (0..n)
+            .map(|q| entries[offsets[q] as usize..offsets[q + 1] as usize].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn slot_rebuild_matches_the_csr_reference_on_random_stage_chains() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = |bound: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % u64::from(bound)) as u32
+        };
+        for n in [2, 7, 40] {
+            let arch = Architecture::for_qubits(n);
+            let grid = arch.grid().clone();
+            let mut layout = Layout::row_major(&arch, n, Zone::Storage).unwrap();
+            // One buffer across every rebuild, so stale slots would show.
+            let mut buffers = AttractorBuffers::default();
+            for _ in 0..60 {
+                let stages: Vec<Stage> = (0..next(5))
+                    .map(|_| {
+                        let mut used = vec![false; n as usize];
+                        let mut gates = Vec::new();
+                        for _ in 0..next(n) {
+                            let (a, b) = (next(n), next(n));
+                            if a != b && !used[a as usize] && !used[b as usize] {
+                                used[a as usize] = true;
+                                used[b as usize] = true;
+                                gates.push(CzGate::new(q(a), q(b)));
+                            }
+                        }
+                        Stage::new(gates)
+                    })
+                    .collect();
+                // Unplaced partners contribute no attractor.
+                let lifted = q(next(n));
+                layout.remove(lifted);
+                let depth = next(4) as usize;
+                buffers.rebuild(depth, &stages, &layout, &grid);
+                let reference = csr_reference(depth, &stages, &layout, &grid);
+                for (i, expected) in reference.iter().enumerate() {
+                    assert_eq!(buffers.of(q(i as u32)), expected.as_slice(), "n={n} q{i}");
+                }
+                layout = Layout::row_major(&arch, n, Zone::Storage).unwrap();
             }
         }
     }

@@ -24,11 +24,14 @@
 //!
 //! All three planners resolve their site decisions through the shared
 //! [`RoutingState`], whose free-site queries run on a spatial index (see
-//! `site_index`): candidates are walked best-first — in anchor distance for
-//! greedy, in attractor score for lookahead ([`SitePolicy::attractors`]) —
-//! and the walk cuts off once its key cannot beat the best candidate —
-//! same site selected, far fewer examined. The [`SITE_SCANS`] /
-//! [`SITES_PRUNED`] metadata counters report the saved work.
+//! `site_index`): candidates are walked best-first in attractor score for
+//! lookahead ([`SitePolicy::attractors`]), and the walk cuts off once its
+//! key cannot beat the best candidate — same site selected, far fewer
+//! examined. Queries scored by distance alone (greedy, multi-AOD, parking
+//! and stale pairs) are answered by row and column oracles over the same
+//! bitsets, which report what the walk would have examined. The
+//! [`SITE_SCANS`] / [`SITES_PRUNED`] metadata counters report the saved
+//! work.
 //!
 //! On top of the per-stage strategies sits the **auto-tuning layer**
 //! ([`auto`]): [`RoutingStrategyKind::Auto`] makes the compiler select the

@@ -1,6 +1,7 @@
 //! The spatial free-site index: per-zone, row-bucketed bitsets over the
-//! planned-free sites, plus the best-first walk that feeds the pruned
-//! free-site search in `state.rs`.
+//! planned-free sites, the best-first walk that feeds the pruned free-site
+//! search in `state.rs`, and the two distance oracles that answer the
+//! distance-only queries without walking.
 //!
 //! Every undecided pair of a stage asks the same question — "which free
 //! site of this zone minimizes distance-to-anchor plus policy bias?" — and
@@ -21,16 +22,35 @@
 //! argmin column into two arms whose keys never decrease: an arm head's key
 //! bounds the rest of its arm. Rows enter the frontier lazily, keyed by the
 //! row floor `|y − a_y| + Σ wᵢ·|y − pᵢ_y|`, a lower bound on every key in
-//! the row that is itself convex over the rows.
+//! the row that is itself convex over the rows. A row expansion evaluates
+//! each column's key at most once: the bisection for the argmin column
+//! memoizes its keys, and the arm heads reuse them.
+//!
+//! A query scored by distance alone needs no walk. Its answer is the
+//! minimum `(distance, SiteId)` over the plan-free sites that are vacant in
+//! the current layout (over all plan-free sites if none is), and the walk
+//! would have examined exactly the plan-free sites within the winner's
+//! distance (every plan-free site if none is vacant). Two oracles compute
+//! both from bitsets of plan-free and vacant sites, scanning *lines* of the
+//! zone outward from the anchor until the line's perpendicular distance
+//! alone exceeds the best distance ([`ZoneLines`]):
+//!
+//! * [`ComputeRows`] — the computation zone as rows, from the plan-free row
+//!   bits the walk uses plus per-row vacant bits; within a row distance
+//!   grows away from the anchor's nearest column on both sides;
+//! * [`StorageColumns`] — the storage zone as columns, for anchors that face
+//!   it; within a column distance grows with the row.
 //!
 //! The index mirrors the arena free lists exactly: `OccupancyArena` calls
 //! [`SiteIndex::set_free`] / [`SiteIndex::clear_free`] on the same empty /
-//! non-empty transitions that push and swap-remove free-list entries, so
-//! membership is O(1) to maintain and never rebuilt. Storage is one bit
-//! per site, bucketed by grid row; finding the nearest free column within
-//! a row is a masked word scan (`trailing_zeros` / `leading_zeros`).
+//! non-empty transitions that push and swap-remove free-list entries, and
+//! [`SiteIndex::set_vacant`] / [`StorageColumns::set_vacant`] where a
+//! site's occupant count leaves or returns to zero, so membership is O(1)
+//! to maintain and never rebuilt. Storage is one bit per site, bucketed by
+//! line; finding the nearest set position within a line is a masked word
+//! scan (`trailing_zeros` / `leading_zeros`).
 
-use crate::routing::state::Attractors;
+use crate::routing::state::{beats, Attractors};
 use powermove_hardware::{Point, SiteId, Zone, ZonedGrid};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -53,13 +73,101 @@ pub(crate) struct ScanStats {
     pub(crate) pruned: u64,
 }
 
-/// One zone's free-site bitset, bucketed by grid row.
-#[derive(Debug, Clone, Default)]
-struct ZoneBits {
+/// One zone's site numbering and positions, computed with the expressions
+/// of `ZonedGrid::site`, `ZonedGrid::position` and `ZonedGrid::nearest_col`
+/// so every distance is bit-identical to the grid's.
+#[derive(Debug, Clone, Copy, Default)]
+struct ZoneGeometry {
     cols: u32,
     rows: u32,
-    words_per_row: usize,
-    bits: Vec<u64>,
+    /// Index of the zone's site `(0, 0)`.
+    base: usize,
+    spacing: f64,
+    /// The zone gap for the storage zone, whose rows run away from the
+    /// computation zone; `None` for the computation zone.
+    storage_gap: Option<f64>,
+}
+
+impl ZoneGeometry {
+    fn new(grid: &ZonedGrid, zone: Zone) -> Self {
+        let (base, storage_gap) = match zone {
+            Zone::Compute => (0, None),
+            Zone::Storage => (grid.num_compute_sites(), Some(grid.zone_gap())),
+        };
+        ZoneGeometry {
+            cols: grid.cols(),
+            rows: grid.rows_in(zone),
+            base,
+            spacing: grid.site_spacing(),
+            storage_gap,
+        }
+    }
+
+    /// The zone-local index of `(col, row)`, ordered as its `SiteId`.
+    fn local(&self, col: u32, row: u32) -> u32 {
+        row * self.cols + col
+    }
+
+    fn site(&self, col: u32, row: u32) -> SiteId {
+        SiteId::new(self.base + self.local(col, row) as usize)
+    }
+
+    fn x(&self, col: u32) -> f64 {
+        f64::from(col) * self.spacing
+    }
+
+    fn y(&self, row: u32) -> f64 {
+        match self.storage_gap {
+            None => f64::from(row) * self.spacing,
+            Some(gap) => -gap - f64::from(row) * self.spacing,
+        }
+    }
+
+    fn point(&self, col: u32, row: u32) -> Point {
+        Point::new(self.x(col), self.y(row))
+    }
+
+    /// The column nearest `x`, as `ZonedGrid::nearest_col`.
+    fn nearest_col(&self, x: f64) -> u32 {
+        nearest_line(x / self.spacing, self.cols)
+    }
+
+    /// Where a row splits into arms along which `|x(col) − x|` never
+    /// decreases, even in floating point: the last column at or left of
+    /// `x` (if any) starts the left arm, the column after it the right
+    /// arm. For an `x` on a column this is `nearest_col(x)` and the next;
+    /// halfway between two columns rounding can make `nearest_col` the
+    /// farther one.
+    fn split(&self, x: f64) -> (Option<u32>, u32) {
+        let col = self.nearest_col(x);
+        let left = if self.x(col) <= x {
+            Some(col)
+        } else {
+            col.checked_sub(1)
+        };
+        (left, left.map_or(0, |col| col + 1))
+    }
+}
+
+/// `t` rounded to the nearest of `0..n`.
+fn nearest_line(t: f64, n: u32) -> u32 {
+    let c = t.round();
+    if c <= 0.0 {
+        0
+    } else if c >= f64::from(n - 1) {
+        n - 1
+    } else {
+        c as u32
+    }
+}
+
+/// A direction along a line of sites.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dir {
+    /// Toward position 0.
+    Down,
+    /// Toward the last position.
+    Up,
 }
 
 /// Mask selecting bits `0..=bit` of a word.
@@ -76,75 +184,244 @@ fn mask_from(bit: u32) -> u64 {
     u64::MAX << bit
 }
 
-impl ZoneBits {
-    fn new(cols: u32, rows: u32) -> Self {
-        let words_per_row = (cols as usize).div_ceil(64);
-        ZoneBits {
-            cols,
-            rows,
-            words_per_row,
-            bits: vec![0; words_per_row * rows as usize],
+/// Bitsets over `lines` lines of `len` positions each, one line's
+/// `⌈len / 64⌉` words contiguous. Grid rows are lines of columns (the free
+/// bits the walk and [`ComputeRows`] read); [`StorageColumns`] keeps
+/// columns as lines of rows.
+#[derive(Debug, Clone, Default)]
+struct LineBits {
+    lines: u32,
+    len: u32,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl LineBits {
+    fn new(lines: u32, len: u32) -> Self {
+        let words = (len as usize).div_ceil(64);
+        LineBits {
+            lines,
+            len,
+            words,
+            bits: vec![0; words * lines as usize],
         }
     }
 
-    fn word_bit(&self, local: usize) -> (usize, u64) {
-        let (row, col) = (local / self.cols as usize, local % self.cols as usize);
-        (row * self.words_per_row + col / 64, 1u64 << (col % 64))
-    }
-
-    fn set(&mut self, local: usize) {
-        let (word, bit) = self.word_bit(local);
-        self.bits[word] |= bit;
-    }
-
-    fn clear(&mut self, local: usize) {
-        let (word, bit) = self.word_bit(local);
-        self.bits[word] &= !bit;
-    }
-
-    /// The free column nearest to and at most `col` in `row`, if any.
-    fn free_at_or_left(&self, row: u32, col: u32) -> Option<u32> {
-        let base = row as usize * self.words_per_row;
-        let mut w = col as usize / 64;
-        let mut word = self.bits[base + w] & mask_up_to(col % 64);
-        loop {
-            if word != 0 {
-                return Some((w * 64) as u32 + 63 - word.leading_zeros());
-            }
-            if w == 0 {
-                return None;
-            }
-            w -= 1;
-            word = self.bits[base + w];
+    fn set(&mut self, line: u32, pos: u32, value: bool) {
+        let word = &mut self.bits[line as usize * self.words + pos as usize / 64];
+        let bit = 1u64 << (pos % 64);
+        if value {
+            *word |= bit;
+        } else {
+            *word &= !bit;
         }
     }
 
-    /// The free column nearest to and at least `col` in `row`, if any.
-    fn free_at_or_right(&self, row: u32, col: u32) -> Option<u32> {
-        let base = row as usize * self.words_per_row;
-        let mut w = col as usize / 64;
-        let mut word = self.bits[base + w] & mask_from(col % 64);
-        loop {
-            if word != 0 {
-                return Some((w * 64) as u32 + word.trailing_zeros());
+    /// Word `w` of `line`, intersected with the same word of `mask` if any.
+    fn word(&self, line: u32, w: usize, mask: Option<&LineBits>) -> u64 {
+        let i = line as usize * self.words + w;
+        self.bits[i] & mask.map_or(u64::MAX, |m| m.bits[i])
+    }
+
+    /// The set position of `line` nearest to `pos` in direction `dir`,
+    /// `pos` included (and set in `mask` too, if given). Requires
+    /// `pos < len`.
+    fn seek(&self, line: u32, pos: u32, dir: Dir, mask: Option<&LineBits>) -> Option<u32> {
+        let mut w = pos as usize / 64;
+        match dir {
+            Dir::Down => {
+                let mut word = self.word(line, w, mask) & mask_up_to(pos % 64);
+                loop {
+                    if word != 0 {
+                        return Some((w * 64) as u32 + 63 - word.leading_zeros());
+                    }
+                    if w == 0 {
+                        return None;
+                    }
+                    w -= 1;
+                    word = self.word(line, w, mask);
+                }
             }
-            w += 1;
-            if w >= self.words_per_row {
-                return None;
+            Dir::Up => {
+                let mut word = self.word(line, w, mask) & mask_from(pos % 64);
+                loop {
+                    if word != 0 {
+                        return Some((w * 64) as u32 + word.trailing_zeros());
+                    }
+                    w += 1;
+                    if w >= self.words {
+                        return None;
+                    }
+                    word = self.word(line, w, mask);
+                }
             }
-            word = self.bits[base + w];
+        }
+    }
+
+    /// The position after `pos` in direction `dir`, if on the line.
+    fn step(&self, pos: u32, dir: Dir) -> Option<u32> {
+        match dir {
+            Dir::Down => pos.checked_sub(1),
+            Dir::Up => (pos + 1 < self.len).then_some(pos + 1),
         }
     }
 }
 
+/// Visits lines `0..lines` outward from `seed` on each side — the seed and
+/// the lines below it, then the lines above — while `gap(line)`, a lower
+/// bound on the distance of every site on the line that never decreases
+/// outward from the seed, is within the reach. `visit` returns the reach
+/// from then on; it starts unbounded.
+fn for_lines_within(
+    lines: u32,
+    seed: u32,
+    gap: impl Fn(u32) -> f64,
+    mut visit: impl FnMut(u32) -> f64,
+) {
+    let mut reach = f64::INFINITY;
+    for line in (0..=seed).rev() {
+        if gap(line) > reach {
+            break;
+        }
+        reach = visit(line);
+    }
+    for line in seed + 1..lines {
+        if gap(line) > reach {
+            break;
+        }
+        reach = visit(line);
+    }
+}
+
+/// A zone seen as lines of sites, the shape both distance oracles share:
+/// lines are scanned outward from the one nearest the anchor, and within
+/// every line distance never decreases along each *arm* — a start
+/// position and a direction, the same for every line, with site indices
+/// growing with the position. A descending arm's ties therefore go to the
+/// sites further along it.
+///
+/// The provided methods are the oracle: [`ZoneLines::nearest`] answers a
+/// distance-only query with the walk's site and the walk's examined count.
+trait ZoneLines {
+    /// Plan-free sites.
+    fn plan_free(&self) -> &LineBits;
+    /// Sites vacant in the current layout.
+    fn vacant(&self) -> &LineBits;
+    /// The line nearest `anchor`.
+    fn seed_line(&self, anchor: Point) -> u32;
+    /// A lower bound on the distance from `anchor` of every site on `line`.
+    fn line_gap(&self, line: u32, anchor: Point) -> f64;
+    /// A lower bound on the distance from `anchor` of the site at `pos` of
+    /// every line.
+    fn pos_gap(&self, pos: u32, anchor: Point) -> f64;
+    /// The arms of every line for `anchor`.
+    fn arms(&self, anchor: Point) -> [Option<(u32, Dir)>; 2];
+    /// The site at `pos` of `line`, and its position.
+    fn site(&self, line: u32, pos: u32) -> (SiteId, Point);
+
+    /// The nearest plan-free site to `anchor`, preferring vacant ones,
+    /// under the `(distance, SiteId)` order, and the number of plan-free
+    /// sites the best-first walk examines to find it; `free_len` is the
+    /// number of plan-free sites.
+    fn nearest(&self, anchor: Point, free_len: usize) -> (Option<SiteId>, u64) {
+        match self.closest(anchor, true) {
+            Some((reach, site)) => (Some(site), self.count_within(anchor, reach)),
+            None => (
+                self.closest(anchor, false).map(|(_, site)| site),
+                free_len as u64,
+            ),
+        }
+    }
+
+    /// The minimum `(distance, SiteId)` over the plan-free (and vacant, if
+    /// `vacant`) sites: each arm's head competes unless its position alone
+    /// is out of reach, and a descending arm's head hands a tie on to the
+    /// sites behind it.
+    fn closest(&self, anchor: Point, vacant: bool) -> Option<(f64, SiteId)> {
+        let (bits, mask) = (self.plan_free(), vacant.then(|| self.vacant()));
+        let arms = self.arms(anchor);
+        let mut best: Option<(f64, SiteId)> = None;
+        for_lines_within(
+            bits.lines,
+            self.seed_line(anchor),
+            |line| self.line_gap(line, anchor),
+            |line| {
+                for &(start, dir) in arms.iter().flatten() {
+                    let Some(mut pos) = bits.seek(line, start, dir, mask) else {
+                        continue;
+                    };
+                    if self.pos_gap(pos, anchor) > best.map_or(f64::INFINITY, |(d, _)| d) {
+                        continue;
+                    }
+                    let (site, at) = self.site(line, pos);
+                    let d = at.distance(anchor);
+                    if beats(d, site, &best) {
+                        best = Some((d, site));
+                    }
+                    if dir == Dir::Down && best.is_some_and(|(best_d, _)| best_d == d) {
+                        while let Some(next) = bits
+                            .step(pos, dir)
+                            .and_then(|p| bits.seek(line, p, dir, mask))
+                        {
+                            let (site, at) = self.site(line, next);
+                            if at.distance(anchor) != d {
+                                break;
+                            }
+                            if beats(d, site, &best) {
+                                best = Some((d, site));
+                            }
+                            pos = next;
+                        }
+                    }
+                }
+                best.map_or(f64::INFINITY, |(d, _)| d)
+            },
+        );
+        best
+    }
+
+    /// The number of plan-free sites at most `reach` from `anchor`.
+    fn count_within(&self, anchor: Point, reach: f64) -> u64 {
+        let bits = self.plan_free();
+        let arms = self.arms(anchor);
+        let mut count = 0;
+        for_lines_within(
+            bits.lines,
+            self.seed_line(anchor),
+            |line| self.line_gap(line, anchor),
+            |line| {
+                for &(start, dir) in arms.iter().flatten() {
+                    let mut from = Some(start);
+                    while let Some(pos) = from.and_then(|p| bits.seek(line, p, dir, None)) {
+                        if self.pos_gap(pos, anchor) > reach
+                            || self.site(line, pos).1.distance(anchor) > reach
+                        {
+                            break;
+                        }
+                        count += 1;
+                        from = bits.step(pos, dir);
+                    }
+                }
+                reach
+            },
+        );
+        count
+    }
+}
+
 /// The per-zone free-site bitsets the arena maintains alongside its free
-/// lists. Membership transitions are O(1); [`FreeRing`] walks members in
-/// non-decreasing walk key.
+/// lists, plus the computation zone's vacant bits. Membership transitions
+/// are O(1); [`FreeRing`] walks free sites in non-decreasing walk key, and
+/// [`SiteIndex::nearest_compute`] answers distance-only computation-zone
+/// queries.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SiteIndex {
-    /// `[compute, storage]`, matching the arena's `zone_index` slots.
-    zones: [ZoneBits; 2],
-    compute_sites: usize,
+    /// `[compute, storage]`, matching the arena's `zone_index` slots: rows
+    /// as lines of columns.
+    zones: [LineBits; 2],
+    geometry: [ZoneGeometry; 2],
+    /// Computation-zone sites vacant in the current layout, rows as lines.
+    compute_vacant: LineBits,
 }
 
 fn zone_slot(zone: Zone) -> usize {
@@ -155,34 +432,112 @@ fn zone_slot(zone: Zone) -> usize {
 }
 
 impl SiteIndex {
+    /// No site free, every computation-zone site vacant: the arena marks
+    /// free lists and arrivals from there.
     pub(crate) fn new(grid: &ZonedGrid) -> Self {
+        let rows = |zone| LineBits::new(grid.rows_in(zone), grid.cols());
+        let mut compute_vacant = rows(Zone::Compute);
+        compute_vacant.bits.fill(u64::MAX);
         SiteIndex {
-            zones: [
-                ZoneBits::new(grid.cols(), grid.rows_in(Zone::Compute)),
-                ZoneBits::new(grid.cols(), grid.rows_in(Zone::Storage)),
+            zones: [rows(Zone::Compute), rows(Zone::Storage)],
+            geometry: [
+                ZoneGeometry::new(grid, Zone::Compute),
+                ZoneGeometry::new(grid, Zone::Storage),
             ],
-            compute_sites: grid.num_compute_sites(),
+            compute_vacant,
         }
     }
 
-    fn local(&self, zone: Zone, site: SiteId) -> usize {
-        match zone {
-            Zone::Compute => site.index(),
-            Zone::Storage => site.index() - self.compute_sites,
-        }
+    /// The `(col, row)` of `site` in `zone`.
+    fn col_row(&self, zone: Zone, site: SiteId) -> (u32, u32) {
+        let geometry = &self.geometry[zone_slot(zone)];
+        let local = (site.index() - geometry.base) as u32;
+        (local % geometry.cols, local / geometry.cols)
     }
 
     /// Marks `site` free; paired with the arena's free-list push.
     pub(crate) fn set_free(&mut self, zone: Zone, site: SiteId) {
-        let local = self.local(zone, site);
-        self.zones[zone_slot(zone)].set(local);
+        let (col, row) = self.col_row(zone, site);
+        self.zones[zone_slot(zone)].set(row, col, true);
     }
 
     /// Marks `site` occupied; paired with the arena's free-list
     /// swap-remove.
     pub(crate) fn clear_free(&mut self, zone: Zone, site: SiteId) {
-        let local = self.local(zone, site);
-        self.zones[zone_slot(zone)].clear(local);
+        let (col, row) = self.col_row(zone, site);
+        self.zones[zone_slot(zone)].set(row, col, false);
+    }
+
+    /// Marks computation-zone site `site` vacant or not in the current
+    /// layout.
+    pub(crate) fn set_vacant(&mut self, site: SiteId, vacant: bool) {
+        let (col, row) = self.col_row(Zone::Compute, site);
+        self.compute_vacant.set(row, col, vacant);
+    }
+
+    /// Whether computation-zone site `site` is marked vacant.
+    #[cfg(test)]
+    pub(crate) fn is_vacant(&self, site: SiteId) -> bool {
+        let (col, row) = self.col_row(Zone::Compute, site);
+        self.compute_vacant.seek(row, col, Dir::Up, None) == Some(col)
+    }
+
+    /// The nearest plan-free computation-zone site to `anchor`, preferring
+    /// vacant ones, under the `(distance, SiteId)` order, and the number of
+    /// plan-free sites the best-first walk examines to find it; `free_len`
+    /// is the number of plan-free computation-zone sites. Any anchor works.
+    pub(crate) fn nearest_compute(&self, anchor: Point, free_len: usize) -> (Option<SiteId>, u64) {
+        ComputeRows { index: self }.nearest(anchor, free_len)
+    }
+}
+
+/// The computation zone's rows as the lines of a distance oracle: rows are
+/// scanned outward from the one nearest the anchor's `y`, and within a row
+/// distance grows on both sides of the column nearest the anchor's `x`.
+struct ComputeRows<'a> {
+    index: &'a SiteIndex,
+}
+
+impl ComputeRows<'_> {
+    fn geometry(&self) -> &ZoneGeometry {
+        &self.index.geometry[0]
+    }
+}
+
+impl ZoneLines for ComputeRows<'_> {
+    fn plan_free(&self) -> &LineBits {
+        &self.index.zones[0]
+    }
+
+    fn vacant(&self) -> &LineBits {
+        &self.index.compute_vacant
+    }
+
+    fn seed_line(&self, anchor: Point) -> u32 {
+        let geometry = self.geometry();
+        nearest_line(anchor.y / geometry.spacing, geometry.rows)
+    }
+
+    fn line_gap(&self, row: u32, anchor: Point) -> f64 {
+        (self.geometry().y(row) - anchor.y).abs()
+    }
+
+    fn pos_gap(&self, col: u32, anchor: Point) -> f64 {
+        (self.geometry().x(col) - anchor.x).abs()
+    }
+
+    fn arms(&self, anchor: Point) -> [Option<(u32, Dir)>; 2] {
+        let geometry = self.geometry();
+        let (left, right) = geometry.split(anchor.x);
+        [
+            left.map(|col| (col, Dir::Down)),
+            (right < geometry.cols).then_some((right, Dir::Up)),
+        ]
+    }
+
+    fn site(&self, row: u32, col: u32) -> (SiteId, Point) {
+        let geometry = self.geometry();
+        (geometry.site(col, row), geometry.point(col, row))
     }
 }
 
@@ -197,23 +552,15 @@ impl SiteIndex {
 ///
 /// * the same-column check — the shallowest row of one column that is
 ///   plan-free and vacant — is a lowest-set-bit lookup;
-/// * the nearest storage site to a computation-zone anchor is the minimum
-///   `(distance, SiteId)` over each column's shallowest plan-free-and-vacant
-///   row (distance grows with the row below an anchor that faces the
-///   storage zone), scanning columns outward until `|dx|` alone exceeds the
-///   best distance. It reports what the best-first walk would have
-///   examined for the same answer: the plan-free sites within the winner's
-///   distance, or every plan-free site when none is vacant.
+/// * the nearest storage site to a computation-zone anchor is a
+///   [`ZoneLines`] oracle over the columns: distance grows with the row
+///   below an anchor that faces the storage zone, so each column's one arm
+///   starts at row 0.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StorageColumns {
-    cols: u32,
-    rows: u32,
-    words: usize,
-    compute_sites: usize,
-    spacing: f64,
-    gap: f64,
-    plan_free: Vec<u64>,
-    vacant: Vec<u64>,
+    geometry: ZoneGeometry,
+    plan_free: LineBits,
+    vacant: LineBits,
 }
 
 impl StorageColumns {
@@ -221,79 +568,48 @@ impl StorageColumns {
     /// lists and arrivals from there.
     pub(crate) fn new(grid: &ZonedGrid) -> Self {
         let (cols, rows) = (grid.cols(), grid.storage_rows());
-        let words = (rows as usize).div_ceil(64);
-        let mut columns = StorageColumns {
-            cols,
-            rows,
-            words,
-            compute_sites: grid.num_compute_sites(),
-            spacing: grid.site_spacing(),
-            gap: grid.zone_gap(),
-            plan_free: vec![0; cols as usize * words],
-            vacant: vec![0; cols as usize * words],
-        };
-        for site in grid.sites_in(Zone::Storage) {
-            columns.set_vacant(site, true);
+        let mut vacant = LineBits::new(cols, rows);
+        vacant.bits.fill(u64::MAX);
+        StorageColumns {
+            geometry: ZoneGeometry::new(grid, Zone::Storage),
+            plan_free: LineBits::new(cols, rows),
+            vacant,
         }
-        columns
     }
 
-    /// Storage site `(col, row)` and its position, computed as
-    /// `ZonedGrid::site` and `ZonedGrid::position` compute them.
-    fn site(&self, col: u32, row: u32) -> (SiteId, Point) {
-        let site = SiteId::new(self.compute_sites + (row * self.cols + col) as usize);
-        let (x, y) = (f64::from(col), f64::from(row));
-        (
-            site,
-            Point::new(x * self.spacing, -self.gap - y * self.spacing),
-        )
-    }
-
-    /// The word index and bit of storage site `site`.
-    fn slot(&self, site: SiteId) -> (usize, u64) {
-        let local = site.index() - self.compute_sites;
-        let (col, row) = (local % self.cols as usize, local / self.cols as usize);
-        (col * self.words + row / 64, 1u64 << (row % 64))
-    }
-
-    fn set(bits: &mut [u64], (word, bit): (usize, u64), value: bool) {
-        if value {
-            bits[word] |= bit;
-        } else {
-            bits[word] &= !bit;
-        }
+    /// The `(col, row)` of storage site `site`.
+    fn col_row(&self, site: SiteId) -> (u32, u32) {
+        let local = (site.index() - self.geometry.base) as u32;
+        (local % self.geometry.cols, local / self.geometry.cols)
     }
 
     /// Marks storage site `site` plan-free or not.
     pub(crate) fn set_plan_free(&mut self, site: SiteId, free: bool) {
-        let slot = self.slot(site);
-        Self::set(&mut self.plan_free, slot, free);
+        let (col, row) = self.col_row(site);
+        self.plan_free.set(col, row, free);
     }
 
     /// Marks storage site `site` vacant or not.
     pub(crate) fn set_vacant(&mut self, site: SiteId, vacant: bool) {
-        let slot = self.slot(site);
-        Self::set(&mut self.vacant, slot, vacant);
+        let (col, row) = self.col_row(site);
+        self.vacant.set(col, row, vacant);
     }
 
     /// The shallowest row of `col` that is plan-free, and vacant too when
     /// `vacant` is set.
     pub(crate) fn shallowest(&self, col: u32, vacant: bool) -> Option<u32> {
-        let base = col as usize * self.words;
-        (0..self.words).find_map(|w| {
-            let mut word = self.plan_free[base + w];
-            if vacant {
-                word &= self.vacant[base + w];
-            }
-            (word != 0).then(|| (w * 64) as u32 + word.trailing_zeros())
-        })
+        if self.geometry.rows == 0 {
+            return None;
+        }
+        self.plan_free
+            .seek(col, 0, Dir::Up, vacant.then_some(&self.vacant))
     }
 
     /// Whether the oracle's geometry holds for `anchor`: it lies on the
     /// computation-zone side of storage row 0, so distance grows with the
     /// row in every column.
     pub(crate) fn faces(&self, anchor: Point) -> bool {
-        self.rows > 0 && anchor.y >= self.site(0, 0).1.y
+        self.geometry.rows > 0 && anchor.y >= self.geometry.y(0)
     }
 
     /// The nearest plan-free storage site to `anchor`, preferring vacant
@@ -301,97 +617,48 @@ impl StorageColumns {
     /// plan-free sites the best-first walk examines to find it;
     /// `free_len` is the number of plan-free storage sites. Requires
     /// [`StorageColumns::faces`].
-    pub(crate) fn nearest(
-        &self,
-        grid: &ZonedGrid,
-        anchor: Point,
-        free_len: usize,
-    ) -> (Option<SiteId>, u64) {
-        match self.closest(grid, anchor, true) {
-            Some((reach, site)) => (Some(site), self.count_within(grid, anchor, reach)),
-            None => (
-                self.closest(grid, anchor, false).map(|(_, site)| site),
-                free_len as u64,
-            ),
-        }
+    pub(crate) fn nearest(&self, anchor: Point, free_len: usize) -> (Option<SiteId>, u64) {
+        ZoneLines::nearest(self, anchor, free_len)
+    }
+}
+
+impl ZoneLines for StorageColumns {
+    fn plan_free(&self) -> &LineBits {
+        &self.plan_free
     }
 
-    /// Visits the columns whose `|dx|` to `anchor` is within the reach,
-    /// outward from the one nearest `anchor.x` on each side (`|dx|` only
-    /// grows outward). `visit` returns the reach from then on; it starts
-    /// unbounded. `|dx|` bounds a site's distance from below, so a column
-    /// past the reach holds no site within it.
-    fn for_columns_within(
-        &self,
-        grid: &ZonedGrid,
-        anchor: Point,
-        mut visit: impl FnMut(u32) -> f64,
-    ) {
-        let seed = grid.nearest_col(anchor.x);
-        let dx = |col: u32| (self.site(col, 0).1.x - anchor.x).abs();
-        let mut reach = f64::INFINITY;
-        for col in (0..=seed).rev() {
-            if dx(col) > reach {
-                break;
-            }
-            reach = visit(col);
-        }
-        for col in seed + 1..self.cols {
-            if dx(col) > reach {
-                break;
-            }
-            reach = visit(col);
-        }
+    fn vacant(&self) -> &LineBits {
+        &self.vacant
     }
 
-    /// The minimum `(distance, SiteId)` over each column's shallowest
-    /// plan-free (and vacant, if `vacant`) site.
-    fn closest(&self, grid: &ZonedGrid, anchor: Point, vacant: bool) -> Option<(f64, SiteId)> {
-        let mut best: Option<(f64, SiteId)> = None;
-        self.for_columns_within(grid, anchor, |col| {
-            if let Some(row) = self.shallowest(col, vacant) {
-                let (site, pos) = self.site(col, row);
-                let d = pos.distance(anchor);
-                let better = best.map_or(true, |(best_d, best_site)| {
-                    d < best_d || (d == best_d && site < best_site)
-                });
-                if better {
-                    best = Some((d, site));
-                }
-            }
-            best.map_or(f64::INFINITY, |(best_d, _)| best_d)
-        });
-        best
+    fn seed_line(&self, anchor: Point) -> u32 {
+        self.geometry.nearest_col(anchor.x)
     }
 
-    /// The number of plan-free storage sites at most `reach` from `anchor`.
-    fn count_within(&self, grid: &ZonedGrid, anchor: Point, reach: f64) -> u64 {
-        let mut count = 0;
-        self.for_columns_within(grid, anchor, |col| {
-            let base = col as usize * self.words;
-            'rows: for w in 0..self.words {
-                let mut word = self.plan_free[base + w];
-                while word != 0 {
-                    let row = (w * 64) as u32 + word.trailing_zeros();
-                    if self.site(col, row).1.distance(anchor) > reach {
-                        break 'rows;
-                    }
-                    count += 1;
-                    word &= word - 1;
-                }
-            }
-            reach
-        });
-        count
+    fn line_gap(&self, col: u32, anchor: Point) -> f64 {
+        (self.geometry.x(col) - anchor.x).abs()
+    }
+
+    fn pos_gap(&self, row: u32, anchor: Point) -> f64 {
+        (self.geometry.y(row) - anchor.y).abs()
+    }
+
+    fn arms(&self, _anchor: Point) -> [Option<(u32, Dir)>; 2] {
+        [Some((0, Dir::Up)), None]
+    }
+
+    fn site(&self, col: u32, row: u32) -> (SiteId, Point) {
+        (self.geometry.site(col, row), self.geometry.point(col, row))
     }
 }
 
 /// Reusable allocation for the best-first free-site walk: the frontier heap
-/// of row entries and per-row arm heads. Lives in the routing state so
+/// and the memo of one row expansion's keys. Lives in the routing state so
 /// repeated queries allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SearchScratch {
     heap: BinaryHeap<Head>,
+    memo: Vec<(u32, f64)>,
 }
 
 /// What a frontier entry stands for: a row waiting to be split into arms,
@@ -414,11 +681,9 @@ struct Head {
     /// The walk key: a site's distance or attractor score, or a row's
     /// floor.
     key: f64,
-    /// Distance to the anchor (sites only).
-    dist: f64,
-    /// Site index, or the row number for row entries.
-    site: usize,
-    pos: Point,
+    /// The tie-break among equal keys: the row number for row entries, the
+    /// zone-local site index (ordered as the `SiteId`) for sites.
+    tie: u32,
     row: u32,
     col: u32,
     step: Step,
@@ -427,15 +692,6 @@ struct Head {
 impl Head {
     fn is_row(&self) -> bool {
         matches!(self.step, Step::RowDown | Step::RowUp)
-    }
-
-    fn visit(self) -> Visit {
-        Visit {
-            site: SiteId::new(self.site),
-            pos: self.pos,
-            dist: self.dist,
-            key: self.key,
-        }
     }
 }
 
@@ -464,7 +720,7 @@ impl Ord for Head {
             .key
             .total_cmp(&self.key)
             .then_with(|| self.is_row().cmp(&other.is_row()))
-            .then_with(|| other.site.cmp(&self.site))
+            .then_with(|| other.tie.cmp(&self.tie))
     }
 }
 
@@ -473,16 +729,16 @@ impl Ord for Head {
 pub(crate) struct Visit {
     pub(crate) site: SiteId,
     pub(crate) pos: Point,
-    /// Distance to the anchor.
-    pub(crate) dist: f64,
-    /// The walk key: a lower bound on the key of every site not yet
-    /// yielded (exact for distances, up to rounding for attractor scores).
+    /// The walk key: the site's distance to the anchor without
+    /// attractors, its attractor score with them — and a lower bound on
+    /// the key of every site not yet yielded (exact for distances, up to
+    /// rounding for attractor scores).
     pub(crate) key: f64,
 }
 
 /// The smallest `i < n` with `f(i) <= f(i + 1)` (or `n - 1`): the argmin of
 /// a function convex over `0..n`, by bisection on its forward difference.
-fn convex_argmin(n: u32, f: impl Fn(u32) -> f64) -> u32 {
+fn convex_argmin(n: u32, mut f: impl FnMut(u32) -> f64) -> u32 {
     let (mut lo, mut hi) = (0, n - 1);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -501,10 +757,10 @@ fn convex_argmin(n: u32, f: impl Fn(u32) -> f64) -> u32 {
 /// attractor score with them. Occupied runs are skipped in O(words)
 /// instead of visiting every site.
 pub(crate) struct FreeRing<'a> {
-    bits: &'a ZoneBits,
-    grid: &'a ZonedGrid,
-    zone: Zone,
+    bits: &'a LineBits,
+    geometry: ZoneGeometry,
     heap: &'a mut BinaryHeap<Head>,
+    memo: &'a mut Vec<(u32, f64)>,
     anchor: Point,
     attractors: Attractors<'a>,
 }
@@ -512,23 +768,23 @@ pub(crate) struct FreeRing<'a> {
 impl<'a> FreeRing<'a> {
     pub(crate) fn new(
         index: &'a SiteIndex,
-        grid: &'a ZonedGrid,
         zone: Zone,
         anchor: Point,
         attractors: Attractors<'a>,
         scratch: &'a mut SearchScratch,
     ) -> Self {
         scratch.heap.clear();
+        scratch.memo.clear();
         let mut ring = FreeRing {
             bits: &index.zones[zone_slot(zone)],
-            grid,
-            zone,
+            geometry: index.geometry[zone_slot(zone)],
             heap: &mut scratch.heap,
+            memo: &mut scratch.memo,
             anchor,
             attractors,
         };
         // Grids always have columns; a zone may have no rows.
-        let rows = ring.bits.rows;
+        let rows = ring.geometry.rows;
         if rows > 0 {
             let seed = convex_argmin(rows, |row| ring.row_floor(row));
             ring.push_row(seed, Step::RowDown);
@@ -539,24 +795,18 @@ impl<'a> FreeRing<'a> {
         ring
     }
 
-    fn position(&self, col: u32, row: u32) -> (SiteId, Point) {
-        let site = self
-            .grid
-            .site(self.zone, col, row)
-            .expect("indexed site is on the grid");
-        (site, self.grid.position(site))
-    }
-
     /// A lower bound on the key of every site in `row`: `hypot(dx, dy) ≥
     /// |dy|` term by term, summed in the key's own order.
     fn row_floor(&self, row: u32) -> f64 {
-        let y = self.position(0, row).1.y;
+        let y = self.geometry.y(row);
         (y - self.anchor.y).abs() + self.attractors.row_floor(y)
     }
 
-    /// The walk key of a site at `pos`, `dist` away from the anchor — the
-    /// same sum, in the same order, as the planner's score.
-    fn key(&self, pos: Point, dist: f64) -> f64 {
+    /// The walk key of the site at `(col, row)` — the same sum, in the
+    /// same order, as the planner's score.
+    fn key(&self, col: u32, row: u32) -> f64 {
+        let pos = self.geometry.point(col, row);
+        let dist = pos.distance(self.anchor);
         if self.attractors.is_empty() {
             dist
         } else {
@@ -567,23 +817,23 @@ impl<'a> FreeRing<'a> {
     fn push_row(&mut self, row: u32, step: Step) {
         self.heap.push(Head {
             key: self.row_floor(row),
-            dist: 0.0,
-            site: row as usize,
-            pos: self.anchor,
+            tie: row,
             row,
             col: 0,
             step,
         });
     }
 
+    /// Pushes the arm head at `(col, row)`, reusing its key if this row's
+    /// bisection already evaluated it.
     fn push_site(&mut self, row: u32, col: u32, step: Step) {
-        let (site, pos) = self.position(col, row);
-        let dist = pos.distance(self.anchor);
+        let key = match self.memo.iter().find(|&&(c, _)| c == col) {
+            Some(&(_, key)) => key,
+            None => self.key(col, row),
+        };
         self.heap.push(Head {
-            key: self.key(pos, dist),
-            dist,
-            site: site.index(),
-            pos,
+            key,
+            tie: self.geometry.local(col, row),
             row,
             col,
             step,
@@ -592,25 +842,35 @@ impl<'a> FreeRing<'a> {
 
     /// Splits `row` at its argmin column into a left arm (seed included) and
     /// a right arm, each headed by its first free site. Without attractors
-    /// the argmin is `nearest_col(anchor.x)` in closed form; with them, a
-    /// bisection on the key along the row.
+    /// the split is in closed form ([`ZoneGeometry::split`]); with them, a
+    /// bisection on the key along the row whose keys the memo keeps for the
+    /// arm heads.
     fn expand_row(&mut self, row: u32) {
-        let seed = if self.attractors.is_empty() {
-            self.grid.nearest_col(self.anchor.x)
+        self.memo.clear();
+        let (left, right) = if self.attractors.is_empty() {
+            self.geometry.split(self.anchor.x)
         } else {
-            convex_argmin(self.bits.cols, |col| {
-                let pos = self.position(col, row).1;
-                self.key(pos, pos.distance(self.anchor))
-            })
+            let mut memo = std::mem::take(self.memo);
+            let seed = convex_argmin(self.geometry.cols, |col| {
+                if let Some(&(_, key)) = memo.iter().find(|&&(c, _)| c == col) {
+                    return key;
+                }
+                let key = self.key(col, row);
+                memo.push((col, key));
+                key
+            });
+            *self.memo = memo;
+            (Some(seed), seed + 1)
         };
-        if let Some(col) = self.bits.free_at_or_left(row, seed) {
+        if let Some(col) = left.and_then(|col| self.bits.seek(row, col, Dir::Down, None)) {
             self.push_site(row, col, Step::Left);
         }
-        if seed + 1 < self.bits.cols {
-            if let Some(col) = self.bits.free_at_or_right(row, seed + 1) {
+        if right < self.geometry.cols {
+            if let Some(col) = self.bits.seek(row, right, Dir::Up, None) {
                 self.push_site(row, col, Step::Right);
             }
         }
+        self.memo.clear();
     }
 
     /// The next free site. Keys are non-decreasing across calls (up to
@@ -618,36 +878,37 @@ impl<'a> FreeRing<'a> {
     pub(crate) fn next_free(&mut self) -> Option<Visit> {
         loop {
             let head = self.heap.pop()?;
-            match head.step {
+            let (row, col) = (head.row, head.col);
+            let dir = match head.step {
                 Step::RowDown => {
-                    self.expand_row(head.row);
-                    if head.row > 0 {
-                        self.push_row(head.row - 1, Step::RowDown);
+                    self.expand_row(row);
+                    if row > 0 {
+                        self.push_row(row - 1, Step::RowDown);
                     }
+                    continue;
                 }
                 Step::RowUp => {
-                    self.expand_row(head.row);
-                    if head.row + 1 < self.bits.rows {
-                        self.push_row(head.row + 1, Step::RowUp);
+                    self.expand_row(row);
+                    if row + 1 < self.geometry.rows {
+                        self.push_row(row + 1, Step::RowUp);
                     }
+                    continue;
                 }
-                Step::Left => {
-                    if head.col > 0 {
-                        if let Some(col) = self.bits.free_at_or_left(head.row, head.col - 1) {
-                            self.push_site(head.row, col, Step::Left);
-                        }
-                    }
-                    return Some(head.visit());
-                }
-                Step::Right => {
-                    if head.col + 1 < self.bits.cols {
-                        if let Some(col) = self.bits.free_at_or_right(head.row, head.col + 1) {
-                            self.push_site(head.row, col, Step::Right);
-                        }
-                    }
-                    return Some(head.visit());
-                }
+                Step::Left => Dir::Down,
+                Step::Right => Dir::Up,
+            };
+            if let Some(next) = self
+                .bits
+                .step(col, dir)
+                .and_then(|c| self.bits.seek(row, c, dir, None))
+            {
+                self.push_site(row, next, head.step);
             }
+            return Some(Visit {
+                site: self.geometry.site(col, row),
+                pos: self.geometry.point(col, row),
+                key: head.key,
+            });
         }
     }
 }
@@ -706,7 +967,6 @@ mod tests {
                         let mut scratch = SearchScratch::default();
                         let mut ring = FreeRing::new(
                             &index,
-                            &grid,
                             zone,
                             anchor,
                             Attractors::default(),
@@ -715,8 +975,8 @@ mod tests {
                         let mut got = Vec::new();
                         while let Some(v) = ring.next_free() {
                             assert_eq!(v.pos, grid.position(v.site));
-                            assert_eq!(v.key, v.dist);
-                            got.push((v.site, v.dist));
+                            assert_eq!(v.key, v.pos.distance(anchor));
+                            got.push((v.site, v.key));
                         }
                         assert_eq!(got, expected, "n={n} zone={zone} seed={seed}");
                     }
@@ -746,11 +1006,12 @@ mod tests {
                         let attractors = Attractors::new(case, &[]);
                         let mut scratch = SearchScratch::default();
                         let mut ring =
-                            FreeRing::new(&index, &grid, zone, anchor, attractors, &mut scratch);
+                            FreeRing::new(&index, zone, anchor, attractors, &mut scratch);
                         let mut seen = Vec::new();
                         let mut high = 0.0f64;
                         while let Some(v) = ring.next_free() {
-                            assert_eq!(v.key, v.dist + attractors.penalty(v.pos));
+                            assert_eq!(v.pos, grid.position(v.site));
+                            assert_eq!(v.key, v.pos.distance(anchor) + attractors.penalty(v.pos));
                             assert!(
                                 v.key >= high * (1.0 - 1e-12),
                                 "key {} after {high}: n={n} zone={zone} seed={seed}",
@@ -767,6 +1028,100 @@ mod tests {
         }
     }
 
+    /// The distance oracle's contract by brute force: the minimum
+    /// `(distance, SiteId)` over plan-free vacant sites (plan-free if none
+    /// is vacant), and the plan-free sites within its distance (all of
+    /// them if none is vacant).
+    fn brute_nearest(
+        grid: &ZonedGrid,
+        free: &[SiteId],
+        vacant: &[SiteId],
+        anchor: Point,
+    ) -> (Option<SiteId>, u64) {
+        let closest = |sites: &mut dyn Iterator<Item = SiteId>| {
+            sites
+                .map(|s| (grid.position(s).distance(anchor), s))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        };
+        let mut open = free.iter().copied().filter(|s| vacant.contains(s));
+        match closest(&mut open) {
+            Some((reach, site)) => {
+                let within = free
+                    .iter()
+                    .filter(|&&s| grid.position(s).distance(anchor) <= reach)
+                    .count();
+                (Some(site), within as u64)
+            }
+            None => (
+                closest(&mut free.iter().copied()).map(|(_, s)| s),
+                free.len() as u64,
+            ),
+        }
+    }
+
+    #[test]
+    fn compute_rows_match_brute_force_between_columns_and_off_grid() {
+        // Anchors on sites, halfway between columns (equal |dx| on one
+        // arm, where the tie goes to the smaller index further along it)
+        // and off the grid on every side.
+        for (cols, rows) in [(9, 4), (70, 2), (130, 3), (5, 1)] {
+            let grid = ZonedGrid::with_dims(cols, rows, 2).unwrap();
+            let pitch = grid.site_spacing();
+            for seed in 1..5u64 {
+                let (mut index, free) = random_index(&grid, Zone::Compute, seed ^ u64::from(cols));
+                let mut rng = seed.wrapping_mul(31) | 1;
+                let mut vacant = Vec::new();
+                for site in grid.sites_in(Zone::Compute) {
+                    let is_vacant = next_rand(&mut rng) % 4 != 0;
+                    index.set_vacant(site, is_vacant);
+                    if is_vacant {
+                        vacant.push(site);
+                    }
+                }
+                let mut anchors = vec![
+                    Point::new(-3.0 * pitch, 0.5 * pitch),
+                    Point::new(f64::from(cols + 2) * pitch, f64::from(rows + 1) * pitch),
+                    Point::new(2.0 * pitch, -grid.zone_gap() - pitch),
+                ];
+                for k in 0..12 {
+                    let site = SiteId::new(next_rand(&mut rng) as usize % free.len().max(1));
+                    let at = grid.position(site);
+                    anchors.push(at);
+                    anchors.push(Point::new(
+                        at.x + 0.5 * pitch,
+                        at.y + f64::from(k) * 0.25 * pitch,
+                    ));
+                }
+                let mut scratch = SearchScratch::default();
+                for anchor in anchors {
+                    assert_eq!(
+                        index.nearest_compute(anchor, free.len()),
+                        brute_nearest(&grid, &free, &vacant, anchor),
+                        "cols={cols} rows={rows} seed={seed} anchor={anchor}"
+                    );
+                    // The walk the oracle stands in for is exactly ordered
+                    // from these anchors too.
+                    let none = Attractors::default();
+                    let mut ring = FreeRing::new(&index, Zone::Compute, anchor, none, &mut scratch);
+                    let mut last = (0.0, SiteId::new(0));
+                    while let Some(v) = ring.next_free() {
+                        assert!(
+                            (v.key, v.site) >= last,
+                            "walk out of order at {anchor}: {:?} after {last:?}",
+                            (v.key, v.site)
+                        );
+                        last = (v.key, v.site);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_entries_stay_compact() {
+        assert!(std::mem::size_of::<Head>() <= 24);
+    }
+
     #[test]
     fn set_and_clear_round_trip() {
         let grid = ZonedGrid::for_qubits(70);
@@ -776,26 +1131,12 @@ mod tests {
         index.set_free(zone, site);
         let mut scratch = SearchScratch::default();
         let anchor = grid.position(site);
-        let found = FreeRing::new(
-            &index,
-            &grid,
-            zone,
-            anchor,
-            Attractors::default(),
-            &mut scratch,
-        )
-        .next_free();
+        let found =
+            FreeRing::new(&index, zone, anchor, Attractors::default(), &mut scratch).next_free();
         assert_eq!(found.map(|v| v.site), Some(site));
         index.clear_free(zone, site);
-        let found = FreeRing::new(
-            &index,
-            &grid,
-            zone,
-            anchor,
-            Attractors::default(),
-            &mut scratch,
-        )
-        .next_free();
+        let found =
+            FreeRing::new(&index, zone, anchor, Attractors::default(), &mut scratch).next_free();
         assert!(found.is_none());
     }
 
@@ -810,14 +1151,7 @@ mod tests {
         }
         let anchor = grid.position(grid.site(zone, 63, 0).unwrap());
         let mut scratch = SearchScratch::default();
-        let mut ring = FreeRing::new(
-            &index,
-            &grid,
-            zone,
-            anchor,
-            Attractors::default(),
-            &mut scratch,
-        );
+        let mut ring = FreeRing::new(&index, zone, anchor, Attractors::default(), &mut scratch);
         let mut cols = Vec::new();
         while let Some(v) = ring.next_free() {
             cols.push(grid.col_row(v.site).0);

@@ -45,6 +45,13 @@
 //! sites past the optimum. Debug builds re-run the linear reference scan on
 //! every pruned query and assert equality; the `site_scans` /
 //! `sites_pruned` counters report the saved work.
+//!
+//! Queries scored by distance alone — stale-pair relocation, storage
+//! parking, and step 3 under [`ZeroBias`] or a lookahead pair without
+//! attractors — skip the walk: a row oracle over the computation zone's
+//! free and vacant bits and a column oracle over the storage zone's return
+//! the walk's site and charge the counters the walk's examined count.
+//! Debug builds check both against the walk on every query.
 
 use crate::routing::lookahead::AttractorBuffers;
 use crate::routing::site_index::{
@@ -54,6 +61,7 @@ use crate::{CompileError, Stage};
 use powermove_circuit::{CzGate, Qubit};
 use powermove_hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
 use powermove_schedule::{Layout, SiteMove};
+pub(crate) use sealed::{BiasForm, Seal};
 use std::cmp::Ordering;
 
 /// The movement plan for one stage transition.
@@ -125,6 +133,11 @@ impl StageRouting {
 /// the true optimum and change routing results; one that underestimates
 /// (no attractors and `0.0` work for every nonnegative bias) only costs
 /// pruning efficiency, never correctness.
+///
+/// The crate's own policies also tell the search when a query is scored
+/// by distance alone ([`ZeroBias`], and the lookahead policy for a pair
+/// without attractors), which a distance oracle answers without walking.
+/// That knowledge is sealed: other implementations are always walked.
 pub trait SitePolicy {
     /// The extra cost added to `site` (at physical position `site_pos`) as
     /// the interaction site of `(anchor, mobile)`.
@@ -144,6 +157,37 @@ pub trait SitePolicy {
     fn attractors(&self, _anchor: Qubit, _mobile: Qubit) -> Attractors<'_> {
         Attractors::default()
     }
+
+    /// What the free-site search may assume of the bias beyond the pruning
+    /// contract. Sealed: its argument cannot be named outside this crate,
+    /// so only the crate's own policies report anything but
+    /// `BiasForm::Custom`.
+    #[doc(hidden)]
+    fn form(&self, _: Seal) -> BiasForm {
+        BiasForm::Custom
+    }
+}
+
+/// The sealed half of [`SitePolicy`]: public types in a private module, so
+/// no other crate can name them.
+mod sealed {
+    /// What the free-site search may assume of a policy's bias.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum BiasForm {
+        /// `bias ≡ 0`, no attractors: every query is scored by distance
+        /// alone.
+        Zero,
+        /// `bias ≡ attractors(anchor, mobile).penalty(pos)` bit for bit, and
+        /// `min_bias() == 0`: a pair without attractors is scored by
+        /// distance alone, and a walked site's score is its walk key.
+        Penalty,
+        /// Anything else the pruning contract allows.
+        Custom,
+    }
+
+    /// The argument of `SitePolicy::form`.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Seal;
 }
 
 /// A pair's weighted attractors: `(weight, position)` points a candidate
@@ -207,6 +251,10 @@ pub struct ZeroBias;
 impl SitePolicy for ZeroBias {
     fn bias(&self, _anchor: Qubit, _mobile: Qubit, _site: SiteId, _site_pos: Point) -> f64 {
         0.0
+    }
+
+    fn form(&self, _: Seal) -> BiasForm {
+        BiasForm::Zero
     }
 }
 
@@ -372,7 +420,9 @@ impl<T: DenseKey> DenseSet<T> {
 /// The storage-column index ([`StorageColumns`]) spans both views: per
 /// storage column, the plan-free rows (kept by `mark_free` /
 /// `unmark_free`) and the vacant rows (kept by `arrive` / `depart`).
-/// Parking reads it instead of walking free sites.
+/// Parking reads it instead of walking free sites. The spatial index does
+/// the same for the computation zone: its plan-free row bits sit beside
+/// per-row vacant bits, also kept by `arrive` / `depart`.
 #[derive(Debug, Clone)]
 struct OccupancyArena {
     planned: Vec<PlannedSite>,
@@ -487,7 +537,12 @@ impl OccupancyArena {
             self.pairs.insert(site);
         }
         match grid.zone_of(site) {
-            Zone::Compute => self.compute_residents.insert(q),
+            Zone::Compute => {
+                self.compute_residents.insert(q);
+                if count == 1 {
+                    self.index.set_vacant(site, false);
+                }
+            }
             Zone::Storage if count == 1 => self.columns.set_vacant(site, false),
             Zone::Storage => {}
         }
@@ -501,7 +556,12 @@ impl OccupancyArena {
             self.pairs.remove(site);
         }
         match grid.zone_of(site) {
-            Zone::Compute => self.compute_residents.remove(q),
+            Zone::Compute => {
+                self.compute_residents.remove(q);
+                if count == 0 {
+                    self.index.set_vacant(site, true);
+                }
+            }
             Zone::Storage if count == 0 => self.columns.set_vacant(site, true),
             Zone::Storage => {}
         }
@@ -835,23 +895,33 @@ impl RoutingState {
         }
 
         // Step 3: resolve undecided qubits to the best free compute site —
-        // nearest to the anchor, plus whatever bias the policy adds.
+        // nearest to the anchor, plus whatever bias the policy adds. A
+        // query scored by distance alone goes to the distance oracle.
+        let form = policy.form(Seal);
         for &(anchor, mobile) in pending.iter() {
             let anchor_from = layout.site_of(anchor).expect("interacting qubit is placed");
             let mobile_from = layout.site_of(mobile).expect("interacting qubit is placed");
             let anchor_pos = grid.position(anchor_from);
-            let target = SiteFinder::new(arena, layout, grid, search)
-                .best(
+            let attractors = policy.attractors(anchor, mobile);
+            let distance_only =
+                form == BiasForm::Zero || (form == BiasForm::Penalty && attractors.is_empty());
+            let mut finder = SiteFinder::new(arena, layout, grid, search);
+            let target = if distance_only {
+                finder.nearest(Zone::Compute, anchor_pos)
+            } else {
+                finder.best(
                     Zone::Compute,
                     anchor_pos,
                     policy.min_bias(),
-                    policy.attractors(anchor, mobile),
+                    attractors,
+                    form,
                     |site, pos| policy.bias(anchor, mobile, site, pos),
                 )
-                .ok_or(CompileError::NoFreeSite {
-                    qubit: anchor,
-                    zone: Zone::Compute,
-                })?;
+            }
+            .ok_or(CompileError::NoFreeSite {
+                qubit: anchor,
+                zone: Zone::Compute,
+            })?;
             arena.insert(grid, target, anchor);
             arena.insert(grid, target, mobile);
             routing
@@ -907,7 +977,7 @@ fn is_blocked(
 
 /// Returns `true` if `(s, site)` precedes the current best under the
 /// planner's strict `(score, site index)` total order.
-fn beats(s: f64, site: SiteId, best: &Option<(f64, SiteId)>) -> bool {
+pub(crate) fn beats(s: f64, site: SiteId, best: &Option<(f64, SiteId)>) -> bool {
     match best {
         None => true,
         Some((best_score, best_site)) => match s.partial_cmp(best_score) {
@@ -955,32 +1025,62 @@ impl<'a> SiteFinder<'a> {
     }
 
     /// Finds the free site of `zone` nearest to `from`, preferring vacant
-    /// sites. A storage query over more than [`LINEAR_SCAN_THRESHOLD`]
-    /// free sites from an anchor facing the storage zone is answered by
-    /// the storage-column index ([`SiteFinder::nearest_storage`]); every
-    /// other query by [`SiteFinder::best`].
+    /// sites. Over more than [`LINEAR_SCAN_THRESHOLD`] free sites a
+    /// distance oracle answers ([`SiteFinder::oracle`]) where one applies;
+    /// every other query goes to [`SiteFinder::best`].
     fn nearest(&mut self, zone: Zone, from: Point) -> Option<SiteId> {
-        if zone == Zone::Storage
-            && self.arena.free[zone_index(zone)].len() > LINEAR_SCAN_THRESHOLD
-            && self.arena.columns.faces(from)
-        {
-            return self.nearest_storage(from);
+        let free_len = self.arena.free[zone_index(zone)].len();
+        if free_len > LINEAR_SCAN_THRESHOLD {
+            if let Some(answer) = self.oracle(zone, from, free_len) {
+                return self.accept(zone, from, free_len, answer);
+            }
         }
-        self.best(zone, from, 0.0, Attractors::default(), |_, _| 0.0)
+        self.best(
+            zone,
+            from,
+            0.0,
+            Attractors::default(),
+            BiasForm::Zero,
+            |_, _| 0.0,
+        )
     }
 
-    /// The storage-column answer to [`SiteFinder::nearest`] in the storage
-    /// zone, for an anchor that faces the storage zone (the index's
-    /// precondition). It charges the counters what the best-first walk
-    /// examines for the same site, which debug builds check against the
-    /// walk on every query.
-    fn nearest_storage(&mut self, from: Point) -> Option<SiteId> {
-        let free_len = self.arena.free[zone_index(Zone::Storage)].len();
-        let (chosen, examined) = self.arena.columns.nearest(self.grid, from, free_len);
+    /// A distance oracle's answer to the distance-only query from `from`:
+    /// the walk's site and the walk's examined count, from the compute-row
+    /// oracle for any anchor and from the storage-column oracle for an
+    /// anchor that faces the storage zone. `None` for a storage anchor
+    /// that does not, where only the walk answers.
+    fn oracle(&self, zone: Zone, from: Point, free_len: usize) -> Option<(Option<SiteId>, u64)> {
+        match zone {
+            Zone::Compute => Some(self.arena.index.nearest_compute(from, free_len)),
+            Zone::Storage => self
+                .arena
+                .columns
+                .faces(from)
+                .then(|| self.arena.columns.nearest(from, free_len)),
+        }
+    }
+
+    /// Charges an oracle's examined count to the counters and returns its
+    /// site. Debug builds check both against the walk.
+    fn accept(
+        &mut self,
+        zone: Zone,
+        from: Point,
+        free_len: usize,
+        (chosen, examined): (Option<SiteId>, u64),
+    ) -> Option<SiteId> {
         debug_assert_eq!(
             (chosen, examined),
-            self.best_pruned(Zone::Storage, from, 0.0, Attractors::default(), &|_, _| 0.0),
-            "storage-column parking diverged from the free-site walk"
+            self.best_pruned(
+                zone,
+                from,
+                0.0,
+                Attractors::default(),
+                BiasForm::Zero,
+                &|_, _| 0.0
+            ),
+            "{zone} distance oracle diverged from the free-site walk"
         );
         self.charge(free_len, examined);
         chosen
@@ -1000,13 +1100,15 @@ impl<'a> SiteFinder<'a> {
     ///
     /// Dispatches between the linear reference scan (short free lists) and
     /// the index-pruned best-first search; both return the identical site,
-    /// which debug builds assert on every pruned query.
+    /// which debug builds assert on every pruned query. `form` is what the
+    /// policy behind `bias` knows of it.
     fn best(
         &mut self,
         zone: Zone,
         anchor: Point,
         min_bias: f64,
         attractors: Attractors<'_>,
+        form: BiasForm,
         bias: impl Fn(SiteId, Point) -> f64,
     ) -> Option<SiteId> {
         let free_len = self.arena.free[zone_index(zone)].len();
@@ -1014,7 +1116,7 @@ impl<'a> SiteFinder<'a> {
             self.search.stats.scans += free_len as u64;
             return self.best_linear(zone, anchor, &bias);
         }
-        let (chosen, examined) = self.best_pruned(zone, anchor, min_bias, attractors, &bias);
+        let (chosen, examined) = self.best_pruned(zone, anchor, min_bias, attractors, form, &bias);
         self.charge(free_len, examined);
         debug_assert_eq!(
             chosen,
@@ -1072,22 +1174,23 @@ impl<'a> SiteFinder<'a> {
     /// always outranks every merely plan-free site
     /// (`best_vacant.or(best_any)`), so sites skipped after that point
     /// cannot affect the result either.
+    ///
+    /// A site's score is `distance + bias`, where the distance is the walk
+    /// key without attractors; under [`BiasForm::Penalty`] the score *is*
+    /// the walk key, so the bias is not evaluated again.
     fn best_pruned(
         &mut self,
         zone: Zone,
         anchor: Point,
         min_bias: f64,
         attractors: Attractors<'_>,
+        form: BiasForm,
         bias: &impl Fn(SiteId, Point) -> f64,
     ) -> (Option<SiteId>, u64) {
-        let slack = if attractors.is_empty() {
-            0.0
-        } else {
-            ATTRACTOR_SLACK
-        };
+        let plain = attractors.is_empty();
+        let slack = if plain { 0.0 } else { ATTRACTOR_SLACK };
         let mut ring = FreeRing::new(
             &self.arena.index,
-            self.grid,
             zone,
             anchor,
             attractors,
@@ -1096,13 +1199,7 @@ impl<'a> SiteFinder<'a> {
         let mut best_vacant: Option<(f64, SiteId)> = None;
         let mut best_any: Option<(f64, SiteId)> = None;
         let mut examined: u64 = 0;
-        while let Some(Visit {
-            site,
-            pos,
-            dist,
-            key,
-        }) = ring.next_free()
-        {
+        while let Some(Visit { site, pos, key }) = ring.next_free() {
             if let Some((vacant_score, _)) = best_vacant {
                 // Strict `>`: an equal score could still win on the
                 // site-index tie-break, so equal lower bounds keep going.
@@ -1115,7 +1212,13 @@ impl<'a> SiteFinder<'a> {
             if !vacant && best_vacant.is_some() {
                 continue;
             }
-            let s = dist + bias(site, pos);
+            let s = if form == BiasForm::Penalty {
+                key
+            } else if plain {
+                key + bias(site, pos)
+            } else {
+                pos.distance(anchor) + bias(site, pos)
+            };
             if beats(s, site, &best_any) {
                 best_any = Some((s, site));
             }
@@ -1241,34 +1344,49 @@ impl FreeSiteHarness {
             self.arch.grid(),
             &mut self.search,
         );
-        let (chosen, examined) =
-            finder.best_pruned(zone, anchor, min_bias, attractors, &|s, p| bias(s, p));
+        let (chosen, examined) = finder.best_pruned(
+            zone,
+            anchor,
+            min_bias,
+            attractors,
+            BiasForm::Custom,
+            &|s, p| bias(s, p),
+        );
         finder.charge(free_len, examined);
         chosen
     }
 
-    /// The storage-column parking query, forced regardless of free-list
-    /// length: the nearest plan-free storage site to `anchor`, vacant ones
-    /// first, charging the counters what the walk
-    /// ([`FreeSiteHarness::best`] with no bias) would have examined. Debug
-    /// builds check the site and count against the walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `anchor` lies below storage row 0 (or the grid has no
-    /// storage), where distance need not grow with the row.
-    pub fn nearest_storage(&mut self, anchor: Point) -> Option<SiteId> {
-        assert!(
-            self.arena.columns.faces(anchor),
-            "the anchor must face the storage zone"
-        );
-        SiteFinder::new(
+    /// The distance oracle, forced regardless of free-list length: the
+    /// nearest plan-free site of `zone` to `anchor`, vacant ones first,
+    /// charging the counters what the walk ([`FreeSiteHarness::best`] with
+    /// no bias) would have examined. The compute-row oracle answers every
+    /// computation-zone query and the storage-column oracle every storage
+    /// query from an anchor on the computation-zone side of storage row 0;
+    /// the walk answers the rest. Debug builds check each oracle answer's
+    /// site and count against the walk.
+    pub fn nearest(&mut self, zone: Zone, anchor: Point) -> Option<SiteId> {
+        let free_len = self.arena.free[zone_index(zone)].len();
+        let mut finder = SiteFinder::new(
             &self.arena,
             &self.layout,
             self.arch.grid(),
             &mut self.search,
-        )
-        .nearest_storage(anchor)
+        );
+        match finder.oracle(zone, anchor, free_len) {
+            Some(answer) => finder.accept(zone, anchor, free_len, answer),
+            None => {
+                let (chosen, examined) = finder.best_pruned(
+                    zone,
+                    anchor,
+                    0.0,
+                    Attractors::default(),
+                    BiasForm::Zero,
+                    &|_, _| 0.0,
+                );
+                finder.charge(free_len, examined);
+                chosen
+            }
+        }
     }
 
     /// The linear reference scan over the zone's free list.
@@ -1388,6 +1506,13 @@ mod tests {
                 occupancy >= 2,
                 "shared-site set stale at {site}"
             );
+            if grid.zone_of(site) == Zone::Compute {
+                assert_eq!(
+                    arena.index.is_vacant(site),
+                    occupancy == 0,
+                    "compute vacant bits stale at {site}"
+                );
+            }
         }
         let mut residents: Vec<Qubit> = layout
             .iter()
@@ -1697,29 +1822,34 @@ mod tests {
         assert!(shared_steps > 0, "churn never stacked two qubits on a site");
     }
 
-    /// Seeded storage churn on `arch` — occupying, vacating, and planning
-    /// sites apart from the layout (plan-free but occupied, planned but
-    /// vacant) — with a parking query from a random computation-zone
-    /// anchor after every step: the storage-column index must return the
-    /// walk's site and charge the walk's `(site_scans, sites_pruned)`.
-    /// `prefill` rows of every column start occupied, which pushes the
-    /// winners deep. Returns how many queries found no vacant plan-free
-    /// site and how many chose a site at row 64 or deeper.
-    fn assert_parking_matches_the_walk(
+    /// Seeded churn of `zone`'s sites on `arch` — occupying, vacating, and
+    /// planning sites apart from the layout (plan-free but occupied,
+    /// planned but vacant) — with a distance-only query of `zone` after
+    /// every step, from an anchor drawn from `anchors`: the zone's oracle
+    /// must return the walk's site (and the linear scan's) and charge the
+    /// walk's `(site_scans, sites_pruned)`. The sites whose position along
+    /// their oracle line (the row of a storage column, the column of a
+    /// compute row) lies in `prefill` start occupied, which pushes the
+    /// winners across the band. Returns how many queries found no vacant
+    /// plan-free site and how many chose a site at position 64 or beyond.
+    fn assert_oracle_matches_the_walk(
         arch: Architecture,
-        prefill: u32,
+        zone: Zone,
+        anchors: &[SiteId],
+        prefill: std::ops::Range<u32>,
         seed: u64,
     ) -> (usize, usize) {
         let zero = |_: SiteId, _: Point| 0.0;
         let grid = arch.grid().clone();
-        let storage: Vec<SiteId> = grid.sites_in(Zone::Storage).collect();
-        let compute: Vec<SiteId> = grid.sites_in(Zone::Compute).collect();
-        let num_qubits = storage.len() as u32;
+        let sites: Vec<SiteId> = grid.sites_in(zone).collect();
+        let num_qubits = sites.len() as u32;
         let mut h = FreeSiteHarness::new(arch, num_qubits);
         let mut placed = 0;
-        for row in 0..prefill {
-            for col in 0..grid.cols() {
-                h.occupy(q(placed), grid.site(Zone::Storage, col, row).unwrap());
+        for &site in &sites {
+            let (col, row) = grid.col_row(site);
+            let line_pos = if zone == Zone::Storage { row } else { col };
+            if prefill.contains(&line_pos) {
+                h.occupy(q(placed), site);
                 placed += 1;
             }
         }
@@ -1730,10 +1860,10 @@ mod tests {
                 .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) as usize % bound
         };
-        let (mut no_vacant, mut deep) = (0, 0);
+        let (mut no_vacant, mut far) = (0, 0);
         for step in 0..400 {
             let qubit = q(next(num_qubits as usize) as u32);
-            let site = storage[next(storage.len())];
+            let site = sites[next(sites.len())];
             match next(6) {
                 0 => h.vacate(qubit),
                 1 | 2 if h.planned_len(site) < 2 => h.occupy(qubit, site),
@@ -1746,17 +1876,29 @@ mod tests {
                     }
                 }
             }
-            let anchor = grid.position(compute[next(compute.len())]);
+            let anchor = grid.position(anchors[next(anchors.len())]);
             let mut walk = h.clone();
-            let expected = walk.best(Zone::Storage, anchor, 0.0, Attractors::default(), &zero);
-            let chosen = h.nearest_storage(anchor);
+            let expected = walk.best(zone, anchor, 0.0, Attractors::default(), &zero);
+            let chosen = h.nearest(zone, anchor);
             assert_eq!(chosen, expected, "step {step}: site");
+            assert_eq!(
+                chosen,
+                h.best_linear(zone, anchor, &zero),
+                "step {step}: linear"
+            );
             assert_eq!(h.counters(), walk.counters(), "step {step}: counters");
             let open = |s: &SiteId| h.planned_len(*s) == 0 && h.layout.occupancy(*s) == 0;
-            no_vacant += usize::from(!storage.iter().any(open));
-            deep += usize::from(chosen.is_some_and(|s| grid.col_row(s).1 >= 64));
+            no_vacant += usize::from(!sites.iter().any(open));
+            far += usize::from(chosen.is_some_and(|s| {
+                let (col, row) = grid.col_row(s);
+                (if zone == Zone::Storage { row } else { col }) >= 64
+            }));
         }
-        (no_vacant, deep)
+        (no_vacant, far)
+    }
+
+    fn zone_sites(arch: &Architecture, zone: Zone) -> Vec<SiteId> {
+        arch.grid().sites_in(zone).collect()
     }
 
     #[test]
@@ -1764,7 +1906,9 @@ mod tests {
         // 1025 qubits: 33 columns of 66 storage rows, two words per column.
         let arch = Architecture::for_qubits(1025);
         assert_eq!(arch.grid().storage_rows(), 66);
-        let (_, deep) = assert_parking_matches_the_walk(arch, 64, 0x7A11);
+        let anchors = zone_sites(&arch, Zone::Compute);
+        let (_, deep) =
+            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, 0..64, 0x7A11);
         assert!(deep > 0, "no query reached the second word of a column");
     }
 
@@ -1772,14 +1916,83 @@ mod tests {
     fn storage_columns_park_like_the_walk_on_one_storage_row() {
         let grid = ZonedGrid::with_dims(20, 3, 1).unwrap();
         let arch = Architecture::for_qubits(20).with_grid(grid);
-        let (no_vacant, _) = assert_parking_matches_the_walk(arch, 0, 0x0DD5);
+        let anchors = zone_sites(&arch, Zone::Compute);
+        let (no_vacant, _) =
+            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, 0..0, 0x0DD5);
         assert!(no_vacant > 0, "every query had a vacant plan-free site");
     }
 
     #[test]
     fn storage_columns_park_like_the_walk_on_the_default_grid() {
         for seed in 1..4 {
-            assert_parking_matches_the_walk(Architecture::for_qubits(64), 2, seed);
+            let arch = Architecture::for_qubits(64);
+            let anchors = zone_sites(&arch, Zone::Compute);
+            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, 0..2, seed);
+        }
+    }
+
+    #[test]
+    fn compute_rows_answer_like_the_walk_across_row_words() {
+        // 130 columns: three words per row. Columns 40..128 start
+        // occupied, so arms from anchors in that band cross word
+        // boundaries in both directions.
+        let grid = ZonedGrid::with_dims(130, 3, 2).unwrap();
+        let arch = Architecture::for_qubits(260).with_grid(grid);
+        let anchors: Vec<SiteId> = zone_sites(&arch, Zone::Compute)
+            .into_iter()
+            .chain(zone_sites(&arch, Zone::Storage))
+            .collect();
+        let (_, far) =
+            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, 40..128, 0xC0DE);
+        assert!(far > 0, "no query reached the second word of a row");
+    }
+
+    #[test]
+    fn compute_rows_answer_like_the_walk_on_one_compute_row() {
+        let grid = ZonedGrid::with_dims(20, 1, 2).unwrap();
+        let arch = Architecture::for_qubits(20).with_grid(grid);
+        let anchors: Vec<SiteId> = zone_sites(&arch, Zone::Compute)
+            .into_iter()
+            .chain(zone_sites(&arch, Zone::Storage))
+            .collect();
+        let (no_vacant, _) =
+            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, 0..0, 0x0DD5);
+        assert!(no_vacant > 0, "every query had a vacant plan-free site");
+    }
+
+    #[test]
+    fn compute_rows_answer_like_the_walk_from_storage_anchors() {
+        for seed in 1..4 {
+            let arch = Architecture::for_qubits(64);
+            let anchors = zone_sites(&arch, Zone::Storage);
+            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, 0..2, seed);
+        }
+    }
+
+    #[test]
+    fn compute_rows_charge_every_free_site_when_none_is_vacant() {
+        // Every compute site occupied, then half of them unplanned: plan-free
+        // but still occupied, so no plan-free site is vacant and the walk
+        // examines all of them before settling on the nearest.
+        let arch = Architecture::for_qubits(64);
+        let compute = zone_sites(&arch, Zone::Compute);
+        let storage = zone_sites(&arch, Zone::Storage);
+        let mut h = FreeSiteHarness::new(arch, compute.len() as u32);
+        for (i, &site) in compute.iter().enumerate() {
+            h.occupy(q(i as u32), site);
+        }
+        for (i, &site) in compute.iter().enumerate().step_by(2) {
+            h.unplan(q(i as u32), site);
+        }
+        let free_len = compute.len().div_ceil(2) as u64;
+        let zero = |_: SiteId, _: Point| 0.0;
+        for anchor in [compute[9], compute[compute.len() - 1], storage[3]] {
+            let anchor = h.grid().position(anchor);
+            let before = h.counters();
+            let chosen = h.nearest(Zone::Compute, anchor);
+            assert_eq!(chosen, h.best_linear(Zone::Compute, anchor, &zero));
+            let after = h.counters();
+            assert_eq!(after, (before.0 + free_len, before.1), "examined count");
         }
     }
 

@@ -3,9 +3,13 @@
 //! Each row names one compile request — a Table 2 circuit generated with
 //! seed 1 on `Architecture::for_qubits(n)` with 1, 2 or 4 AODs, greedy or
 //! auto routing, one thread: the 138 keys of the `service-mix` benchmark —
-//! plus QFT-64/128 on 4 AODs with the default config and QFT-64 without
-//! storage. The values are `content_hash`, `stage_hash` and the emitted
-//! program's `program_digest`. The service cache, the daemon's replies and
+//! plus QFT-64/128 on 4 AODs with the default config, QFT-64 without
+//! storage, and QAOA-regular3/4-256 on 4 AODs under greedy, lookahead,
+//! multi-AOD and auto routing with storage on and off — large enough that
+//! every free-site query path (walk, storage-column and compute-row
+//! oracles) engages, and the digests cover the `site_scans` /
+//! `sites_pruned` counters. The values are `content_hash`, `stage_hash`
+//! and the emitted program's `program_digest`. The service cache, the daemon's replies and
 //! every client that compares digests rely on these staying bit-identical
 //! however the canonical text is produced, so a change to any of them is a
 //! format change and must be made on purpose.
@@ -20,7 +24,7 @@ use powermove_schedule::program_digest;
 /// `(request, content_hash, stage_hash, program_digest)`, one request per
 /// line.
 #[rustfmt::skip]
-const GOLDEN: [(&str, &str, &str, &str); 141] = [
+const GOLDEN: [(&str, &str, &str, &str); 157] = [
     ("QAOA-regular3-30/aod1/greedy", "41d93df5a30e4fc9", "344ed20d7b9070aa", "273df4a57662ebf8"),
     ("QAOA-regular3-30/aod1/auto", "ea4e5c005e3cdb4a", "75e638292d4314e3", "70e5d64cc54f39c4"),
     ("QAOA-regular3-30/aod2/greedy", "ab7edb57ae2b0eaa", "344ed20d7b9070aa", "9b81d4e807928117"),
@@ -162,6 +166,22 @@ const GOLDEN: [(&str, &str, &str, &str); 141] = [
     ("QFT-64/aod4/default", "184727c0db6054c0", "3e363830941e976a", "4c753dd933d81d17"),
     ("QFT-128/aod4/default", "eac5c3b0092a0c92", "ff2003357518c215", "98b449f88e641e2b"),
     ("QFT-64/aod4/no-storage", "ed3852eb34c366fb", "81a22545a94e21b5", "2e2c030704854475"),
+    ("QAOA-regular3-256/aod4/greedy/storage", "7369840faf797215", "4e72a5caf1a47edb", "fb8dfea736a274a1"),
+    ("QAOA-regular3-256/aod4/lookahead/storage", "8adc0b5784ec7d33", "23cab548c5e1c449", "a154fe664cae0f07"),
+    ("QAOA-regular3-256/aod4/multi-aod/storage", "ed1c5813a6b38f82", "109d470c66a213e0", "627f81f2e76e8b93"),
+    ("QAOA-regular3-256/aod4/auto/storage", "34b0890d1a528e76", "15297d6252bc320c", "dfa230c1232bbcbf"),
+    ("QAOA-regular3-256/aod4/greedy/no-storage", "53dc36924234b560", "b96d8fddaa2afd36", "f8d1ea22fcb9fa37"),
+    ("QAOA-regular3-256/aod4/lookahead/no-storage", "75447386ba9315a8", "609f5e97a0c5034e", "5d7c83badbde364b"),
+    ("QAOA-regular3-256/aod4/multi-aod/no-storage", "e6f538890454a3d9", "545bc3f2a521340f", "fa568d075b4c340d"),
+    ("QAOA-regular3-256/aod4/auto/no-storage", "18ed1a68b33607d1", "e65a19f67a4f507f", "cb016cb4d65d1639"),
+    ("QAOA-regular4-256/aod4/greedy/storage", "5eeef94916c7bf49", "f7179eea95af4d07", "62496c1e52ba410a"),
+    ("QAOA-regular4-256/aod4/lookahead/storage", "278873e62755a027", "1f3fa4f92b921545", "e2acff43effcf0ea"),
+    ("QAOA-regular4-256/aod4/multi-aod/storage", "164b8aefa0bcb2ce", "45fc4ff3202e42d4", "28821baedfe71190"),
+    ("QAOA-regular4-256/aod4/auto/storage", "33f0cb5d8b3aedca", "0c8e374e4c1d7d38", "f6bbc40084e67f89"),
+    ("QAOA-regular4-256/aod4/greedy/no-storage", "c3fc4f9383c1992c", "81b27b89035995ca", "02d171b0d7973106"),
+    ("QAOA-regular4-256/aod4/lookahead/no-storage", "2f4688ba4a8d3a84", "a9dce5b1c27838e2", "be25bc541c9bc1c9"),
+    ("QAOA-regular4-256/aod4/multi-aod/no-storage", "84ab524161763c5d", "e69f827ce8f5ddeb", "72a4528c0dac211e"),
+    ("QAOA-regular4-256/aod4/auto/no-storage", "e7b134a7eec5432d", "b1d6262fcc53e483", "3cb8d6925b25a0ff"),
 ];
 
 struct Request {
@@ -205,6 +225,27 @@ fn requests() -> Vec<Request> {
         arch: Architecture::for_qubits(64).with_num_aods(4),
         config: CompilerConfig::without_storage().with_threads(1),
     });
+    for family in [BenchmarkFamily::QaoaRegular3, BenchmarkFamily::QaoaRegular4] {
+        let circuit = generate(family, 256, 1).circuit;
+        for (storage, base) in [
+            ("storage", CompilerConfig::default()),
+            ("no-storage", CompilerConfig::without_storage()),
+        ] {
+            for (routing, config) in [
+                ("greedy", RoutingConfig::greedy()),
+                ("lookahead", RoutingConfig::lookahead(2)),
+                ("multi-aod", RoutingConfig::multi_aod()),
+                ("auto", RoutingConfig::auto()),
+            ] {
+                requests.push(Request {
+                    name: format!("{family}-256/aod4/{routing}/{storage}"),
+                    circuit: circuit.clone(),
+                    arch: Architecture::for_qubits(256).with_num_aods(4),
+                    config: base.with_threads(1).with_routing(config),
+                });
+            }
+        }
+    }
     requests
 }
 
