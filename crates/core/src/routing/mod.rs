@@ -28,8 +28,8 @@
 //! lookahead ([`SitePolicy::attractors`]), and the walk cuts off once its
 //! key cannot beat the best candidate — same site selected, far fewer
 //! examined. Queries scored by distance alone (greedy, multi-AOD, parking
-//! and stale pairs) are answered by row and column oracles over the same
-//! bitsets, which report what the walk would have examined. The
+//! and stale pairs) are answered by one row oracle over the same bitsets,
+//! which reports what the walk would have examined. The
 //! [`SITE_SCANS`] / [`SITES_PRUNED`] metadata counters report the saved
 //! work.
 //!

@@ -1,7 +1,7 @@
 //! The spatial free-site index: per-zone, row-bucketed bitsets over the
 //! planned-free sites, the best-first walk that feeds the pruned free-site
-//! search in `state.rs`, and the two distance oracles that answer the
-//! distance-only queries without walking.
+//! search in `state.rs`, and the distance oracle that answers the
+//! distance-only queries of both zones without walking.
 //!
 //! Every undecided pair of a stage asks the same question — "which free
 //! site of this zone minimizes distance-to-anchor plus policy bias?" — and
@@ -30,25 +30,23 @@
 //! minimum `(distance, SiteId)` over the plan-free sites that are vacant in
 //! the current layout (over all plan-free sites if none is), and the walk
 //! would have examined exactly the plan-free sites within the winner's
-//! distance (every plan-free site if none is vacant). Two oracles compute
-//! both from bitsets of plan-free and vacant sites, scanning *lines* of the
-//! zone outward from the anchor until the line's perpendicular distance
-//! alone exceeds the best distance ([`ZoneLines`]):
-//!
-//! * [`ComputeRows`] — the computation zone as rows, from the plan-free row
-//!   bits the walk uses plus per-row vacant bits; within a row distance
-//!   grows away from the anchor's nearest column on both sides;
-//! * [`StorageColumns`] — the storage zone as columns, for anchors that face
-//!   it; within a column distance grows with the row.
+//! distance (every plan-free site if none is vacant). One distance oracle
+//! ([`SiteIndex::nearest`]) computes both, in either zone and from any
+//! anchor, from the plan-free row bits the walk uses plus per-row vacant
+//! bits: it scans the zone's rows outward from the one nearest the anchor
+//! until a row's vertical distance alone exceeds the best distance, and
+//! within a row distance grows away from the anchor's nearest column on
+//! both sides. Parking's same-column check reads the same bits down one
+//! storage column ([`SiteIndex::shallowest_open`]).
 //!
 //! The index mirrors the arena free lists exactly: `OccupancyArena` calls
 //! [`SiteIndex::set_free`] / [`SiteIndex::clear_free`] on the same empty /
 //! non-empty transitions that push and swap-remove free-list entries, and
-//! [`SiteIndex::set_vacant`] / [`StorageColumns::set_vacant`] where a
-//! site's occupant count leaves or returns to zero, so membership is O(1)
-//! to maintain and never rebuilt. Storage is one bit per site, bucketed by
-//! line; finding the nearest set position within a line is a masked word
-//! scan (`trailing_zeros` / `leading_zeros`).
+//! [`SiteIndex::set_vacant`] where a site's occupant count leaves or
+//! returns to zero, so membership is O(1) to maintain and never rebuilt.
+//! Storage is one bit per site, bucketed by row; finding the nearest set
+//! column within a row is a masked word scan (`trailing_zeros` /
+//! `leading_zeros`).
 
 use crate::routing::state::{beats, Attractors};
 use powermove_hardware::{Point, SiteId, Zone, ZonedGrid};
@@ -132,6 +130,15 @@ impl ZoneGeometry {
         nearest_line(x / self.spacing, self.cols)
     }
 
+    /// The row nearest height `y`. Requires `rows > 0`.
+    fn nearest_row(&self, y: f64) -> u32 {
+        let t = match self.storage_gap {
+            None => y / self.spacing,
+            Some(gap) => (-gap - y) / self.spacing,
+        };
+        nearest_line(t, self.rows)
+    }
+
     /// Where a row splits into arms along which `|x(col) − x|` never
     /// decreases, even in floating point: the last column at or left of
     /// `x` (if any) starts the left arm, the column after it the right
@@ -184,13 +191,11 @@ fn mask_from(bit: u32) -> u64 {
     u64::MAX << bit
 }
 
-/// Bitsets over `lines` lines of `len` positions each, one line's
-/// `⌈len / 64⌉` words contiguous. Grid rows are lines of columns (the free
-/// bits the walk and [`ComputeRows`] read); [`StorageColumns`] keeps
-/// columns as lines of rows.
+/// Bitsets over `lines` grid rows of `len` columns each, one row's
+/// `⌈len / 64⌉` words contiguous: the plan-free bits the walk and the
+/// distance oracle read, and the vacant bits beside them.
 #[derive(Debug, Clone, Default)]
 struct LineBits {
-    lines: u32,
     len: u32,
     words: usize,
     bits: Vec<u64>,
@@ -200,7 +205,6 @@ impl LineBits {
     fn new(lines: u32, len: u32) -> Self {
         let words = (len as usize).div_ceil(64);
         LineBits {
-            lines,
             len,
             words,
             bits: vec![0; words * lines as usize],
@@ -221,6 +225,11 @@ impl LineBits {
     fn word(&self, line: u32, w: usize, mask: Option<&LineBits>) -> u64 {
         let i = line as usize * self.words + w;
         self.bits[i] & mask.map_or(u64::MAX, |m| m.bits[i])
+    }
+
+    /// Whether `pos` of `line` is set (and set in `mask` too, if given).
+    fn has(&self, line: u32, pos: u32, mask: Option<&LineBits>) -> bool {
+        self.word(line, pos as usize / 64, mask) >> (pos % 64) & 1 != 0
     }
 
     /// The set position of `line` nearest to `pos` in direction `dir`,
@@ -267,164 +276,22 @@ impl LineBits {
     }
 }
 
-/// Visits lines `0..lines` outward from `seed` on each side — the seed and
-/// the lines below it, then the lines above — while `gap(line)`, a lower
-/// bound on the distance of every site on the line that never decreases
-/// outward from the seed, is within the reach. `visit` returns the reach
-/// from then on; it starts unbounded.
-fn for_lines_within(
-    lines: u32,
-    seed: u32,
-    gap: impl Fn(u32) -> f64,
-    mut visit: impl FnMut(u32) -> f64,
-) {
-    let mut reach = f64::INFINITY;
-    for line in (0..=seed).rev() {
-        if gap(line) > reach {
-            break;
-        }
-        reach = visit(line);
-    }
-    for line in seed + 1..lines {
-        if gap(line) > reach {
-            break;
-        }
-        reach = visit(line);
-    }
-}
-
-/// A zone seen as lines of sites, the shape both distance oracles share:
-/// lines are scanned outward from the one nearest the anchor, and within
-/// every line distance never decreases along each *arm* — a start
-/// position and a direction, the same for every line, with site indices
-/// growing with the position. A descending arm's ties therefore go to the
-/// sites further along it.
-///
-/// The provided methods are the oracle: [`ZoneLines::nearest`] answers a
-/// distance-only query with the walk's site and the walk's examined count.
-trait ZoneLines {
-    /// Plan-free sites.
-    fn plan_free(&self) -> &LineBits;
-    /// Sites vacant in the current layout.
-    fn vacant(&self) -> &LineBits;
-    /// The line nearest `anchor`.
-    fn seed_line(&self, anchor: Point) -> u32;
-    /// A lower bound on the distance from `anchor` of every site on `line`.
-    fn line_gap(&self, line: u32, anchor: Point) -> f64;
-    /// A lower bound on the distance from `anchor` of the site at `pos` of
-    /// every line.
-    fn pos_gap(&self, pos: u32, anchor: Point) -> f64;
-    /// The arms of every line for `anchor`.
-    fn arms(&self, anchor: Point) -> [Option<(u32, Dir)>; 2];
-    /// The site at `pos` of `line`, and its position.
-    fn site(&self, line: u32, pos: u32) -> (SiteId, Point);
-
-    /// The nearest plan-free site to `anchor`, preferring vacant ones,
-    /// under the `(distance, SiteId)` order, and the number of plan-free
-    /// sites the best-first walk examines to find it; `free_len` is the
-    /// number of plan-free sites.
-    fn nearest(&self, anchor: Point, free_len: usize) -> (Option<SiteId>, u64) {
-        match self.closest(anchor, true) {
-            Some((reach, site)) => (Some(site), self.count_within(anchor, reach)),
-            None => (
-                self.closest(anchor, false).map(|(_, site)| site),
-                free_len as u64,
-            ),
-        }
-    }
-
-    /// The minimum `(distance, SiteId)` over the plan-free (and vacant, if
-    /// `vacant`) sites: each arm's head competes unless its position alone
-    /// is out of reach, and a descending arm's head hands a tie on to the
-    /// sites behind it.
-    fn closest(&self, anchor: Point, vacant: bool) -> Option<(f64, SiteId)> {
-        let (bits, mask) = (self.plan_free(), vacant.then(|| self.vacant()));
-        let arms = self.arms(anchor);
-        let mut best: Option<(f64, SiteId)> = None;
-        for_lines_within(
-            bits.lines,
-            self.seed_line(anchor),
-            |line| self.line_gap(line, anchor),
-            |line| {
-                for &(start, dir) in arms.iter().flatten() {
-                    let Some(mut pos) = bits.seek(line, start, dir, mask) else {
-                        continue;
-                    };
-                    if self.pos_gap(pos, anchor) > best.map_or(f64::INFINITY, |(d, _)| d) {
-                        continue;
-                    }
-                    let (site, at) = self.site(line, pos);
-                    let d = at.distance(anchor);
-                    if beats(d, site, &best) {
-                        best = Some((d, site));
-                    }
-                    if dir == Dir::Down && best.is_some_and(|(best_d, _)| best_d == d) {
-                        while let Some(next) = bits
-                            .step(pos, dir)
-                            .and_then(|p| bits.seek(line, p, dir, mask))
-                        {
-                            let (site, at) = self.site(line, next);
-                            if at.distance(anchor) != d {
-                                break;
-                            }
-                            if beats(d, site, &best) {
-                                best = Some((d, site));
-                            }
-                            pos = next;
-                        }
-                    }
-                }
-                best.map_or(f64::INFINITY, |(d, _)| d)
-            },
-        );
-        best
-    }
-
-    /// The number of plan-free sites at most `reach` from `anchor`.
-    fn count_within(&self, anchor: Point, reach: f64) -> u64 {
-        let bits = self.plan_free();
-        let arms = self.arms(anchor);
-        let mut count = 0;
-        for_lines_within(
-            bits.lines,
-            self.seed_line(anchor),
-            |line| self.line_gap(line, anchor),
-            |line| {
-                for &(start, dir) in arms.iter().flatten() {
-                    let mut from = Some(start);
-                    while let Some(pos) = from.and_then(|p| bits.seek(line, p, dir, None)) {
-                        if self.pos_gap(pos, anchor) > reach
-                            || self.site(line, pos).1.distance(anchor) > reach
-                        {
-                            break;
-                        }
-                        count += 1;
-                        from = bits.step(pos, dir);
-                    }
-                }
-                reach
-            },
-        );
-        count
-    }
-}
-
 /// The per-zone free-site bitsets the arena maintains alongside its free
-/// lists, plus the computation zone's vacant bits. Membership transitions
-/// are O(1); [`FreeRing`] walks free sites in non-decreasing walk key, and
-/// [`SiteIndex::nearest_compute`] answers distance-only computation-zone
-/// queries.
+/// lists, plus per-zone vacant bits. Membership transitions are O(1);
+/// [`FreeRing`] walks free sites in non-decreasing walk key, and
+/// [`SiteIndex::nearest`] answers distance-only queries in either zone.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SiteIndex {
-    /// `[compute, storage]`, matching the arena's `zone_index` slots: rows
-    /// as lines of columns.
+    /// Plan-free sites, `[compute, storage]` as [`zone_slot`] numbers
+    /// them: rows as lines of columns.
     zones: [LineBits; 2],
+    /// Sites vacant in the current layout, laid out as `zones`.
+    vacant: [LineBits; 2],
     geometry: [ZoneGeometry; 2],
-    /// Computation-zone sites vacant in the current layout, rows as lines.
-    compute_vacant: LineBits,
 }
 
-fn zone_slot(zone: Zone) -> usize {
+/// The slot of `zone` in per-zone arrays: `[compute, storage]`.
+pub(crate) fn zone_slot(zone: Zone) -> usize {
     match zone {
         Zone::Compute => 0,
         Zone::Storage => 1,
@@ -432,19 +299,22 @@ fn zone_slot(zone: Zone) -> usize {
 }
 
 impl SiteIndex {
-    /// No site free, every computation-zone site vacant: the arena marks
-    /// free lists and arrivals from there.
+    /// No site free, every site vacant: the arena marks free lists and
+    /// arrivals from there.
     pub(crate) fn new(grid: &ZonedGrid) -> Self {
         let rows = |zone| LineBits::new(grid.rows_in(zone), grid.cols());
-        let mut compute_vacant = rows(Zone::Compute);
-        compute_vacant.bits.fill(u64::MAX);
+        let vacant = |zone| {
+            let mut bits = rows(zone);
+            bits.bits.fill(u64::MAX);
+            bits
+        };
         SiteIndex {
             zones: [rows(Zone::Compute), rows(Zone::Storage)],
+            vacant: [vacant(Zone::Compute), vacant(Zone::Storage)],
             geometry: [
                 ZoneGeometry::new(grid, Zone::Compute),
                 ZoneGeometry::new(grid, Zone::Storage),
             ],
-            compute_vacant,
         }
     }
 
@@ -468,187 +338,177 @@ impl SiteIndex {
         self.zones[zone_slot(zone)].set(row, col, false);
     }
 
-    /// Marks computation-zone site `site` vacant or not in the current
-    /// layout.
-    pub(crate) fn set_vacant(&mut self, site: SiteId, vacant: bool) {
-        let (col, row) = self.col_row(Zone::Compute, site);
-        self.compute_vacant.set(row, col, vacant);
+    /// Marks `site` of `zone` vacant or not in the current layout.
+    pub(crate) fn set_vacant(&mut self, zone: Zone, site: SiteId, vacant: bool) {
+        let (col, row) = self.col_row(zone, site);
+        self.vacant[zone_slot(zone)].set(row, col, vacant);
     }
 
-    /// Whether computation-zone site `site` is marked vacant.
+    /// Whether `site` of `zone` is marked vacant.
     #[cfg(test)]
-    pub(crate) fn is_vacant(&self, site: SiteId) -> bool {
-        let (col, row) = self.col_row(Zone::Compute, site);
-        self.compute_vacant.seek(row, col, Dir::Up, None) == Some(col)
+    pub(crate) fn is_vacant(&self, zone: Zone, site: SiteId) -> bool {
+        let (col, row) = self.col_row(zone, site);
+        self.vacant[zone_slot(zone)].has(row, col, None)
     }
 
-    /// The nearest plan-free computation-zone site to `anchor`, preferring
-    /// vacant ones, under the `(distance, SiteId)` order, and the number of
+    /// The shallowest storage row of column `col` that is plan-free and
+    /// vacant: parking's same-column check, one bit test per row down the
+    /// column.
+    pub(crate) fn shallowest_open(&self, col: u32) -> Option<u32> {
+        let slot = zone_slot(Zone::Storage);
+        let (free, vacant) = (&self.zones[slot], &self.vacant[slot]);
+        (0..self.geometry[slot].rows).find(|&row| free.has(row, col, Some(vacant)))
+    }
+
+    /// The nearest plan-free site of `zone` to `anchor`, preferring vacant
+    /// ones, under the `(distance, SiteId)` order, and the number of
     /// plan-free sites the best-first walk examines to find it; `free_len`
-    /// is the number of plan-free computation-zone sites. Any anchor works.
-    pub(crate) fn nearest_compute(&self, anchor: Point, free_len: usize) -> (Option<SiteId>, u64) {
-        ComputeRows { index: self }.nearest(anchor, free_len)
+    /// is the number of plan-free sites of `zone`. Any anchor works.
+    pub(crate) fn nearest(
+        &self,
+        zone: Zone,
+        anchor: Point,
+        free_len: usize,
+    ) -> (Option<SiteId>, u64) {
+        // A zone without rows has no plan-free site, and no row to seed.
+        if free_len == 0 {
+            return (None, 0);
+        }
+        let slot = zone_slot(zone);
+        let rows = ZoneRows {
+            geometry: &self.geometry[slot],
+            plan_free: &self.zones[slot],
+            vacant: &self.vacant[slot],
+        };
+        match rows.closest(anchor, true) {
+            Some((reach, site)) => (Some(site), rows.count_within(anchor, reach)),
+            None => (
+                rows.closest(anchor, false).map(|(_, site)| site),
+                free_len as u64,
+            ),
+        }
     }
 }
 
-/// The computation zone's rows as the lines of a distance oracle: rows are
-/// scanned outward from the one nearest the anchor's `y`, and within a row
-/// distance grows on both sides of the column nearest the anchor's `x`.
-struct ComputeRows<'a> {
-    index: &'a SiteIndex,
+/// One zone's rows as a distance oracle (see the module docs). Rows are
+/// scanned outward from the one nearest the anchor's `y` until a row's
+/// vertical distance alone exceeds the best distance. Within a row
+/// distance never decreases along either arm of [`ZoneGeometry::split`] —
+/// leftward from the left head, rightward from the right one — and site
+/// indices grow with the column, so the left arm's ties go to the sites
+/// further along it.
+struct ZoneRows<'a> {
+    geometry: &'a ZoneGeometry,
+    plan_free: &'a LineBits,
+    vacant: &'a LineBits,
 }
 
-impl ComputeRows<'_> {
-    fn geometry(&self) -> &ZoneGeometry {
-        &self.index.geometry[0]
-    }
-}
-
-impl ZoneLines for ComputeRows<'_> {
-    fn plan_free(&self) -> &LineBits {
-        &self.index.zones[0]
-    }
-
-    fn vacant(&self) -> &LineBits {
-        &self.index.compute_vacant
-    }
-
-    fn seed_line(&self, anchor: Point) -> u32 {
-        let geometry = self.geometry();
-        nearest_line(anchor.y / geometry.spacing, geometry.rows)
-    }
-
-    fn line_gap(&self, row: u32, anchor: Point) -> f64 {
-        (self.geometry().y(row) - anchor.y).abs()
-    }
-
-    fn pos_gap(&self, col: u32, anchor: Point) -> f64 {
-        (self.geometry().x(col) - anchor.x).abs()
+impl ZoneRows<'_> {
+    /// Visits the row nearest `anchor` and the lower-numbered rows, then the
+    /// higher-numbered ones, while the row's vertical distance from
+    /// `anchor` — a lower bound on the distance of every site in it,
+    /// growing outward from `anchor` — is within the reach. `visit` returns
+    /// the reach from then on; it starts unbounded.
+    fn rows_within(&self, anchor: Point, mut visit: impl FnMut(u32) -> f64) {
+        let geometry = self.geometry;
+        let gap = |row| (geometry.y(row) - anchor.y).abs();
+        let seed = geometry.nearest_row(anchor.y);
+        let mut reach = f64::INFINITY;
+        for row in (0..=seed).rev() {
+            if gap(row) > reach {
+                break;
+            }
+            reach = visit(row);
+        }
+        for row in seed + 1..geometry.rows {
+            if gap(row) > reach {
+                break;
+            }
+            reach = visit(row);
+        }
     }
 
+    /// Every row's arms for `anchor`: a start column and a direction.
     fn arms(&self, anchor: Point) -> [Option<(u32, Dir)>; 2] {
-        let geometry = self.geometry();
-        let (left, right) = geometry.split(anchor.x);
+        let (left, right) = self.geometry.split(anchor.x);
         [
             left.map(|col| (col, Dir::Down)),
-            (right < geometry.cols).then_some((right, Dir::Up)),
+            (right < self.geometry.cols).then_some((right, Dir::Up)),
         ]
     }
 
-    fn site(&self, row: u32, col: u32) -> (SiteId, Point) {
-        let geometry = self.geometry();
-        (geometry.site(col, row), geometry.point(col, row))
-    }
-}
-
-/// Per-storage-column row bitsets: which rows of each column hold a
-/// plan-free site, and which a site vacant in the current layout — the
-/// parking oracle.
-///
-/// The arena keeps both sets at its existing update points: plan-free bits
-/// where it pushes and removes free-list entries, vacant bits where a
-/// site's occupant count leaves or returns to zero. A column spans
-/// `⌈storage_rows / 64⌉` words. Parking asks two questions of it:
-///
-/// * the same-column check — the shallowest row of one column that is
-///   plan-free and vacant — is a lowest-set-bit lookup;
-/// * the nearest storage site to a computation-zone anchor is a
-///   [`ZoneLines`] oracle over the columns: distance grows with the row
-///   below an anchor that faces the storage zone, so each column's one arm
-///   starts at row 0.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StorageColumns {
-    geometry: ZoneGeometry,
-    plan_free: LineBits,
-    vacant: LineBits,
-}
-
-impl StorageColumns {
-    /// Every storage site vacant, none plan-free: the arena marks free
-    /// lists and arrivals from there.
-    pub(crate) fn new(grid: &ZonedGrid) -> Self {
-        let (cols, rows) = (grid.cols(), grid.storage_rows());
-        let mut vacant = LineBits::new(cols, rows);
-        vacant.bits.fill(u64::MAX);
-        StorageColumns {
-            geometry: ZoneGeometry::new(grid, Zone::Storage),
-            plan_free: LineBits::new(cols, rows),
-            vacant,
-        }
+    /// The distance from `anchor` of the site at `(col, row)`, and the site.
+    fn site(&self, col: u32, row: u32, anchor: Point) -> (f64, SiteId) {
+        let geometry = self.geometry;
+        (
+            geometry.point(col, row).distance(anchor),
+            geometry.site(col, row),
+        )
     }
 
-    /// The `(col, row)` of storage site `site`.
-    fn col_row(&self, site: SiteId) -> (u32, u32) {
-        let local = (site.index() - self.geometry.base) as u32;
-        (local % self.geometry.cols, local / self.geometry.cols)
+    /// The minimum `(distance, SiteId)` over the plan-free (and vacant, if
+    /// `vacant`) sites: each arm's head competes unless its column alone
+    /// is out of reach, and a left arm's head hands a tie on to the sites
+    /// behind it.
+    fn closest(&self, anchor: Point, vacant: bool) -> Option<(f64, SiteId)> {
+        let (bits, mask) = (self.plan_free, vacant.then_some(self.vacant));
+        let arms = self.arms(anchor);
+        let mut best: Option<(f64, SiteId)> = None;
+        self.rows_within(anchor, |row| {
+            for &(start, dir) in arms.iter().flatten() {
+                let Some(mut col) = bits.seek(row, start, dir, mask) else {
+                    continue;
+                };
+                let reach = best.map_or(f64::INFINITY, |(d, _)| d);
+                if (self.geometry.x(col) - anchor.x).abs() > reach {
+                    continue;
+                }
+                let (d, site) = self.site(col, row, anchor);
+                if beats(d, site, &best) {
+                    best = Some((d, site));
+                }
+                if dir == Dir::Down && best.is_some_and(|(best_d, _)| best_d == d) {
+                    while let Some(next) = bits
+                        .step(col, dir)
+                        .and_then(|c| bits.seek(row, c, dir, mask))
+                    {
+                        let (next_d, site) = self.site(next, row, anchor);
+                        if next_d != d {
+                            break;
+                        }
+                        if beats(d, site, &best) {
+                            best = Some((d, site));
+                        }
+                        col = next;
+                    }
+                }
+            }
+            best.map_or(f64::INFINITY, |(d, _)| d)
+        });
+        best
     }
 
-    /// Marks storage site `site` plan-free or not.
-    pub(crate) fn set_plan_free(&mut self, site: SiteId, free: bool) {
-        let (col, row) = self.col_row(site);
-        self.plan_free.set(col, row, free);
-    }
-
-    /// Marks storage site `site` vacant or not.
-    pub(crate) fn set_vacant(&mut self, site: SiteId, vacant: bool) {
-        let (col, row) = self.col_row(site);
-        self.vacant.set(col, row, vacant);
-    }
-
-    /// The shallowest row of `col` that is plan-free, and vacant too when
-    /// `vacant` is set.
-    pub(crate) fn shallowest(&self, col: u32, vacant: bool) -> Option<u32> {
-        if self.geometry.rows == 0 {
-            return None;
-        }
-        self.plan_free
-            .seek(col, 0, Dir::Up, vacant.then_some(&self.vacant))
-    }
-
-    /// Whether the oracle's geometry holds for `anchor`: it lies on the
-    /// computation-zone side of storage row 0, so distance grows with the
-    /// row in every column.
-    pub(crate) fn faces(&self, anchor: Point) -> bool {
-        self.geometry.rows > 0 && anchor.y >= self.geometry.y(0)
-    }
-
-    /// The nearest plan-free storage site to `anchor`, preferring vacant
-    /// ones, under the `(distance, SiteId)` order, and the number of
-    /// plan-free sites the best-first walk examines to find it;
-    /// `free_len` is the number of plan-free storage sites. Requires
-    /// [`StorageColumns::faces`].
-    pub(crate) fn nearest(&self, anchor: Point, free_len: usize) -> (Option<SiteId>, u64) {
-        ZoneLines::nearest(self, anchor, free_len)
-    }
-}
-
-impl ZoneLines for StorageColumns {
-    fn plan_free(&self) -> &LineBits {
-        &self.plan_free
-    }
-
-    fn vacant(&self) -> &LineBits {
-        &self.vacant
-    }
-
-    fn seed_line(&self, anchor: Point) -> u32 {
-        self.geometry.nearest_col(anchor.x)
-    }
-
-    fn line_gap(&self, col: u32, anchor: Point) -> f64 {
-        (self.geometry.x(col) - anchor.x).abs()
-    }
-
-    fn pos_gap(&self, row: u32, anchor: Point) -> f64 {
-        (self.geometry.y(row) - anchor.y).abs()
-    }
-
-    fn arms(&self, _anchor: Point) -> [Option<(u32, Dir)>; 2] {
-        [Some((0, Dir::Up)), None]
-    }
-
-    fn site(&self, col: u32, row: u32) -> (SiteId, Point) {
-        (self.geometry.site(col, row), self.geometry.point(col, row))
+    /// The number of plan-free sites at most `reach` from `anchor`.
+    fn count_within(&self, anchor: Point, reach: f64) -> u64 {
+        let bits = self.plan_free;
+        let arms = self.arms(anchor);
+        let mut count = 0;
+        self.rows_within(anchor, |row| {
+            for &(start, dir) in arms.iter().flatten() {
+                let mut from = Some(start);
+                while let Some(col) = from.and_then(|c| bits.seek(row, c, dir, None)) {
+                    if (self.geometry.x(col) - anchor.x).abs() > reach
+                        || self.site(col, row, anchor).0 > reach
+                    {
+                        break;
+                    }
+                    count += 1;
+                    from = bits.step(col, dir);
+                }
+            }
+            reach
+        });
+        count
     }
 }
 
@@ -927,19 +787,28 @@ mod tests {
         state.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Builds an index with a pseudo-random subset of the zone free, and
-    /// returns the free set.
-    fn random_index(grid: &ZonedGrid, zone: Zone, seed: u64) -> (SiteIndex, Vec<SiteId>) {
+    /// Builds an index with a pseudo-random subset of the zone free and
+    /// another vacant, and returns the free and the vacant sets.
+    fn random_index(
+        grid: &ZonedGrid,
+        zone: Zone,
+        seed: u64,
+    ) -> (SiteIndex, Vec<SiteId>, Vec<SiteId>) {
         let mut index = SiteIndex::new(grid);
-        let mut rng = seed | 1;
-        let mut free = Vec::new();
+        let (mut rng, mut vacant_rng) = (seed | 1, seed.wrapping_mul(31) | 1);
+        let (mut free, mut vacant) = (Vec::new(), Vec::new());
         for site in grid.sites_in(zone) {
             if next_rand(&mut rng) % 3 != 0 {
                 index.set_free(zone, site);
                 free.push(site);
             }
+            let is_vacant = next_rand(&mut vacant_rng) % 4 != 0;
+            index.set_vacant(zone, site, is_vacant);
+            if is_vacant {
+                vacant.push(site);
+            }
         }
-        (index, free)
+        (index, free, vacant)
     }
 
     #[test]
@@ -948,7 +817,7 @@ mod tests {
             let grid = ZonedGrid::for_qubits(n);
             for zone in [Zone::Compute, Zone::Storage] {
                 for seed in 1..6u64 {
-                    let (index, free) = random_index(&grid, zone, seed ^ u64::from(n));
+                    let (index, free, _) = random_index(&grid, zone, seed ^ u64::from(n));
                     let anchors = [
                         Point::new(0.0, 0.0),
                         Point::new(22e-6, -35e-6),
@@ -991,7 +860,7 @@ mod tests {
             let grid = ZonedGrid::for_qubits(n);
             for zone in [Zone::Compute, Zone::Storage] {
                 for seed in 1..4u64 {
-                    let (index, free) = random_index(&grid, zone, seed ^ u64::from(n));
+                    let (index, free, _) = random_index(&grid, zone, seed ^ u64::from(n));
                     let anchor = grid.position(free[free.len() / 2]);
                     let far = grid.position(free[free.len() - 1]);
                     let cases = [
@@ -1061,56 +930,54 @@ mod tests {
 
     #[test]
     fn compute_rows_match_brute_force_between_columns_and_off_grid() {
-        // Anchors on sites, halfway between columns (equal |dx| on one
-        // arm, where the tie goes to the smaller index further along it)
-        // and off the grid on every side.
-        for (cols, rows) in [(9, 4), (70, 2), (130, 3), (5, 1)] {
-            let grid = ZonedGrid::with_dims(cols, rows, 2).unwrap();
+        // Both zones, from anchors on sites, halfway between columns (equal
+        // |dx| on one arm, where the tie goes to the smaller index further
+        // along it), off the grid on every side, and inside and below the
+        // storage zone.
+        for (cols, rows, storage_rows) in [(9, 4, 2), (70, 2, 3), (130, 3, 2), (5, 1, 1)] {
+            let grid = ZonedGrid::with_dims(cols, rows, storage_rows).unwrap();
             let pitch = grid.site_spacing();
-            for seed in 1..5u64 {
-                let (mut index, free) = random_index(&grid, Zone::Compute, seed ^ u64::from(cols));
-                let mut rng = seed.wrapping_mul(31) | 1;
-                let mut vacant = Vec::new();
-                for site in grid.sites_in(Zone::Compute) {
-                    let is_vacant = next_rand(&mut rng) % 4 != 0;
-                    index.set_vacant(site, is_vacant);
-                    if is_vacant {
-                        vacant.push(site);
+            let bottom = -grid.zone_gap() - f64::from(storage_rows) * pitch;
+            for zone in [Zone::Compute, Zone::Storage] {
+                for seed in 1..5u64 {
+                    let (index, free, vacant) = random_index(&grid, zone, seed ^ u64::from(cols));
+                    let mut rng = seed.wrapping_mul(17) | 1;
+                    let mut anchors = vec![
+                        Point::new(-3.0 * pitch, 0.5 * pitch),
+                        Point::new(f64::from(cols + 2) * pitch, f64::from(rows + 1) * pitch),
+                        Point::new(2.0 * pitch, -grid.zone_gap() - pitch),
+                        Point::new(2.5 * pitch, -0.5 * grid.zone_gap()),
+                        Point::new(f64::from(cols) * pitch, bottom - 2.5 * pitch),
+                    ];
+                    for k in 0..12 {
+                        let site = SiteId::new(next_rand(&mut rng) as usize % grid.num_sites());
+                        let at = grid.position(site);
+                        anchors.push(at);
+                        anchors.push(Point::new(
+                            at.x + 0.5 * pitch,
+                            at.y - f64::from(k) * 0.25 * pitch,
+                        ));
                     }
-                }
-                let mut anchors = vec![
-                    Point::new(-3.0 * pitch, 0.5 * pitch),
-                    Point::new(f64::from(cols + 2) * pitch, f64::from(rows + 1) * pitch),
-                    Point::new(2.0 * pitch, -grid.zone_gap() - pitch),
-                ];
-                for k in 0..12 {
-                    let site = SiteId::new(next_rand(&mut rng) as usize % free.len().max(1));
-                    let at = grid.position(site);
-                    anchors.push(at);
-                    anchors.push(Point::new(
-                        at.x + 0.5 * pitch,
-                        at.y + f64::from(k) * 0.25 * pitch,
-                    ));
-                }
-                let mut scratch = SearchScratch::default();
-                for anchor in anchors {
-                    assert_eq!(
-                        index.nearest_compute(anchor, free.len()),
-                        brute_nearest(&grid, &free, &vacant, anchor),
-                        "cols={cols} rows={rows} seed={seed} anchor={anchor}"
-                    );
-                    // The walk the oracle stands in for is exactly ordered
-                    // from these anchors too.
-                    let none = Attractors::default();
-                    let mut ring = FreeRing::new(&index, Zone::Compute, anchor, none, &mut scratch);
-                    let mut last = (0.0, SiteId::new(0));
-                    while let Some(v) = ring.next_free() {
-                        assert!(
-                            (v.key, v.site) >= last,
-                            "walk out of order at {anchor}: {:?} after {last:?}",
-                            (v.key, v.site)
+                    let mut scratch = SearchScratch::default();
+                    for anchor in anchors {
+                        assert_eq!(
+                            index.nearest(zone, anchor, free.len()),
+                            brute_nearest(&grid, &free, &vacant, anchor),
+                            "cols={cols} rows={rows} zone={zone} seed={seed} anchor={anchor}"
                         );
-                        last = (v.key, v.site);
+                        // The walk the oracle stands in for is exactly
+                        // ordered from these anchors too.
+                        let none = Attractors::default();
+                        let mut ring = FreeRing::new(&index, zone, anchor, none, &mut scratch);
+                        let mut last = (0.0, SiteId::new(0));
+                        while let Some(v) = ring.next_free() {
+                            assert!(
+                                (v.key, v.site) >= last,
+                                "walk out of order at {anchor}: {:?} after {last:?}",
+                                (v.key, v.site)
+                            );
+                            last = (v.key, v.site);
+                        }
                     }
                 }
             }

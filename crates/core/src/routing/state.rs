@@ -48,15 +48,13 @@
 //!
 //! Queries scored by distance alone — stale-pair relocation, storage
 //! parking, and step 3 under [`ZeroBias`] or a lookahead pair without
-//! attractors — skip the walk: a row oracle over the computation zone's
-//! free and vacant bits and a column oracle over the storage zone's return
-//! the walk's site and charge the counters the walk's examined count.
-//! Debug builds check both against the walk on every query.
+//! attractors — skip the walk: one row oracle over either zone's free and
+//! vacant bits returns the walk's site and charges the counters the walk's
+//! examined count. Debug builds check every answer against the walk and
+//! the linear scan.
 
 use crate::routing::lookahead::AttractorBuffers;
-use crate::routing::site_index::{
-    FreeRing, ScanStats, SearchScratch, SiteIndex, StorageColumns, Visit,
-};
+use crate::routing::site_index::{zone_slot, FreeRing, ScanStats, SearchScratch, SiteIndex, Visit};
 use crate::{CompileError, Stage};
 use powermove_circuit::{CzGate, Qubit};
 use powermove_hardware::{Architecture, Point, SiteId, Zone, ZonedGrid};
@@ -417,29 +415,19 @@ impl<T: DenseKey> DenseSet<T> {
 /// planner reads vacancy, parking candidates and stale pairs without
 /// walking the layout's site map.
 ///
-/// The storage-column index ([`StorageColumns`]) spans both views: per
-/// storage column, the plan-free rows (kept by `mark_free` /
-/// `unmark_free`) and the vacant rows (kept by `arrive` / `depart`).
-/// Parking reads it instead of walking free sites. The spatial index does
-/// the same for the computation zone: its plan-free row bits sit beside
-/// per-row vacant bits, also kept by `arrive` / `depart`.
+/// The spatial index spans both views: per zone, its plan-free row bits
+/// (kept by `mark_free` / `unmark_free`) sit beside per-row vacant bits
+/// (kept by `arrive` / `depart`). Parking and the distance oracle read
+/// them instead of walking free sites.
 #[derive(Debug, Clone)]
 struct OccupancyArena {
     planned: Vec<PlannedSite>,
     free: [DenseSet<SiteId>; 2],
     storage_mover: Vec<bool>,
     index: SiteIndex,
-    columns: StorageColumns,
     current: Vec<u8>,
     compute_residents: DenseSet<Qubit>,
     pairs: DenseSet<SiteId>,
-}
-
-fn zone_index(zone: Zone) -> usize {
-    match zone {
-        Zone::Compute => 0,
-        Zone::Storage => 1,
-    }
 }
 
 impl OccupancyArena {
@@ -451,7 +439,6 @@ impl OccupancyArena {
             free: [DenseSet::new(num_sites), DenseSet::new(num_sites)],
             storage_mover: vec![false; num_qubits],
             index: SiteIndex::new(grid),
-            columns: StorageColumns::new(grid),
             current: vec![0; num_sites],
             compute_residents: DenseSet::new(num_qubits),
             pairs: DenseSet::new(num_sites),
@@ -469,19 +456,13 @@ impl OccupancyArena {
     }
 
     fn mark_free(&mut self, zone: Zone, site: SiteId) {
-        self.free[zone_index(zone)].insert(site);
+        self.free[zone_slot(zone)].insert(site);
         self.index.set_free(zone, site);
-        if zone == Zone::Storage {
-            self.columns.set_plan_free(site, true);
-        }
     }
 
     fn unmark_free(&mut self, zone: Zone, site: SiteId) {
-        self.free[zone_index(zone)].remove(site);
+        self.free[zone_slot(zone)].remove(site);
         self.index.clear_free(zone, site);
-        if zone == Zone::Storage {
-            self.columns.set_plan_free(site, false);
-        }
     }
 
     /// Plans `q` to occupy `site` after the transition.
@@ -533,18 +514,14 @@ impl OccupancyArena {
         let count = &mut self.current[site.index()];
         *count += 1;
         let count = *count;
-        if count == 2 {
+        let zone = grid.zone_of(site);
+        if count == 1 {
+            self.index.set_vacant(zone, site, false);
+        } else if count == 2 {
             self.pairs.insert(site);
         }
-        match grid.zone_of(site) {
-            Zone::Compute => {
-                self.compute_residents.insert(q);
-                if count == 1 {
-                    self.index.set_vacant(site, false);
-                }
-            }
-            Zone::Storage if count == 1 => self.columns.set_vacant(site, false),
-            Zone::Storage => {}
+        if zone == Zone::Compute {
+            self.compute_residents.insert(q);
         }
     }
 
@@ -552,18 +529,14 @@ impl OccupancyArena {
         let count = &mut self.current[site.index()];
         *count -= 1;
         let count = *count;
-        if count == 1 {
+        let zone = grid.zone_of(site);
+        if count == 0 {
+            self.index.set_vacant(zone, site, true);
+        } else if count == 1 {
             self.pairs.remove(site);
         }
-        match grid.zone_of(site) {
-            Zone::Compute => {
-                self.compute_residents.remove(q);
-                if count == 0 {
-                    self.index.set_vacant(site, true);
-                }
-            }
-            Zone::Storage if count == 0 => self.columns.set_vacant(site, true),
-            Zone::Storage => {}
+        if zone == Zone::Compute {
+            self.compute_residents.remove(q);
         }
     }
 }
@@ -797,15 +770,15 @@ impl RoutingState {
                 arena.remove(grid, from, q);
                 let (col, _) = grid.col_row(from);
                 let same_column = arena
-                    .columns
-                    .shallowest(col, true)
+                    .index
+                    .shallowest_open(col)
                     .and_then(|row| grid.site(Zone::Storage, col, row));
                 debug_assert_eq!(
                     same_column,
                     (0..grid.storage_rows())
                         .filter_map(|row| grid.site(Zone::Storage, col, row))
                         .find(|s| arena.planned_len(*s) == 0 && arena.is_vacant(*s)),
-                    "storage-column index diverged from the arena"
+                    "storage row bits diverged from the arena"
                 );
                 let target = same_column
                     .or_else(|| {
@@ -1025,15 +998,14 @@ impl<'a> SiteFinder<'a> {
     }
 
     /// Finds the free site of `zone` nearest to `from`, preferring vacant
-    /// sites. Over more than [`LINEAR_SCAN_THRESHOLD`] free sites a
-    /// distance oracle answers ([`SiteFinder::oracle`]) where one applies;
-    /// every other query goes to [`SiteFinder::best`].
+    /// sites. Over more than [`LINEAR_SCAN_THRESHOLD`] free sites the
+    /// distance oracle ([`SiteIndex::nearest`]) answers; shorter free lists
+    /// go to [`SiteFinder::best`].
     fn nearest(&mut self, zone: Zone, from: Point) -> Option<SiteId> {
-        let free_len = self.arena.free[zone_index(zone)].len();
+        let free_len = self.arena.free[zone_slot(zone)].len();
         if free_len > LINEAR_SCAN_THRESHOLD {
-            if let Some(answer) = self.oracle(zone, from, free_len) {
-                return self.accept(zone, from, free_len, answer);
-            }
+            let answer = self.arena.index.nearest(zone, from, free_len);
+            return self.accept(zone, from, free_len, answer);
         }
         self.best(
             zone,
@@ -1045,24 +1017,10 @@ impl<'a> SiteFinder<'a> {
         )
     }
 
-    /// A distance oracle's answer to the distance-only query from `from`:
-    /// the walk's site and the walk's examined count, from the compute-row
-    /// oracle for any anchor and from the storage-column oracle for an
-    /// anchor that faces the storage zone. `None` for a storage anchor
-    /// that does not, where only the walk answers.
-    fn oracle(&self, zone: Zone, from: Point, free_len: usize) -> Option<(Option<SiteId>, u64)> {
-        match zone {
-            Zone::Compute => Some(self.arena.index.nearest_compute(from, free_len)),
-            Zone::Storage => self
-                .arena
-                .columns
-                .faces(from)
-                .then(|| self.arena.columns.nearest(from, free_len)),
-        }
-    }
-
-    /// Charges an oracle's examined count to the counters and returns its
-    /// site. Debug builds check both against the walk.
+    /// Charges the distance oracle's examined count to the counters and
+    /// returns its site. Debug builds check both against the walk, which
+    /// reads the same row bits, and the site against the linear scan over
+    /// the arena's free list, which does not.
     fn accept(
         &mut self,
         zone: Zone,
@@ -1081,6 +1039,11 @@ impl<'a> SiteFinder<'a> {
                 &|_, _| 0.0
             ),
             "{zone} distance oracle diverged from the free-site walk"
+        );
+        debug_assert_eq!(
+            chosen,
+            self.best_linear(zone, from, &|_, _| 0.0),
+            "{zone} distance oracle diverged from the linear reference scan"
         );
         self.charge(free_len, examined);
         chosen
@@ -1111,7 +1074,7 @@ impl<'a> SiteFinder<'a> {
         form: BiasForm,
         bias: impl Fn(SiteId, Point) -> f64,
     ) -> Option<SiteId> {
-        let free_len = self.arena.free[zone_index(zone)].len();
+        let free_len = self.arena.free[zone_slot(zone)].len();
         if free_len <= LINEAR_SCAN_THRESHOLD {
             self.search.stats.scans += free_len as u64;
             return self.best_linear(zone, anchor, &bias);
@@ -1144,7 +1107,7 @@ impl<'a> SiteFinder<'a> {
     ) -> Option<SiteId> {
         let mut best_vacant: Option<(f64, SiteId)> = None;
         let mut best_any: Option<(f64, SiteId)> = None;
-        for &site in self.arena.free[zone_index(zone)].as_slice() {
+        for &site in self.arena.free[zone_slot(zone)].as_slice() {
             let pos = self.grid.position(site);
             let s = pos.distance(anchor) + bias(site, pos);
             if beats(s, site, &best_any) {
@@ -1337,7 +1300,7 @@ impl FreeSiteHarness {
         attractors: Attractors<'_>,
         bias: &dyn Fn(SiteId, Point) -> f64,
     ) -> Option<SiteId> {
-        let free_len = self.arena.free[zone_index(zone)].len();
+        let free_len = self.arena.free[zone_slot(zone)].len();
         let mut finder = SiteFinder::new(
             &self.arena,
             &self.layout,
@@ -1359,34 +1322,19 @@ impl FreeSiteHarness {
     /// The distance oracle, forced regardless of free-list length: the
     /// nearest plan-free site of `zone` to `anchor`, vacant ones first,
     /// charging the counters what the walk ([`FreeSiteHarness::best`] with
-    /// no bias) would have examined. The compute-row oracle answers every
-    /// computation-zone query and the storage-column oracle every storage
-    /// query from an anchor on the computation-zone side of storage row 0;
-    /// the walk answers the rest. Debug builds check each oracle answer's
-    /// site and count against the walk.
+    /// no bias) would have examined. Any anchor works, in either zone.
+    /// Debug builds check the site and count against the walk, and the
+    /// site against the linear scan.
     pub fn nearest(&mut self, zone: Zone, anchor: Point) -> Option<SiteId> {
-        let free_len = self.arena.free[zone_index(zone)].len();
-        let mut finder = SiteFinder::new(
+        let free_len = self.arena.free[zone_slot(zone)].len();
+        let answer = self.arena.index.nearest(zone, anchor, free_len);
+        SiteFinder::new(
             &self.arena,
             &self.layout,
             self.arch.grid(),
             &mut self.search,
-        );
-        match finder.oracle(zone, anchor, free_len) {
-            Some(answer) => finder.accept(zone, anchor, free_len, answer),
-            None => {
-                let (chosen, examined) = finder.best_pruned(
-                    zone,
-                    anchor,
-                    0.0,
-                    Attractors::default(),
-                    BiasForm::Zero,
-                    &|_, _| 0.0,
-                );
-                finder.charge(free_len, examined);
-                chosen
-            }
-        }
+        )
+        .accept(zone, anchor, free_len, answer)
     }
 
     /// The linear reference scan over the zone's free list.
@@ -1480,7 +1428,7 @@ mod tests {
             let mut current: Vec<Qubit> = router.layout().occupants(site).to_vec();
             current.sort();
             assert_eq!(planned, current, "arena drifted from layout at {site}");
-            let in_free_list = router.arena.free[zone_index(grid.zone_of(site))].contains(site);
+            let in_free_list = router.arena.free[zone_slot(grid.zone_of(site))].contains(site);
             assert_eq!(
                 in_free_list,
                 planned.is_empty(),
@@ -1506,13 +1454,11 @@ mod tests {
                 occupancy >= 2,
                 "shared-site set stale at {site}"
             );
-            if grid.zone_of(site) == Zone::Compute {
-                assert_eq!(
-                    arena.index.is_vacant(site),
-                    occupancy == 0,
-                    "compute vacant bits stale at {site}"
-                );
-            }
+            assert_eq!(
+                arena.index.is_vacant(grid.zone_of(site), site),
+                occupancy == 0,
+                "vacant bits stale at {site}"
+            );
         }
         let mut residents: Vec<Qubit> = layout
             .iter()
@@ -1755,7 +1701,7 @@ mod tests {
         );
         h.vacate(q(0));
         assert_eq!(
-            h.arena.free[zone_index(Zone::Compute)].len(),
+            h.arena.free[zone_slot(Zone::Compute)].len(),
             grid.num_compute_sites() - 5
         );
         assert_eq!(h.planned_len(anchor_site), 0);
@@ -1825,17 +1771,18 @@ mod tests {
     /// Seeded churn of `zone`'s sites on `arch` — occupying, vacating, and
     /// planning sites apart from the layout (plan-free but occupied,
     /// planned but vacant) — with a distance-only query of `zone` after
-    /// every step, from an anchor drawn from `anchors`: the zone's oracle
-    /// must return the walk's site (and the linear scan's) and charge the
-    /// walk's `(site_scans, sites_pruned)`. The sites whose position along
-    /// their oracle line (the row of a storage column, the column of a
-    /// compute row) lies in `prefill` start occupied, which pushes the
-    /// winners across the band. Returns how many queries found no vacant
-    /// plan-free site and how many chose a site at position 64 or beyond.
+    /// every step, from an anchor drawn from `anchors`: the oracle must
+    /// return the walk's site (and the linear scan's) and charge the walk's
+    /// `(site_scans, sites_pruned)`. The sites whose `axis` coordinate
+    /// ([`col_of`] or [`row_of`]) lies in `prefill` start occupied, which
+    /// pushes the winners across the band. Returns how many queries found
+    /// no vacant plan-free site and how many chose a site whose `axis`
+    /// coordinate is 64 or beyond.
     fn assert_oracle_matches_the_walk(
         arch: Architecture,
         zone: Zone,
         anchors: &[SiteId],
+        axis: fn((u32, u32)) -> u32,
         prefill: std::ops::Range<u32>,
         seed: u64,
     ) -> (usize, usize) {
@@ -1846,9 +1793,7 @@ mod tests {
         let mut h = FreeSiteHarness::new(arch, num_qubits);
         let mut placed = 0;
         for &site in &sites {
-            let (col, row) = grid.col_row(site);
-            let line_pos = if zone == Zone::Storage { row } else { col };
-            if prefill.contains(&line_pos) {
+            if prefill.contains(&axis(grid.col_row(site))) {
                 h.occupy(q(placed), site);
                 placed += 1;
             }
@@ -1889,74 +1834,82 @@ mod tests {
             assert_eq!(h.counters(), walk.counters(), "step {step}: counters");
             let open = |s: &SiteId| h.planned_len(*s) == 0 && h.layout.occupancy(*s) == 0;
             no_vacant += usize::from(!sites.iter().any(open));
-            far += usize::from(chosen.is_some_and(|s| {
-                let (col, row) = grid.col_row(s);
-                (if zone == Zone::Storage { row } else { col }) >= 64
-            }));
+            far += usize::from(chosen.is_some_and(|s| axis(grid.col_row(s)) >= 64));
         }
         (no_vacant, far)
+    }
+
+    fn col_of((col, _): (u32, u32)) -> u32 {
+        col
+    }
+
+    fn row_of((_, row): (u32, u32)) -> u32 {
+        row
     }
 
     fn zone_sites(arch: &Architecture, zone: Zone) -> Vec<SiteId> {
         arch.grid().sites_in(zone).collect()
     }
 
+    fn all_sites(arch: &Architecture) -> Vec<SiteId> {
+        arch.grid().all_sites().collect()
+    }
+
     #[test]
-    fn storage_columns_park_like_the_walk_on_tall_storage() {
-        // 1025 qubits: 33 columns of 66 storage rows, two words per column.
+    fn storage_rows_park_like_the_walk_on_tall_storage() {
+        // 1025 qubits: 33 columns of 66 storage rows. Rows 0..64 start
+        // occupied, so the row scan runs past row 64.
         let arch = Architecture::for_qubits(1025);
         assert_eq!(arch.grid().storage_rows(), 66);
         let anchors = zone_sites(&arch, Zone::Compute);
         let (_, deep) =
-            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, 0..64, 0x7A11);
-        assert!(deep > 0, "no query reached the second word of a column");
+            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, row_of, 0..64, 0x7A11);
+        assert!(deep > 0, "no query reached storage row 64");
     }
 
     #[test]
-    fn storage_columns_park_like_the_walk_on_one_storage_row() {
+    fn storage_rows_park_like_the_walk_on_one_storage_row() {
         let grid = ZonedGrid::with_dims(20, 3, 1).unwrap();
         let arch = Architecture::for_qubits(20).with_grid(grid);
         let anchors = zone_sites(&arch, Zone::Compute);
         let (no_vacant, _) =
-            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, 0..0, 0x0DD5);
+            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, row_of, 0..0, 0x0DD5);
         assert!(no_vacant > 0, "every query had a vacant plan-free site");
     }
 
     #[test]
-    fn storage_columns_park_like_the_walk_on_the_default_grid() {
+    fn storage_rows_park_like_the_walk_on_the_default_grid() {
+        // Anchors in both zones: inside the storage zone the nearest rows
+        // lie on both sides of the anchor's.
         for seed in 1..4 {
             let arch = Architecture::for_qubits(64);
-            let anchors = zone_sites(&arch, Zone::Compute);
-            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, 0..2, seed);
+            let anchors = all_sites(&arch);
+            assert_oracle_matches_the_walk(arch, Zone::Storage, &anchors, row_of, 0..2, seed);
         }
     }
 
     #[test]
     fn compute_rows_answer_like_the_walk_across_row_words() {
-        // 130 columns: three words per row. Columns 40..128 start
-        // occupied, so arms from anchors in that band cross word
+        // 130 columns: three words per row in both zones. Columns 40..128
+        // start occupied, so arms from anchors in that band cross word
         // boundaries in both directions.
-        let grid = ZonedGrid::with_dims(130, 3, 2).unwrap();
-        let arch = Architecture::for_qubits(260).with_grid(grid);
-        let anchors: Vec<SiteId> = zone_sites(&arch, Zone::Compute)
-            .into_iter()
-            .chain(zone_sites(&arch, Zone::Storage))
-            .collect();
-        let (_, far) =
-            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, 40..128, 0xC0DE);
-        assert!(far > 0, "no query reached the second word of a row");
+        for zone in [Zone::Compute, Zone::Storage] {
+            let grid = ZonedGrid::with_dims(130, 3, 2).unwrap();
+            let arch = Architecture::for_qubits(260).with_grid(grid);
+            let anchors = all_sites(&arch);
+            let (_, far) =
+                assert_oracle_matches_the_walk(arch, zone, &anchors, col_of, 40..128, 0xC0DE);
+            assert!(far > 0, "no {zone} query reached the second word of a row");
+        }
     }
 
     #[test]
     fn compute_rows_answer_like_the_walk_on_one_compute_row() {
         let grid = ZonedGrid::with_dims(20, 1, 2).unwrap();
         let arch = Architecture::for_qubits(20).with_grid(grid);
-        let anchors: Vec<SiteId> = zone_sites(&arch, Zone::Compute)
-            .into_iter()
-            .chain(zone_sites(&arch, Zone::Storage))
-            .collect();
+        let anchors = all_sites(&arch);
         let (no_vacant, _) =
-            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, 0..0, 0x0DD5);
+            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, col_of, 0..0, 0x0DD5);
         assert!(no_vacant > 0, "every query had a vacant plan-free site");
     }
 
@@ -1965,7 +1918,7 @@ mod tests {
         for seed in 1..4 {
             let arch = Architecture::for_qubits(64);
             let anchors = zone_sites(&arch, Zone::Storage);
-            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, 0..2, seed);
+            assert_oracle_matches_the_walk(arch, Zone::Compute, &anchors, col_of, 0..2, seed);
         }
     }
 
